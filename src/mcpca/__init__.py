@@ -14,10 +14,8 @@ from .decompose import (
     FitConfig,
     FitReport,
     McpcaModel,
-    PowerIterationResult,
     extract_subspace,
     fit_mcpca,
-    power_iterate,
     reconstruction_error,
     solve_nnls,
 )
@@ -72,12 +70,9 @@ from .synth_bench import (
 from .tensor_core import (
     CovarianceTensor,
     Flattening,
-    RankOneTerm,
     SubspaceTensor,
     contract_mode3,
-    contract_pair,
     flatten,
     stack_covariances,
     tensor_from_factors,
-    unflatten,
 )

@@ -3,20 +3,21 @@
 Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical
 failures (rank deficiency, degenerate restarts, singular Gram matrix).
 All output tables are UTF-8, comma-delimited with a header row and LF
-line endings.  The MCPCA_THREADS environment variable caps benchmark
-worker threads (0 or unset: hardware default).
+line endings.  Benchmark trials run serially, so each recorded runtime
+is the fit alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import __version__
 from .diagnostics import compute_diagnostics, score_samples
-from .decompose import FitConfig, FitReport, fit_mcpca, reconstruction_error
+from .decompose import FitConfig, fit_mcpca, reconstruction_error
 from .exceptions import (
     DataFormatError,
     DegenerateStartError,
@@ -113,18 +114,8 @@ def cmd_fit(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    model, report = fit_mcpca(tensor, args.rank, cfg)
-    report = FitReport(
-        reconstruction_error=report.reconstruction_error,
-        per_context_error=report.per_context_error,
-        objective_trace=report.objective_trace,
-        restarts_used=report.restarts_used,
-        iterations=report.iterations,
-        elapsed_seconds=report.elapsed_seconds,
-        seed=report.seed,
-        non_identifiable_suspect=report.non_identifiable_suspect,
-        metadata=tuple(metadata),
-    )
+    model, report = fit_mcpca(tensor, args.rank, cfg, identifiability_probe=True)
+    report = dataclasses.replace(report, metadata=tuple(metadata))
     save_model(args.output, model, preprocessing)
     report_path = args.report or args.output + ".report.json"
     save_report(report_path, report)

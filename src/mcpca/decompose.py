@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import nnls as _nnls
@@ -69,13 +68,12 @@ _RESTART_TIE_TOL = 1e-9
 # give 3.7e-3 and generic identifiable models 6e-2 and more.
 IDENTIFIABILITY_GAP_TOL = 1e-8
 
-# Extra refinement iterations run after the stopping rule fires.  The
-# iteration contracts linearly, so stopping on a step-size tolerance
-# leaves an error of the same order as the last step; a tail of further
-# iterations drives each component to its floating-point fixed point
-# (noiseless generators become exact to machine precision).  The tail
-# exits early once an iteration no longer moves the iterates at all.
-_POLISH_ITERS = 300
+# Refinement runs until the sign-aligned step of both unit iterates is at
+# most this, i.e. until each component sits at its floating-point fixed
+# point (noiseless generators become exact to machine precision).  The
+# iteration contracts linearly, so stopping on the tolerance instead
+# would leave an error of the same order as the last step.
+_FIXED_POINT_STEP = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,11 @@ class FitConfig:
     """Knobs for :func:`fit_mcpca`.
 
     ``tol`` bounds the successive cosine gap 1 - |<x_new, x_old>| of both
-    unit-vector iterates; ``restarts_per_component`` random starts are
-    drawn per component from ``seed``.
+    unit-vector iterates: a restart has converged, and its discovery
+    stops, once the gap falls below it.  Refinement continues past that
+    point to the floating-point fixed point, within ``max_iter``
+    iterations.  ``restarts_per_component`` random starts are drawn per
+    component from ``seed``.
     """
 
     seed: int = 0
@@ -168,6 +169,9 @@ class FitReport:
     ``objective_trace[j]`` lists the objective value at every iteration
     of component j's best restart (discovery followed by refinement, in
     final column order); it is nondecreasing within floating-point slack.
+    ``iterations[j]`` counts every power step of that restart, discovery
+    and refinement; the trace holds one value per step plus the final
+    value of each stage, ``iterations[j] + 2`` in all.
     ``non_identifiable_suspect`` is None unless the fit was asked to run
     the identifiability probe; it is then True when some component's
     loading direction is shared with a second component direction (see
@@ -185,13 +189,6 @@ class FitReport:
     seed: int
     non_identifiable_suspect: bool | None = None
     metadata: tuple[tuple[str, str], ...] = ()
-
-
-class PowerIterationResult(NamedTuple):
-    a: np.ndarray
-    b: np.ndarray
-    objective: float
-    iterations: int
 
 
 def extract_subspace(f: Flattening, r: int) -> SubspaceTensor:
@@ -225,23 +222,26 @@ def _unit(v):
     return v / norm, norm
 
 
-def _power_step(unfold_p, k, r, a, b, trace):
-    m_a = (a @ unfold_p).reshape(k, r)
-    c, sigma = _unit(b @ m_a)
-    trace.append(sigma * sigma)
-    a_new, _ = _unit(unfold_p @ np.outer(b, c).ravel())
-    m_a = (a_new @ unfold_p).reshape(k, r)
-    b_new, _ = _unit(m_a @ c)
-    return a_new, b_new
+def _step(x_new, x):
+    """Sign-aligned step ||x_new - sign(x_new . x) x|| between unit vectors.
+
+    Its square over two is 1 - |x_new . x|, computed without cancellation.
+    """
+    return float(np.linalg.norm(x_new - np.copysign(1.0, x_new @ x) * x))
 
 
-def _power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, polish_iters=0):
+def _power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=False):
     """Alternating normalized contractions on one (p, k*r) unfolding.
 
-    Returns (a, b, objective, iterations, trace, converged).  The trace
-    holds the objective at the start of every iteration plus the final
-    value.  ``polish_iters`` extra iterations run after the stopping rule
-    fires (or the budget is exhausted), without a convergence test.
+    Repeats c <- normalize(T_A(a, b, *)), a <- normalize(T_A(*, b, c)),
+    b <- normalize(T_A(a, *, c)), at most ``max_iter`` times.  Each
+    iteration measures the larger sign-aligned step of the two iterates;
+    ``converged`` is set once step^2 / 2 = 1 - |cos| falls below ``tol``.
+    The iteration stops there, or with ``to_fixed_point`` once the step is
+    at most ``_FIXED_POINT_STEP``.  Returns (a, b, objective, iterations,
+    trace, converged).  The trace holds the objective at the start of
+    every iteration plus the final value.  Raises ``DegenerateStartError``
+    if any contraction vanishes.
     """
     a = a0
     b = b0
@@ -249,51 +249,20 @@ def _power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, polish_iters=0):
     iterations = 0
     converged = False
     while iterations < max_iter:
-        a_new, b_new = _power_step(unfold_p, k, r, a, b, trace)
-        step_a = 1.0 - abs(float(a_new @ a))
-        step_b = 1.0 - abs(float(b_new @ b))
+        c, sigma = _unit(b @ (a @ unfold_p).reshape(k, r))
+        trace.append(sigma * sigma)
+        a_new, _ = _unit(unfold_p @ np.outer(b, c).ravel())
+        b_new, _ = _unit((a_new @ unfold_p).reshape(k, r) @ c)
+        step = max(_step(a_new, a), _step(b_new, b))
         a, b = a_new, b_new
         iterations += 1
-        if step_a < tol and step_b < tol:
-            converged = True
-            break
-    for _ in range(polish_iters):
-        a_new, b_new = _power_step(unfold_p, k, r, a, b, trace)
-        stationary = np.array_equal(a_new, a) and np.array_equal(b_new, b)
-        a, b = a_new, b_new
-        if stationary:
+        converged = converged or 0.5 * step * step < tol
+        if (step <= _FIXED_POINT_STEP) if to_fixed_point else converged:
             break
     m_a = (a @ unfold_p).reshape(k, r)
     final = float(np.linalg.norm(b @ m_a)) ** 2
     trace.append(final)
     return a, b, final, iterations, trace, converged
-
-
-def power_iterate(
-    ts: SubspaceTensor, a0, b0, tol: float = 1e-10, max_iter: int = 500
-) -> PowerIterationResult:
-    """Fixed-point iteration for one rank-one element of the subspace.
-
-    Repeats c <- normalize(T_A(a, b, *)), a <- normalize(T_A(*, b, c)),
-    b <- normalize(T_A(a, *, c)) until the successive cosine gaps of both
-    iterates drop below ``tol`` or ``max_iter`` is reached.  The returned
-    objective is ||T_A(a, b, *)||^2, in [0, 1].  Raises
-    ``DegenerateStartError`` if any contraction vanishes.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
-    if a0.shape != (ts.p,) or b0.shape != (ts.k,):
-        raise DimensionMismatchError(
-            f"start vectors must have lengths {ts.p} and {ts.k}"
-        )
-    if abs(np.linalg.norm(a0) - 1.0) > 1e-8 or abs(np.linalg.norm(b0) - 1.0) > 1e-8:
-        raise ValueError("start vectors must have unit norm")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a, b, objective, iterations, _, _ = _power_iterate(
-        ts._unfold_p, ts.k, ts.r, a0, b0, tol, max_iter
-    )
-    return PowerIterationResult(a=a, b=b, objective=objective, iterations=iterations)
 
 
 def _householder_complement(u):
@@ -458,7 +427,7 @@ def fit_mcpca(
         try:
             a, b, _, ref_iters, ref_trace, ref_conv = _power_iterate(
                 orig_unfold, k, r, a, b, cfg.tol, cfg.max_iter,
-                polish_iters=_POLISH_ITERS,
+                to_fixed_point=True,
             )
             trace = disc_trace + ref_trace
             iters = disc_iters + ref_iters

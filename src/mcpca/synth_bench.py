@@ -7,19 +7,16 @@ standard normals.  Datasets sample each context from the zero-mean
 Gaussian with covariance A B_i A^T, drawn as A diag(sqrt(b_i)) z so
 singular covariances cause no trouble.
 
-Trials are deterministic given the master seed: per-trial generator,
-sampling and fitting seeds are derived with :func:`mix_seed` (so
-parallel and serial runs agree field for field), and runtimes are
-measured around the fit call only.  In noiseless mode the exact
-covariances A B_i A^T are decomposed instead of sampled ones; such
-records carry N = 0.
+Trials run one after another and are deterministic given the master
+seed: per-trial generator, sampling and fitting seeds are derived with
+:func:`mix_seed`, and runtimes are measured around the fit call only.
+In noiseless mode the exact covariances A B_i A^T are decomposed
+instead of sampled ones; such records carry N = 0.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,24 +242,6 @@ def _run_method(method, tensor, pm, fit_cfg):
     return name, score, runtime, converged
 
 
-def worker_count(n_tasks: int) -> int:
-    """Worker threads to use; the MCPCA_THREADS env var caps the count
-    (0 or unset means the hardware default)."""
-    raw = os.environ.get("MCPCA_THREADS", "").strip()
-    cap = int(raw) if raw else 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
-def _map_ordered(fn, tasks):
-    workers = worker_count(len(tasks))
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
     """Fresh planted model and dataset per trial; one record per method."""
     for method in cfg.methods:
@@ -270,7 +249,8 @@ def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be >= 1")
 
-    def one_trial(trial):
+    records = []
+    for trial in range(cfg.n_trials):
         pm = generate_planted(
             cfg.p,
             cfg.k,
@@ -288,7 +268,6 @@ def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
             n_recorded = cfg.N
         fit_seed = mix_seed(cfg.seed, _SEED_FIT, trial)
         fit_cfg = _fit_template(cfg.fit, fit_seed)
-        records = []
         for method in cfg.methods:
             name, score, runtime, converged = _run_method(method, tensor, pm, fit_cfg)
             records.append(
@@ -305,10 +284,7 @@ def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
                     converged=converged,
                 )
             )
-        return records
-
-    nested = _map_ordered(one_trial, list(range(cfg.n_trials)))
-    return [rec for sub in nested for rec in sub]
+    return records
 
 
 def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
@@ -334,13 +310,12 @@ def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
         seed=mix_seed(cfg.seed, _SEED_MODEL),
     )
 
-    def one_point(item):
-        idx, n = item
+    records = []
+    for idx, n in enumerate(cfg.N_grid):
         data = sample_dataset(pm, n, seed=mix_seed(cfg.seed, _SEED_DATA, n))
         tensor = build_tensor(data)
         fit_seed = mix_seed(cfg.seed, _SEED_FIT, n)
         fit_cfg = _fit_template(cfg.fit, fit_seed)
-        records = []
         for method in cfg.methods:
             name, score, runtime, converged = _run_method(method, tensor, pm, fit_cfg)
             records.append(
@@ -357,10 +332,7 @@ def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
                     converged=converged,
                 )
             )
-        return records
-
-    nested = _map_ordered(one_point, list(enumerate(cfg.N_grid)))
-    return [rec for sub in nested for rec in sub]
+    return records
 
 
 def write_records(path, records) -> None:

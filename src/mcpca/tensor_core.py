@@ -4,8 +4,8 @@ A covariance tensor stacks one symmetric p x p matrix per context into a
 p x p x k array that is symmetric under swapping its first two indices.
 Every other module works through the operations here: flattening to the
 p x (p*k) matrix whose column blocks are the individual slices,
-mode-3 contractions, and arithmetic with partially symmetric rank-one
-terms a (x) a (x) b.
+mode-3 contractions, and the orthonormal subspace bases that power
+iterations contract.
 
 Vectorization convention: a p x k matrix ``D`` and a vector in R^{p*k}
 are identified by ``vec(D)[i*p + alpha] = D[alpha, i]`` (variable index
@@ -86,9 +86,6 @@ class CovarianceTensor:
     def k(self) -> int:
         return self.slices.shape[0]
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.slices))
-
 
 @dataclass(frozen=True)
 class Flattening:
@@ -114,32 +111,6 @@ class Flattening:
         sv.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "singular_values", sv)
-
-
-@dataclass(frozen=True)
-class RankOneTerm:
-    """A partially symmetric rank-one term a (x) a (x) b."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = _as_float_array(self.a, "a")
-        b = _as_float_array(self.b, "b")
-        if a.ndim != 1 or b.ndim != 1:
-            raise DimensionMismatchError("a and b must be vectors")
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-            raise ValueError("a must have unit norm within 1e-12")
-        if np.any(b < 0):
-            raise ValueError("b must be entrywise non-negative")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def to_tensor(self) -> CovarianceTensor:
-        outer = np.outer(self.a, self.a)
-        return CovarianceTensor(self.b[:, None, None] * outer[None, :, :])
 
 
 @dataclass(frozen=True)
@@ -238,48 +209,9 @@ def flatten(t: CovarianceTensor) -> Flattening:
     return Flattening(matrix=m, singular_values=sv, p=t.p, k=t.k)
 
 
-def unflatten(matrix, p, k) -> CovarianceTensor:
-    """Inverse of :func:`flatten`: split column blocks back into slices."""
-    m = _as_float_array(matrix, "matrix")
-    if m.shape != (p, p * k):
-        raise DimensionMismatchError(f"expected {p} x {p * k}, got {m.shape}")
-    return CovarianceTensor(m.reshape(p, k, p).transpose(1, 0, 2))
-
-
-def vec_to_matrix(v, p, k) -> np.ndarray:
-    """Reshape a vector in R^{p*k} to a p x k matrix (variable-fastest)."""
-    v = _as_float_array(v, "v")
-    if v.shape != (p * k,):
-        raise DimensionMismatchError(f"expected length {p * k}, got {v.shape}")
-    return v.reshape(k, p).T
-
-
-def matrix_to_vec(m) -> np.ndarray:
-    """Vectorize a p x k matrix (variable-fastest); inverse of vec_to_matrix."""
-    m = _as_float_array(m, "m")
-    if m.ndim != 2:
-        raise DimensionMismatchError("expected a matrix")
-    return m.T.ravel()
-
-
 def contract_mode3(t: CovarianceTensor, v) -> np.ndarray:
     """Weighted sum of slices: sum_i v[i] * S_i.  Symmetric by construction."""
     v = _as_float_array(v, "v")
     if v.shape != (t.k,):
         raise DimensionMismatchError(f"expected length {t.k}, got {v.shape}")
     return np.tensordot(v, t.slices, axes=(0, 0))
-
-
-def contract_pair(ts: SubspaceTensor, a, b) -> np.ndarray:
-    """Contract the subspace tensor with a length-p and a length-k vector.
-
-    Entry l is a^T @ basis[l] @ b, i.e. the coefficient of the l-th basis
-    element in the projection of a (x) b onto the subspace.
-    """
-    a = _as_float_array(a, "a")
-    b = _as_float_array(b, "b")
-    if a.shape != (ts.p,):
-        raise DimensionMismatchError(f"expected a of length {ts.p}, got {a.shape}")
-    if b.shape != (ts.k,):
-        raise DimensionMismatchError(f"expected b of length {ts.k}, got {b.shape}")
-    return (a @ ts._unfold_p).reshape(ts.k, ts.r).T @ b

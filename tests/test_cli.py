@@ -59,6 +59,21 @@ class TestFitCommand:
         report = json.loads((tmp_path / "model.json.report.json").read_text())
         assert report["reconstruction_error"] <= 1e-6
 
+    def test_report_runs_identifiability_probe(self, planted_dir, tmp_path):
+        pm, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        code = main(
+            ["fit", "--input", str(data_dir), "--rank", "3",
+             "--output", str(model_path)]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "model.json.report.json").read_text())
+        assert report["non_identifiable_suspect"] is False
+        assert report["metadata"] == {
+            "covariance": "unbiased",
+            "centering": "per-context",
+        }
+
     def test_rank_zero_is_usage_error(self, planted_dir, tmp_path, capsys):
         pm, data_dir = planted_dir
         code = main(
