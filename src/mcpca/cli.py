@@ -1,7 +1,9 @@
 """Command-line front end: fit, select-rank, score, diag, bench.
 
-Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical
-failures (rank deficiency, degenerate restarts, singular Gram matrix).
+Exit codes: 0 on success, 2 on usage or input errors (including files
+that cannot be read or written), 3 on numerical failures (rank
+deficiency, degenerate restarts, singular Gram matrix, a linear-algebra
+routine that does not converge).
 All output tables are UTF-8, comma-delimited with a header row and LF
 line endings.  Benchmark trials run serially, so each recorded runtime
 is the fit alone.
@@ -14,6 +16,8 @@ import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .diagnostics import compute_diagnostics, score_samples
@@ -50,12 +54,15 @@ _INPUT_ERRORS = (
     DimensionMismatchError,
     AsymmetricInputError,
     ValueError,
+    OSError,
 )
+# LinAlgError subclasses ValueError, so main() tests these first.
 _NUMERICAL_ERRORS = (
     RankDeficiencyError,
     DegenerateStartError,
     GramSingularityError,
     DegeneracyError,
+    np.linalg.LinAlgError,
 )
 
 

@@ -1,7 +1,7 @@
 """Loading per-context data, sample covariances and global PCA reduction.
 
 Supported inputs are delimited text (comma or tab, auto-detected from the
-first line, optional header row, UTF-8):
+first line, optional header row, UTF-8 with or without a byte-order mark):
 
 * per-context-files: a directory with one file per context, context id =
   file stem, contexts ordered by lexicographic file name;
@@ -10,7 +10,15 @@ first line, optional header row, UTF-8):
   ordered by first appearance.
 
 Covariances use each context's own mean and the unbiased 1/(n-1)
-normalization.  Missing or non-numeric values are rejected, not imputed.
+normalization.  Missing, non-numeric and non-finite values are rejected,
+not imputed.
+
+The numeric cells of a file are parsed in one ``np.loadtxt`` pass in C.
+When numpy rejects a cell, the per-cell walk with Python's ``float``
+runs instead: it accepts the cells ``float`` accepts (``1_0``, non-ASCII
+digits) and otherwise raises the error naming the first bad cell.  Both
+paths give the same float64 bits, and every error message is the one
+the cell walk gives.
 """
 
 from __future__ import annotations
@@ -104,35 +112,62 @@ def _is_numeric(token: str) -> bool:
     return True
 
 
-def parse_delimited(path) -> tuple[list[str] | None, list[list[str]]]:
-    """Split a delimited text file into an optional header and data rows.
+def _split(line: str, delim: str) -> list[str]:
+    return [c.strip() for c in line.split(delim)]
 
-    The delimiter (comma or tab) is detected from the first line.  A first
+
+def parse_delimited(path) -> tuple[list[str] | None, list[str], str]:
+    """Read a delimited text file: optional header, data lines, delimiter.
+
+    Blank lines are dropped and the data lines are returned unsplit.  The
+    delimiter (comma or tab) is detected from the first line.  A first
     row with any non-numeric cell beyond the first column is treated as a
-    header.  Raises ``DataFormatError`` on empty input or ragged rows.
+    header, returned as its stripped cells.  Raises ``DataFormatError`` on
+    empty input, ragged rows or a header without data rows.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\r\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty input")
     delim = _detect_delimiter(lines[0])
-    rows = [[c.strip() for c in ln.split(delim)] for ln in lines]
-    width = len(rows[0])
-    for idx, row in enumerate(rows):
-        if len(row) != width:
+    width = lines[0].count(delim) + 1
+    for idx, ln in enumerate(lines):
+        cells = ln.count(delim) + 1
+        if cells != width:
             raise DataFormatError(
-                f"{path}: ragged row {idx + 1} has {len(row)} cells, expected {width}"
+                f"{path}: ragged row {idx + 1} has {cells} cells, expected {width}"
             )
-    header = None
-    first = rows[0]
+    first = _split(lines[0], delim)
     if any(not _is_numeric(c) for c in first[1:]) or (
         len(first) == 1 and not _is_numeric(first[0])
     ):
-        header = first
-        rows = rows[1:]
-        if not rows:
+        if len(lines) == 1:
             raise DataFormatError(f"{path}: header but no data rows")
-    return header, rows
+        return first, lines[1:], delim
+    return None, lines, delim
+
+
+def _parse_block(lines, delim, columns) -> np.ndarray | None:
+    """``columns`` of ``lines`` as floats in one C pass, or None.
+
+    None means numpy's reader rejected a cell.  Python's ``float`` accepts
+    some of those (``1_0``, non-ASCII digits), so the caller then runs the
+    cell walk, which returns its values or names the first bad cell.
+    Comments and quoting are off: the cell walk accepts neither.  Callers
+    check raggedness first, since ``usecols`` hides it.
+    """
+    try:
+        return np.loadtxt(
+            lines,
+            delimiter=delim,
+            comments=None,
+            quotechar=None,
+            dtype=float,
+            ndmin=2,
+            usecols=columns,
+        )
+    except ValueError:
+        return None
 
 
 def _numeric_matrix(path, rows, columns) -> np.ndarray:
@@ -148,6 +183,14 @@ def _numeric_matrix(path, rows, columns) -> np.ndarray:
     return out
 
 
+def _numeric_lines(path, lines, delim) -> np.ndarray:
+    columns = list(range(lines[0].count(delim) + 1))
+    block = _parse_block(lines, delim, columns)
+    if block is None:
+        block = _numeric_matrix(path, [_split(ln, delim) for ln in lines], columns)
+    return block
+
+
 def _load_directory(path) -> ContextDataset:
     names = sorted(
         f for f in os.listdir(path) if os.path.isfile(os.path.join(path, f))
@@ -158,10 +201,8 @@ def _load_directory(path) -> ContextDataset:
     variable_names = None
     for fname in names:
         fpath = os.path.join(path, fname)
-        header, rows = parse_delimited(fpath)
-        if not rows:
-            raise DataFormatError(f"{fpath}: no data rows")
-        matrix = _numeric_matrix(fpath, rows, list(range(len(rows[0]))))
+        header, lines, delim = parse_delimited(fpath)
+        matrix = _numeric_lines(fpath, lines, delim)
         stem = os.path.splitext(fname)[0]
         contexts.append((stem, matrix))
         if header is not None and variable_names is None:
@@ -170,9 +211,7 @@ def _load_directory(path) -> ContextDataset:
 
 
 def _load_long_table(path) -> ContextDataset:
-    header, rows = parse_delimited(path)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+    header, lines, delim = parse_delimited(path)
     ctx_col = 0
     variable_names = None
     if header is not None:
@@ -180,20 +219,23 @@ def _load_long_table(path) -> ContextDataset:
         if "context" in lowered:
             ctx_col = lowered.index("context")
         variable_names = tuple(h for j, h in enumerate(header) if j != ctx_col)
-    value_cols = [j for j in range(len(rows[0])) if j != ctx_col]
+    width = lines[0].count(delim) + 1
+    value_cols = [j for j in range(width) if j != ctx_col]
     if not value_cols:
         raise DataFormatError(f"{path}: no value columns besides the context id")
-    groups: dict[str, list[list[str]]] = {}
-    order: list[str] = []
-    for row in rows:
-        cid = row[ctx_col]
-        if cid not in groups:
-            groups[cid] = []
-            order.append(cid)
-        groups[cid].append(row)
+    # Row indices per context id, in order of first appearance.
+    groups: dict[str, list[int]] = {}
+    for i, ln in enumerate(lines):
+        cid = ln.split(delim, ctx_col + 1)[ctx_col].strip()
+        groups.setdefault(cid, []).append(i)
+    block = _parse_block(lines, delim, value_cols)
     contexts = []
-    for cid in order:
-        matrix = _numeric_matrix(path, groups[cid], value_cols)
+    for cid, idx in groups.items():
+        if block is None:
+            rows = [_split(lines[i], delim) for i in idx]
+            matrix = _numeric_matrix(path, rows, value_cols)
+        else:
+            matrix = block[idx]
         if matrix.shape[0] < 2:
             raise DataFormatError(
                 f"{path}: fewer than 2 samples in context {cid!r}"
@@ -220,11 +262,22 @@ def load_contexts(path_spec, format) -> ContextDataset:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load one delimited numeric matrix (no context column)."""
-    header, rows = parse_delimited(path)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return _numeric_matrix(path, rows, list(range(len(rows[0]))))
+    """Load one delimited numeric matrix (no context column).
+
+    Non-finite cells (``nan``, ``inf``, or a literal that overflows such
+    as ``1e400``) are rejected, naming the first one by data row and
+    column.
+    """
+    _, lines, delim = parse_delimited(path)
+    out = _numeric_lines(path, lines, delim)
+    finite = np.isfinite(out)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        cell = _split(lines[i], delim)[j]
+        raise DataFormatError(
+            f"{path}: non-finite cell {cell!r} at row {i + 1}, column {j + 1}"
+        )
+    return out
 
 
 def sample_covariance(X) -> np.ndarray:

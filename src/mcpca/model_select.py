@@ -65,7 +65,11 @@ class MatchResult:
 
 
 def ascore(A_true, A_rec) -> MatchResult:
-    """Mean absolute cosine similarity under greedy column matching."""
+    """Mean absolute cosine similarity under greedy column matching.
+
+    Each matched |cos| is clipped at 1: rounding can put the cosine of
+    equal unit columns just above 1, and a score never exceeds 1.
+    """
     A_true = np.asarray(A_true, dtype=float)
     A_rec = np.asarray(A_rec, dtype=float)
     if A_true.ndim != 2 or A_true.shape != A_rec.shape:
@@ -90,7 +94,7 @@ def ascore(A_true, A_rec) -> MatchResult:
         available[choice] = False
         permutation.append(choice)
         signs[choice] = 1 if cosines[j, choice] >= 0 else -1
-        matched.append(float(row[choice]))
+        matched.append(min(float(row[choice]), 1.0))
     return MatchResult(
         permutation=tuple(permutation),
         signs=tuple(signs),

@@ -217,6 +217,75 @@ class TestScoreCommand:
         np.testing.assert_allclose(written, expected, atol=1e-10)
 
 
+class TestExitCodes:
+    @pytest.fixture
+    def model_path(self, planted_dir, tmp_path):
+        _, data_dir = planted_dir
+        path = tmp_path / "model.json"
+        assert main(
+            ["fit", "--input", str(data_dir), "--rank", "3",
+             "--seed", "5", "--output", str(path)]
+        ) == 0
+        return path
+
+    def test_non_finite_score_data_is_input_error(
+        self, model_path, tmp_path, capsys
+    ):
+        data = tmp_path / "nan.csv"
+        rows = ["1" + ",1" * 9] * 3
+        rows[1] = "1,nan" + ",1" * 8
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "s.csv"
+        code = main(
+            ["score", "--model", str(model_path), "--data", str(data),
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: non-finite cell 'nan' at row 2, column 2\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["--model", "--data", "--output"])
+    def test_unreadable_or_unwritable_file_is_input_error(
+        self, missing, model_path, planted_dir, tmp_path, capsys
+    ):
+        _, data_dir = planted_dir
+        paths = {
+            "--model": str(model_path),
+            "--data": str(data_dir / "c00.csv"),
+            "--output": str(tmp_path / "scores.csv"),
+        }
+        paths[missing] = str(tmp_path / "no_such_dir" / "file")
+        argv = ["score"]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        capsys.readouterr()
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+
+    def test_linalg_failure_is_numerical(
+        self, model_path, planted_dir, tmp_path, monkeypatch, capsys
+    ):
+        import mcpca.cli
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(mcpca.cli, "score_samples", no_convergence)
+        _, data_dir = planted_dir
+        code = main(
+            ["score", "--model", str(model_path), "--data",
+             str(data_dir / "c00.csv"), "--output", str(tmp_path / "s.csv")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: SVD did not converge\n"
+        )
+
+
 class TestDiagCommand:
     def test_exact_model_table(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mcpca import (
     ContextDataset,
@@ -10,6 +15,7 @@ from mcpca import (
     sample_covariance,
 )
 from mcpca.ingest import load_matrix, pooled_mean
+from mcpca.exceptions import McpcaError
 
 
 def _write(path, text):
@@ -77,6 +83,220 @@ class TestLoadContexts:
         f = tmp_path / "m.csv"
         _write(f, "x,y\n1,2\n3,4\n")
         np.testing.assert_array_equal(load_matrix(f), [[1, 2], [3, 4]])
+
+
+class TestEncodingAndNonFinite:
+    def test_bom_header_directory(self, tmp_path):
+        (tmp_path / "c1.csv").write_text("\ufeffg1,g2\n1,2\n3,5\n", encoding="utf-8")
+        ds = load_contexts(tmp_path, "per-context-files")
+        assert ds.variable_names == ("g1", "g2")
+
+    def test_bom_header_long_table(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("\ufeffg1,context,g2\n1,a,2\n3,a,5\n", encoding="utf-8")
+        ds = load_contexts(f, "long-table")
+        assert ds.context_ids == ("a",)
+        assert ds.variable_names == ("g1", "g2")
+
+    def test_bom_headerless_matrix(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("\ufeff1,2\n3,4\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_matrix(f), [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_load_matrix_rejects_non_finite(self, tmp_path, cell):
+        f = tmp_path / "m.csv"
+        _write(f, f"x,y\n1,2\n3, {cell}\n")
+        with pytest.raises(DataFormatError) as info:
+            load_matrix(f)
+        assert str(info.value) == (
+            f"{f}: non-finite cell {cell!r} at row 2, column 2"
+        )
+
+
+# --- reference: the cell-walk parser the C-parsed fast path must match ------
+
+
+def _ref_is_numeric(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _ref_parse_delimited(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\r\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: empty input")
+    delim = "\t" if lines[0].count("\t") >= lines[0].count(",") else ","
+    rows = [[c.strip() for c in ln.split(delim)] for ln in lines]
+    width = len(rows[0])
+    for idx, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(
+                f"{path}: ragged row {idx + 1} has {len(row)} cells, expected {width}"
+            )
+    header = None
+    first = rows[0]
+    if any(not _ref_is_numeric(c) for c in first[1:]) or (
+        len(first) == 1 and not _ref_is_numeric(first[0])
+    ):
+        header = first
+        rows = rows[1:]
+        if not rows:
+            raise DataFormatError(f"{path}: header but no data rows")
+    return header, rows
+
+
+def _ref_numeric_matrix(path, rows, columns):
+    out = np.empty((len(rows), len(columns)), dtype=float)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(columns):
+            cell = row[col]
+            if not _ref_is_numeric(cell):
+                raise DataFormatError(
+                    f"{path}: non-numeric cell {cell!r} at row {i + 1}, column {col + 1}"
+                )
+            out[i, j] = float(cell)
+    return out
+
+
+def _ref_load_matrix(path):
+    _, rows = _ref_parse_delimited(path)
+    return _ref_numeric_matrix(path, rows, list(range(len(rows[0]))))
+
+
+def _ref_load_long_table(path):
+    header, rows = _ref_parse_delimited(path)
+    ctx_col = 0
+    variable_names = None
+    if header is not None:
+        lowered = [h.lower() for h in header]
+        if "context" in lowered:
+            ctx_col = lowered.index("context")
+        variable_names = tuple(h for j, h in enumerate(header) if j != ctx_col)
+    value_cols = [j for j in range(len(rows[0])) if j != ctx_col]
+    if not value_cols:
+        raise DataFormatError(f"{path}: no value columns besides the context id")
+    groups = {}
+    for row in rows:
+        groups.setdefault(row[ctx_col], []).append(row)
+    contexts = []
+    for cid, group in groups.items():
+        matrix = _ref_numeric_matrix(path, group, value_cols)
+        if matrix.shape[0] < 2:
+            raise DataFormatError(f"{path}: fewer than 2 samples in context {cid!r}")
+        contexts.append((cid, matrix))
+    return ContextDataset(tuple(contexts), variable_names=variable_names)
+
+
+def _outcome(load, path):
+    try:
+        return load(path), None
+    except McpcaError as exc:
+        return None, exc
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_cell_walk(text):
+    """load_matrix and the long-table loader give the cell walk's float64
+    bits, or its exception type and message; load_matrix additionally
+    rejects the non-finite values the cell walk accepted, at the first
+    one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        want, want_exc = _outcome(_ref_load_matrix, path)
+        got, got_exc = _outcome(load_matrix, path)
+        if want_exc is not None:
+            assert type(got_exc) is type(want_exc)
+            assert str(got_exc) == str(want_exc)
+        elif np.isfinite(want).all():
+            assert got_exc is None and _same_bits(got, want)
+        else:
+            i, j = np.argwhere(~np.isfinite(want))[0]
+            assert isinstance(got_exc, DataFormatError)
+            assert str(got_exc).endswith(f"at row {i + 1}, column {j + 1}")
+
+        want, want_exc = _outcome(_ref_load_long_table, path)
+        got, got_exc = _outcome(lambda p: load_contexts(p, "long-table"), path)
+        if want_exc is not None:
+            assert type(got_exc) is type(want_exc)
+            assert str(got_exc) == str(want_exc)
+        else:
+            assert got_exc is None
+            assert got.context_ids == want.context_ids
+            assert got.variable_names == want.variable_names
+            for (_, x), (_, y) in zip(got.contexts, want.contexts):
+                assert _same_bits(x, y)
+
+
+_TOKENS = [
+    "nan", "-nan", "inf", "-Infinity", "1e400", "-1e400", "1e-400", "1_0",
+    "\u0661", "\u0661.\u0665", "#1", "2#3", '"1"', "'1'", "", " ", " 4 ",
+    "\xa06", "0x1p3", "1.", ".5", "1e", "+7", "1 2", "a", "ctx",
+]
+_CELLS = st.one_of(
+    st.sampled_from(_TOKENS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+_IDS = st.sampled_from(["a", "b", " a", "a ", "", "context", "1", "nan"])
+_NAMES = st.sampled_from(["g1", "g2", "Context", "context", "x", "1"])
+
+
+@st.composite
+def _delimited_files(draw):
+    """Text of a delimited file: mostly well-formed, with every kind of
+    defect the cell walk reports."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(delim.join(draw(st.lists(_NAMES, min_size=width, max_size=width))))
+    with_ids = draw(st.booleans())
+    exotic = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    for _ in range(draw(st.integers(1, 10))):
+        w = width if draw(st.integers(0, 19)) else draw(st.integers(1, 5))
+        cells = [
+            draw(_CELLS) if draw(st.floats(0, 1)) < exotic else repr(draw(st.floats(-1e3, 1e3)))
+            for _ in range(w)
+        ]
+        if with_ids:
+            cells[0] = draw(st.sampled_from(["a", "b"])) if draw(st.booleans()) else draw(_IDS)
+        lines.append(delim.join(cells))
+        if not draw(st.integers(0, 9)):
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=_delimited_files())
+def test_fast_path_matches_cell_walk(text):
+    _assert_matches_cell_walk(text)
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+@pytest.mark.parametrize("token", _TOKENS)
+@pytest.mark.parametrize("cell", [(1, 1), (2, 2)])
+def test_each_token_matches_cell_walk(token, delim, cell):
+    """One token in an otherwise numeric file, as a long table and as a
+    matrix: no other cell can send the fast path to the cell walk."""
+    rows = [["a", "1", "2"], ["a", "3", "4"], ["b", "5", "6"], ["b", "7", "8"]]
+    rows[cell[0]][cell[1]] = token
+    _assert_matches_cell_walk("".join(delim.join(r) + "\n" for r in rows))
+    _assert_matches_cell_walk("".join(delim.join(r[1:]) + "\n" for r in rows))
 
 
 class TestSampleCovariance:

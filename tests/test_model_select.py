@@ -27,6 +27,13 @@ class TestAscore:
         assert result.permutation == (0, 1, 2)
         assert result.signs == (1, 1, 1)
 
+    def test_equal_matrices_score_exactly_one(self):
+        # Every self-cosine of this matrix rounds to 1 + 2**-52.
+        A = _unit_columns(np.random.default_rng(18), 10, 4)
+        result = ascore(A, A)
+        assert result.per_pair_cosines == (1.0, 1.0, 1.0, 1.0)
+        assert result.ascore == 1.0
+
     def test_permutation_and_sign(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
