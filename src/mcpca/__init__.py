@@ -69,7 +69,6 @@ from .synth_bench import (
 )
 from .tensor_core import (
     CovarianceTensor,
-    Flattening,
     SubspaceTensor,
     contract_mode3,
     flatten,

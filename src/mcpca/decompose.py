@@ -3,7 +3,9 @@
 The fit proceeds in three stages:
 
 1. extract the r-dimensional working subspace spanned by the top right
-   singular vectors of the flattening [S_1 ... S_k];
+   singular vectors of the flattening [S_1 ... S_k].  That SVD depends
+   only on the tensor: it runs once per tensor and is shared by every
+   fit of it, whatever the rank or seed;
 2. find component directions one at a time: power iterations maximize
    F(a, b) = ||T_A(a, b, *)||^2, the squared norm of the projection of
    the unit rank-one matrix a (x) b onto the working subspace.  Each
@@ -37,12 +39,7 @@ from .exceptions import (
     GramSingularityError,
     RankDeficiencyError,
 )
-from .tensor_core import (
-    CovarianceTensor,
-    Flattening,
-    SubspaceTensor,
-    flatten,
-)
+from .tensor_core import CovarianceTensor, SubspaceTensor, flatten
 
 # Singular values below RANK_RTOL * sigma_1 do not count toward the
 # numerical rank of the flattening.
@@ -106,6 +103,9 @@ class FitConfig:
 class McpcaModel:
     """Fitted components A (p x r, unit columns) and loadings B (k x r, >= 0).
 
+    Both must be finite.  That check is explicit because a NaN fails
+    every comparison, so it would pass all the others.
+
     Columns are ordered by nonincreasing column sums of B and sign-fixed
     so each column of A has a positive entry of maximum magnitude.
     """
@@ -121,6 +121,9 @@ class McpcaModel:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
+        for name, m in (("A", A), ("B", B)):
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} contains non-finite entries")
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
             raise DimensionMismatchError(
                 f"incompatible A {A.shape} and B {B.shape}"
@@ -191,17 +194,17 @@ class FitReport:
     metadata: tuple[tuple[str, str], ...] = ()
 
 
-def extract_subspace(f: Flattening, r: int) -> SubspaceTensor:
+def extract_subspace(t: CovarianceTensor, r: int) -> SubspaceTensor:
     """Top-r right singular vectors of the flattening, as p x k slices.
 
-    Raises ``RankDeficiencyError`` (carrying the largest admissible rank)
-    when sigma_r falls below RANK_RTOL * sigma_1.
+    Slices the tensor's cached SVD from :func:`flatten` and runs none of
+    its own.  Raises ``ValueError`` unless 1 <= r <= p, and
+    ``RankDeficiencyError`` (carrying the largest admissible rank) when
+    sigma_r falls below RANK_RTOL * sigma_1.
     """
-    if not 1 <= r <= min(f.p, f.p * f.k):
-        raise ValueError(
-            f"rank must be in [1, min(p, p*k)] = [1, {min(f.p, f.p * f.k)}], got {r}"
-        )
-    _, s, vt = np.linalg.svd(f.matrix, full_matrices=False)
+    if not 1 <= r <= t.p:
+        raise ValueError(f"rank must satisfy 1 <= r <= p = {t.p}, got {r}")
+    s, vt = flatten(t)
     if s[0] <= 0.0:
         raise RankDeficiencyError("flattening is identically zero", max_rank=0)
     numerical_rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
@@ -211,8 +214,7 @@ def extract_subspace(f: Flattening, r: int) -> SubspaceTensor:
             f"of the flattening; the largest admissible rank is {numerical_rank}",
             max_rank=numerical_rank,
         )
-    basis = vt[:r].reshape(r, f.k, f.p).transpose(0, 2, 1)
-    return SubspaceTensor(basis=basis, source_singular_values=s[:r].copy())
+    return SubspaceTensor(basis=vt[:r].reshape(r, t.k, t.p).transpose(0, 2, 1))
 
 
 def _unit(v):
@@ -390,9 +392,7 @@ def fit_mcpca(
     The model is the same with or without the probe.
     """
     started = time.perf_counter()
-    if not 1 <= r <= t.p:
-        raise ValueError(f"rank must satisfy 1 <= r <= p = {t.p}, got {r}")
-    ts = extract_subspace(flatten(t), r)
+    ts = extract_subspace(t, r)
     rng = np.random.default_rng(cfg.seed)
     p, k = t.p, t.k
 

@@ -44,6 +44,8 @@ class Preprocessing:
                 raise ValueError("projection must have pca_components rows")
             if mean.shape != (proj.shape[1],):
                 raise ValueError("pca_mean must match the projection's columns")
+            if not (np.all(np.isfinite(proj)) and np.all(np.isfinite(mean))):
+                raise ValueError("projection and pca_mean must be finite")
             proj.setflags(write=False)
             mean.setflags(write=False)
             object.__setattr__(self, "projection", proj)

@@ -14,7 +14,7 @@ candidate whose average reaches the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,7 +105,11 @@ def ascore(A_true, A_rec) -> MatchResult:
 
 @dataclass(frozen=True)
 class RankSelectionReport:
-    """Stability per candidate rank plus the scree of the flattening."""
+    """Stability per candidate rank plus the scree of the flattening.
+
+    ``scree`` holds the p singular values of the flattening, nonincreasing:
+    those of the tensor's one cached SVD, the one every fit starts from.
+    """
 
     candidates: tuple[int, ...]
     stability: tuple[float, ...]
@@ -134,12 +138,7 @@ def stability_score(
         models = []
         try:
             for run in range(2):
-                run_cfg = FitConfig(
-                    seed=mix_seed(cfg.seed, pair, run),
-                    restarts_per_component=cfg.restarts_per_component,
-                    tol=cfg.tol,
-                    max_iter=cfg.max_iter,
-                )
+                run_cfg = replace(cfg, seed=mix_seed(cfg.seed, pair, run))
                 models.append(fit_mcpca(t, r, run_cfg)[0])
         except McpcaError:
             return 0.0
@@ -172,7 +171,7 @@ def select_rank(
     )
     qualifying = [c for c, s in zip(candidates, stability) if s >= threshold]
     chosen = max(qualifying) if qualifying else None
-    scree = tuple(float(s) for s in flatten(t).singular_values)
+    scree = tuple(float(s) for s in flatten(t)[0])
     return RankSelectionReport(
         candidates=tuple(candidates),
         stability=stability,

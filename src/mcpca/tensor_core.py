@@ -2,10 +2,10 @@
 
 A covariance tensor stacks one symmetric p x p matrix per context into a
 p x p x k array that is symmetric under swapping its first two indices.
-Every other module works through the operations here: flattening to the
-p x (p*k) matrix whose column blocks are the individual slices,
-mode-3 contractions, and the orthonormal subspace bases that power
-iterations contract.
+Every other module works through the operations here: the SVD of the
+flattening (the p x (p*k) matrix whose column blocks are the individual
+slices), computed once per tensor and cached on it; mode-3 contractions;
+and the orthonormal subspace bases that power iterations contract.
 
 Vectorization convention: a p x k matrix ``D`` and a vector in R^{p*k}
 are identified by ``vec(D)[i*p + alpha] = D[alpha, i]`` (variable index
@@ -43,11 +43,15 @@ class CovarianceTensor:
     ``slices`` has shape (k, p, p); slice i is the covariance matrix of
     context i.  Slices are validated to be symmetric within
     ``SYMMETRY_RTOL`` (relative to the largest entry magnitude) and then
-    symmetrized exactly.  Instances are immutable and safe to share.
+    symmetrized exactly.  Instances are immutable and safe to share; the
+    SVD of the flattening is cached on first use by :func:`flatten`.
     """
 
     slices: np.ndarray
     context_ids: tuple[str, ...] | None = None
+    _flattening: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         slices = _as_float_array(self.slices, "slices")
@@ -88,55 +92,25 @@ class CovarianceTensor:
 
 
 @dataclass(frozen=True)
-class Flattening:
-    """The p x (p*k) matrix [S_1 ... S_k] and its singular values."""
-
-    matrix: np.ndarray
-    singular_values: np.ndarray
-    p: int
-    k: int
-
-    def __post_init__(self):
-        m = _as_float_array(self.matrix, "matrix")
-        sv = _as_float_array(self.singular_values, "singular_values")
-        if m.shape != (self.p, self.p * self.k):
-            raise DimensionMismatchError(
-                f"flattening must be {self.p} x {self.p * self.k}, got {m.shape}"
-            )
-        if sv.shape != (min(self.p, self.p * self.k),):
-            raise DimensionMismatchError("wrong number of singular values")
-        if np.any(sv < 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be nonincreasing and non-negative")
-        m.setflags(write=False)
-        sv.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "singular_values", sv)
-
-
-@dataclass(frozen=True)
 class SubspaceTensor:
     """Orthonormal basis of an r-dimensional subspace of p x k matrices.
 
     ``basis`` has shape (r, p, k); the vectorized rows (see module
-    docstring) are pairwise orthonormal.  ``source_singular_values`` are
-    the singular values of the flattening the subspace was extracted
-    from.  The contiguous (p, k*r) unfolding used by power iterations is
-    cached at construction.
+    docstring) are pairwise orthonormal.  The contiguous (p, k*r)
+    unfolding used by power iterations is cached at construction.
     """
 
     basis: np.ndarray
-    source_singular_values: np.ndarray
     _unfold_p: np.ndarray = field(init=False, repr=False, compare=False)
     _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = _as_float_array(self.basis, "basis")
-        sv = _as_float_array(self.source_singular_values, "source_singular_values")
         if basis.ndim != 3:
             raise DimensionMismatchError("basis must have shape (r, p, k)")
         r, p, k = basis.shape
-        if r > min(p, p * k):
-            raise DimensionMismatchError(f"r={r} exceeds min(p, p*k)={min(p, p * k)}")
+        if r > p:
+            raise DimensionMismatchError(f"r={r} exceeds p={p}")
         flat = np.ascontiguousarray(basis.transpose(0, 2, 1).reshape(r, p * k))
         gram_dev = float(np.abs(flat @ flat.T - np.eye(r)).max())
         if gram_dev > ORTHONORMALITY_TOL:
@@ -144,10 +118,9 @@ class SubspaceTensor:
                 f"basis is not orthonormal: max Gram deviation {gram_dev:.3e}"
             )
         unfold_p = np.ascontiguousarray(basis.transpose(1, 2, 0).reshape(p, k * r))
-        for arr in (basis, sv, flat, unfold_p):
+        for arr in (basis, flat, unfold_p):
             arr.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "source_singular_values", sv)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "_unfold_p", unfold_p)
 
@@ -202,11 +175,22 @@ def tensor_from_factors(A, B, context_ids=None) -> CovarianceTensor:
     return CovarianceTensor(slices, context_ids=context_ids)
 
 
-def flatten(t: CovarianceTensor) -> Flattening:
-    """Concatenate the slices into M = [S_1 ... S_k] and take its SVD."""
-    m = np.ascontiguousarray(t.slices.transpose(1, 0, 2).reshape(t.p, t.k * t.p))
-    sv = np.linalg.svd(m, compute_uv=False)
-    return Flattening(matrix=m, singular_values=sv, p=t.p, k=t.k)
+def flatten(t: CovarianceTensor) -> tuple[np.ndarray, np.ndarray]:
+    """SVD of the flattening M = [S_1 ... S_k]: (singular_values, vt).
+
+    ``singular_values`` has length p, nonincreasing; the rows of ``vt``
+    (p x p*k) are the right singular vectors, vectorized as in the module
+    docstring.  The SVD runs once per tensor: the read-only result is
+    cached on ``t`` (sound because its slices are read-only) and shared by
+    every later call.
+    """
+    if t._flattening is None:
+        m = t.slices.transpose(1, 0, 2).reshape(t.p, t.k * t.p)
+        _, sv, vt = np.linalg.svd(m, full_matrices=False)
+        sv.setflags(write=False)
+        vt.setflags(write=False)
+        object.__setattr__(t, "_flattening", (sv, vt))
+    return t._flattening
 
 
 def contract_mode3(t: CovarianceTensor, v) -> np.ndarray:

@@ -266,6 +266,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
 
+    @pytest.mark.parametrize("factor", ["A", "B"])
+    def test_nan_model_file_is_input_error(
+        self, factor, model_path, planted_dir, tmp_path, capsys
+    ):
+        raw = json.loads(model_path.read_text())
+        raw[factor][0][0] = float("nan")
+        model_path.write_text(json.dumps(raw))
+        _, data_dir = planted_dir
+        capsys.readouterr()
+        code = main(
+            ["score", "--model", str(model_path), "--data",
+             str(data_dir / "c00.csv"), "--output", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {factor} contains non-finite entries\n"
+        )
+
     def test_linalg_failure_is_numerical(
         self, model_path, planted_dir, tmp_path, monkeypatch, capsys
     ):
@@ -396,3 +414,11 @@ def test_model_file_rejects_corruption(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize("field", ["projection", "pca_mean"])
+def test_preprocessing_rejects_non_finite(field):
+    values = {"projection": np.eye(2, 3), "pca_mean": np.zeros(3)}
+    values[field][0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Preprocessing(pca_components=2, **values)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import duplicated_column_model, generate_identifiable
 
 from mcpca import (
+    CovarianceTensor,
     DegenerateStartError,
     FitConfig,
     GramSingularityError,
@@ -11,7 +14,6 @@ from mcpca import (
     ascore,
     extract_subspace,
     fit_mcpca,
-    flatten,
     jennrich,
     reconstruction_error,
     solve_nnls,
@@ -46,7 +48,7 @@ class TestExtractSubspace:
         a = _unit(rng, 5)
         b = np.abs(rng.standard_normal(4))
         t = tensor_from_factors(a[:, None], b[:, None])
-        ts = extract_subspace(flatten(t), 1)
+        ts = extract_subspace(t, 1)
         expected = np.outer(a, b / np.linalg.norm(b))
         cos = abs(ts.basis[0].T.ravel() @ expected.T.ravel())
         assert cos >= 1 - 1e-10
@@ -64,7 +66,7 @@ class TestExtractSubspace:
         b1 = np.abs(rng.standard_normal(4)) + 0.5
         b2 = np.abs(rng.standard_normal(4)) + 0.5
         t = tensor_from_factors(np.column_stack([a1, a2]), np.column_stack([b1, b2]))
-        ts = extract_subspace(flatten(t), 2)
+        ts = extract_subspace(t, 2)
         flat = ts.basis.transpose(0, 2, 1).reshape(2, -1)
         for a, b in ((a1, b1), (a2, b2)):
             d = np.outer(a, b / np.linalg.norm(b)).T.ravel()
@@ -73,14 +75,14 @@ class TestExtractSubspace:
     def test_rank_deficiency_reports_admissible_rank(self):
         _, t = _planted_tensor(6, 4, 3, 0.8, seed=3)
         with pytest.raises(RankDeficiencyError) as excinfo:
-            extract_subspace(flatten(t), 5)
+            extract_subspace(t, 5)
         assert excinfo.value.max_rank == 3
         assert "3" in str(excinfo.value)
 
     def test_rank_bounds_validated(self):
         _, t = _planted_tensor(6, 4, 3, 0.8, seed=4)
         with pytest.raises(ValueError):
-            extract_subspace(flatten(t), 0)
+            extract_subspace(t, 0)
 
 
 class TestPowerIterate:
@@ -89,7 +91,7 @@ class TestPowerIterate:
         a0 = _unit(rng, 5)
         b0 = np.abs(rng.standard_normal(3)) + 0.1
         t = tensor_from_factors(a0[:, None], b0[:, None])
-        ts = extract_subspace(flatten(t), 1)
+        ts = extract_subspace(t, 1)
         start_a = _unit(rng, 5)
         start_b = _unit(rng, 3)
         a, _, objective, iterations = _iterate(ts, start_a, start_b, tol=1e-10)
@@ -99,7 +101,7 @@ class TestPowerIterate:
 
     def test_planted_pair_is_fixed_point(self):
         pm, t = _planted_tensor(6, 4, 3, 0.7, seed=6)
-        ts = extract_subspace(flatten(t), 3)
+        ts = extract_subspace(t, 3)
         a = pm.A_true[:, 0]
         b = pm.B_true[:, 0] / np.linalg.norm(pm.B_true[:, 0])
         a_out, b_out, objective, iterations = _iterate(ts, a, b)
@@ -112,7 +114,7 @@ class TestPowerIterate:
         # Oracle: Jennrich on the same tensor identifies the planted
         # directions; the best of 20 restarts must agree with one of them.
         pm, t = _planted_tensor(6, 4, 3, 0.7, seed=7)
-        ts = extract_subspace(flatten(t), 3)
+        ts = extract_subspace(t, 3)
         oracle = jennrich(t, 3, seed=99).A
         rng = np.random.default_rng(8)
         best = None
@@ -130,7 +132,7 @@ class TestPowerIterate:
 
     def test_objective_bounded_and_monotone(self):
         pm, t = _planted_tensor(8, 5, 4, 0.6, seed=9)
-        ts = extract_subspace(flatten(t), 4)
+        ts = extract_subspace(t, 4)
         rng = np.random.default_rng(10)
         for _ in range(10):
             _, _, obj, _, trace, _ = _power_iterate(
@@ -289,6 +291,19 @@ class TestFitMcpca:
         _, report = fit_mcpca(t, 3, FitConfig(seed=0), identifiability_probe=True)
         assert report.non_identifiable_suspect is False
 
+    def test_cached_flattening_changes_nothing(self):
+        # The first fit caches the flattening's SVD on t; the second reads
+        # it.  A fresh equal tensor computes its own.
+        pm, t = _planted_tensor(12, 6, 5, 0.5, seed=24)
+        cfg = FitConfig(seed=7)
+        fit_mcpca(t, 5, cfg)
+        cached, cached_report = fit_mcpca(t, 5, cfg)
+        fresh, fresh_report = fit_mcpca(CovarianceTensor(t.slices), 5, cfg)
+        np.testing.assert_array_equal(cached.A, fresh.A)
+        np.testing.assert_array_equal(cached.B, fresh.B)
+        assert cached.converged == fresh.converged
+        assert cached_report.iterations == fresh_report.iterations
+
     def test_all_restarts_counted(self):
         pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
         _, report = fit_mcpca(t, 2, FitConfig(seed=3, restarts_per_component=4))
@@ -324,6 +339,17 @@ class TestModelInvariants:
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs >= -1e-9)
             assert max(trace) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("factor", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factors_rejected(self, factor, value):
+        # NaN passes every comparison the other invariants make.
+        pm, t = _planted_tensor(5, 3, 2, 0.9, seed=18)
+        model, _ = fit_mcpca(t, 2, FitConfig(seed=0))
+        bad = np.array(getattr(model, factor))
+        bad[0, 0] = value
+        with pytest.raises(ValueError, match=f"^{factor} contains non-finite"):
+            replace(model, **{factor: bad})
 
     def test_determinism_bit_identical(self):
         pm, t = _planted_tensor(10, 6, 4, 0.5, seed=36)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mcpca import (
     DimensionMismatchError,
     FitConfig,
     ascore,
+    fit_mcpca,
     mix_seed,
     select_rank,
     stability_score,
@@ -135,6 +138,26 @@ class TestStabilityScore:
         s = stability_score(t, 2, 2, FitConfig(seed=1))
         assert 0.0 <= s <= 1.0
 
+    def test_every_config_field_reaches_the_fits(self, monkeypatch):
+        import mcpca.model_select
+
+        configs = []
+
+        def record(t, r, cfg):
+            configs.append(cfg)
+            return fit_mcpca(t, r, cfg)
+
+        monkeypatch.setattr(mcpca.model_select, "fit_mcpca", record)
+        pm = generate_identifiable(8, 5, 2, 0.8, seed=9)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        cfg = FitConfig(seed=4, restarts_per_component=3, tol=1e-12, max_iter=50)
+        stability_score(t, 2, n_seed_pairs=2, cfg=cfg)
+        assert configs == [
+            replace(cfg, seed=mix_seed(4, pair, run))
+            for pair in range(2)
+            for run in range(2)
+        ]
+
     def test_duplicated_column_less_stable_than_clean(self):
         # A collinear loading pair leaves a one-parameter family of valid
         # decompositions; different seeds land at different points of it,
@@ -198,3 +221,33 @@ class TestSelectRank:
             if s >= report.threshold
         ]
         assert report.chosen == max(qualifying)
+
+
+class TestOneFlatteningSvd:
+    def test_select_rank_and_later_fits_share_one_svd(self, monkeypatch):
+        # Every fit, every rank candidate and the scree read the tensor's
+        # one SVD of the p x p*k flattening.
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=15)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        svd = np.linalg.svd
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        flattening = (t.p, t.p * t.k)
+        select_rank(t, [2, 3, 5], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert shapes.count(flattening) == 1
+        shapes.clear()
+        fit_mcpca(t, 3, FitConfig(seed=1))
+        assert shapes.count(flattening) == 0
+
+    def test_scree_is_the_singular_values_of_the_flattening(self):
+        pm = generate_identifiable(12, 6, 4, 0.7, seed=16)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        report = select_rank(t, [3, 4], n_seed_pairs=1, cfg=FitConfig(seed=0))
+        oracle = np.linalg.svd(np.hstack(list(t.slices)), compute_uv=False)
+        assert len(report.scree) == t.p
+        assert np.abs(np.array(report.scree) - oracle).max() <= 1e-12 * oracle[0]
