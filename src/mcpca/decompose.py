@@ -8,7 +8,9 @@ The fit proceeds in three stages:
    fit of it, whatever the rank or seed;
 2. find component directions one at a time: power iterations maximize
    F(a, b) = ||T_A(a, b, *)||^2, the squared norm of the projection of
-   the unit rank-one matrix a (x) b onto the working subspace.  Each
+   the unit rank-one matrix a (x) b onto the working subspace.  All
+   restarts of a component advance together as one block, so each step
+   is a few matrix-matrix products over the subspace's unfolding.  Each
    discovered pair is refined on the original (undeflated) subspace and
    then projected out of the working basis before the next component is
    sought.  Refinement matters: with non-orthogonal components the
@@ -18,11 +20,13 @@ The fit proceeds in three stages:
    subspace from the discovered point removes that bias.
 3. recompute all loadings globally by non-negative least squares against
    the original tensor, discarding the loadings implied by the power
-   iterations.
+   iterations.  Each context's problem is solved in r x r form through
+   the Cholesky factor of the Gram matrix (A^T A) o (A^T A), which has
+   the same minimizer as the p^2 x r least-squares problem.
 
-Fits are deterministic given (tensor, rank, config): restart points are
-drawn up front from a seeded generator, and ties between restarts are
-broken by the earliest restart index.
+Fits are deterministic given (tensor, rank, config) at a fixed BLAS
+thread count: restart points are drawn up front from a seeded generator,
+and ties between restarts are broken by the earliest restart index.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import nnls as _nnls
 
 from .exceptions import (
@@ -217,54 +222,107 @@ def extract_subspace(t: CovarianceTensor, r: int) -> SubspaceTensor:
     return SubspaceTensor(basis=vt[:r].reshape(r, t.k, t.p).transpose(0, 2, 1))
 
 
-def _unit(v):
-    norm = float(np.linalg.norm(v))
-    if norm <= _DEGENERATE_NORM:
-        raise DegenerateStartError("contraction vanished during power iteration")
-    return v / norm, norm
+def _row_dots(x, y):
+    """Dot products of matching rows, each the one-vector product x_i @ y_i."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _step(x_new, x):
-    """Sign-aligned step ||x_new - sign(x_new . x) x|| between unit vectors.
+def _row_norms(x):
+    return np.sqrt(_row_dots(x, x))
 
-    Its square over two is 1 - |x_new . x|, computed without cancellation.
+
+def _unit_rows(x, ok):
+    """Rows of ``x`` over their norms, and the norms.
+
+    Rows whose norm is at most ``_DEGENERATE_NORM`` are cleared in ``ok``
+    (in place) and divided by one instead, so a vanished contraction
+    raises no floating-point warning.
     """
-    return float(np.linalg.norm(x_new - np.copysign(1.0, x_new @ x) * x))
+    norms = _row_norms(x)
+    ok &= norms > _DEGENERATE_NORM
+    return x / np.where(ok, norms, 1.0)[:, None], norms
 
 
-def _power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=False):
-    """Alternating normalized contractions on one (p, k*r) unfolding.
+def _aligned_steps(x_new, x):
+    """Sign-aligned steps ||x_new - sign(x_new . x) x|| between unit rows.
 
-    Repeats c <- normalize(T_A(a, b, *)), a <- normalize(T_A(*, b, c)),
-    b <- normalize(T_A(a, *, c)), at most ``max_iter`` times.  Each
-    iteration measures the larger sign-aligned step of the two iterates;
-    ``converged`` is set once step^2 / 2 = 1 - |cos| falls below ``tol``.
-    The iteration stops there, or with ``to_fixed_point`` once the step is
-    at most ``_FIXED_POINT_STEP``.  Returns (a, b, objective, iterations,
-    trace, converged).  The trace holds the objective at the start of
-    every iteration plus the final value.  Raises ``DegenerateStartError``
-    if any contraction vanishes.
+    Each square over two is 1 - |x_new . x|, computed without cancellation.
     """
-    a = a0
-    b = b0
-    trace = []
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        c, sigma = _unit(b @ (a @ unfold_p).reshape(k, r))
-        trace.append(sigma * sigma)
-        a_new, _ = _unit(unfold_p @ np.outer(b, c).ravel())
-        b_new, _ = _unit((a_new @ unfold_p).reshape(k, r) @ c)
-        step = max(_step(a_new, a), _step(b_new, b))
-        a, b = a_new, b_new
-        iterations += 1
-        converged = converged or 0.5 * step * step < tol
-        if (step <= _FIXED_POINT_STEP) if to_fixed_point else converged:
-            break
-    m_a = (a @ unfold_p).reshape(k, r)
-    final = float(np.linalg.norm(b @ m_a)) ** 2
-    trace.append(final)
-    return a, b, final, iterations, trace, converged
+    signs = np.copysign(1.0, _row_dots(x_new, x))
+    return _row_norms(x_new - signs[:, None] * x)
+
+
+def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=False):
+    """Alternating normalized contractions of a block of starts on one unfolding.
+
+    ``unfold`` is the (p, k*m) unfolding of an m-dimensional subspace and
+    ``unfold_t`` its (k*m, p) transpose: a contiguous copy speeds up the
+    block products, and for a single start the view ``unfold.T`` makes
+    numpy run the very vector products of a one-start loop.  ``a0``
+    (R, p) and ``b0`` (R, k) hold R unit starts.  Every row repeats
+    c <- normalize(T_A(a, b, *)), a <- normalize(T_A(*, b, c)),
+    b <- normalize(T_A(a, *, c)), and the rows advance in lockstep: a step
+    is three matrix products over the block, not 3R vector products.
+    Each row measures the larger sign-aligned step of its two iterates;
+    its ``converged`` flag is set once step^2 / 2 = 1 - |cos| falls below
+    ``tol``.  A row leaves the block when its own stop test passes (the
+    ``tol`` test, or with ``to_fixed_point`` a step of at most
+    ``_FIXED_POINT_STEP``) or after ``max_iter`` steps.
+
+    Returns one entry per start: None if one of its contractions vanished
+    (a degenerate start, masked out of the block without a warning), else
+    (a, b, objective, iterations, trace, converged).  The trace holds the
+    objective at the start of every iteration plus the final value.
+    """
+    n = a0.shape[0]
+    m = unfold.shape[1] // k
+    a = np.array(a0, dtype=float)
+    b = np.array(b0, dtype=float)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    vanished = np.zeros(n, dtype=bool)
+    # A row whose stop test passed stays for one more contraction, which
+    # gives its final objective, and then leaves.
+    stopped = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    objectives = []
+    while live.size:
+        x, y = a[live], b[live]
+        ok = np.ones(live.size, dtype=bool)
+        # T_A(a, b, *), T_A(*, b, c) and T_A(a, *, c) for every row at once.
+        m_a = (x @ unfold).reshape(-1, k, m)
+        c, sigma = _unit_rows((y[:, None, :] @ m_a)[:, 0], ok)
+        objective = np.full(n, np.nan)
+        objective[live] = sigma * sigma
+        objectives.append(objective)
+        going = ~stopped[live]
+        if not going.all():
+            live, x, y, c, ok = live[going], x[going], y[going], c[going], ok[going]
+            if not live.size:
+                break
+        outer_bc = (y[:, :, None] * c[:, None, :]).reshape(-1, k * m)
+        x_new, _ = _unit_rows(outer_bc @ unfold_t, ok)
+        m_a = (x_new @ unfold).reshape(-1, k, m)
+        y_new, _ = _unit_rows((m_a @ c[:, :, None])[:, :, 0], ok)
+        step = np.maximum(_aligned_steps(x_new, x), _aligned_steps(y_new, y))
+        a[live] = x_new
+        b[live] = y_new
+        iterations[live] += 1
+        converged[live] |= 0.5 * step * step < tol
+        stop = step <= _FIXED_POINT_STEP if to_fixed_point else converged[live]
+        stopped[live] = stop | (iterations[live] >= max_iter)
+        vanished[live[~ok]] = True
+        live = live[ok]
+    objectives = np.array(objectives)
+    results = []
+    for i in range(n):
+        if vanished[i]:
+            results.append(None)
+            continue
+        steps = int(iterations[i])
+        trace = objectives[: steps + 1, i].tolist()
+        results.append((a[i], b[i], trace[-1], steps, trace, bool(converged[i])))
+    return results
 
 
 def _householder_complement(u):
@@ -295,9 +353,11 @@ def _deflate(flat, direction):
     return _householder_complement(coeffs / norm) @ flat
 
 
-def _unfold_from_flat(flat, p, k):
+def _unfoldings(flat, p, k):
+    """Contiguous (p, k*m) unfolding of an (m, p*k) basis and its transpose."""
     m = flat.shape[0]
-    return np.ascontiguousarray(flat.reshape(m, k, p).transpose(2, 1, 0).reshape(p, k * m))
+    unfold_t = flat.reshape(m, k, p).transpose(1, 0, 2).reshape(k * m, p)
+    return np.ascontiguousarray(unfold_t.T), unfold_t
 
 
 def _sphere(rng, n):
@@ -308,11 +368,15 @@ def _sphere(rng, n):
 def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
     """Non-negative loadings B minimizing ||S_i - sum_j B[i,j] a_j a_j^T||_F.
 
-    The objective separates over contexts; each row is solved by the
-    Lawson-Hanson active-set method (scipy.optimize.nnls) on the design
-    matrix whose columns are the vectorized a_j a_j^T.  Raises
-    ``GramSingularityError`` naming the most collinear column pair when
-    the Gram matrix of the design is numerically singular.
+    The objective separates over contexts.  With D the p^2 x r design
+    whose columns are the vectorized a_j a_j^T, only its r x r Gram
+    matrix G = D^T D = (A^T A) o (A^T A) and h_i = D^T vec(S_i) =
+    diag(A^T S_i A) enter: with G = L L^T (Cholesky),
+    ||D b - vec(S_i)||^2 = ||L^T b - L^{-1} h_i||^2 + const, so each row
+    is the Lawson-Hanson solution (scipy.optimize.nnls) of the r x r
+    problem min ||L^T b - L^{-1} h_i|| over b >= 0, and D is never built.
+    Raises ``GramSingularityError`` naming the most collinear column pair
+    when G is numerically singular.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != t.p:
@@ -332,10 +396,13 @@ def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
             f"(|cos| = {abs(cross[i, j]):.6f}); loadings are not determined",
             columns=pair,
         )
-    design = np.einsum("pj,qj->pqj", A, A).reshape(t.p * t.p, r)
+    chol = np.linalg.cholesky(gram)
+    sa = (t.slices.reshape(t.k * t.p, t.p) @ A).reshape(t.k, t.p, r)
+    h = np.einsum("ipj,pj->ji", sa, A)
+    rhs = solve_triangular(chol, h, lower=True).T
     B = np.empty((t.k, r))
     for i in range(t.k):
-        B[i], _ = _nnls(design, t.slices[i].ravel())
+        B[i], _ = _nnls(chol.T, rhs[i])
     return B
 
 
@@ -404,16 +471,18 @@ def fit_mcpca(
             (_sphere(rng, p), _sphere(rng, k))
             for _ in range(cfg.restarts_per_component)
         ]
-        work_unfold = _unfold_from_flat(work_flat, p, k)
-        m = work_flat.shape[0]
+        results = _power_iterate(
+            *_unfoldings(work_flat, p, k),
+            k,
+            np.array([a0 for a0, _ in starts]),
+            np.array([b0 for _, b0 in starts]),
+            cfg.tol,
+            cfg.max_iter,
+        )
         best = None
         used = 0
-        for a0, b0 in starts:
-            try:
-                result = _power_iterate(
-                    work_unfold, k, m, a0, b0, cfg.tol, cfg.max_iter
-                )
-            except DegenerateStartError:
+        for result in results:
+            if result is None:
                 continue
             used += 1
             if best is None or result[2] > best[2] + _RESTART_TIE_TOL:
@@ -423,19 +492,16 @@ def fit_mcpca(
                 f"all {cfg.restarts_per_component} restarts degenerate "
                 f"for component {j}"
             )
-        a, b, _, disc_iters, disc_trace, disc_conv = best
-        try:
-            a, b, _, ref_iters, ref_trace, ref_conv = _power_iterate(
-                orig_unfold, k, r, a, b, cfg.tol, cfg.max_iter,
-                to_fixed_point=True,
-            )
-            trace = disc_trace + ref_trace
-            iters = disc_iters + ref_iters
-            conv = disc_conv and ref_conv
-        except DegenerateStartError:
-            trace = disc_trace
-            iters = disc_iters
-            conv = disc_conv
+        a, b, _, iters, trace, conv = best
+        (refined,) = _power_iterate(
+            orig_unfold, orig_unfold.T, k, a[None], b[None], cfg.tol, cfg.max_iter,
+            to_fixed_point=True,
+        )
+        if refined is not None:
+            a, b, _, ref_iters, ref_trace, ref_conv = refined
+            trace = trace + ref_trace
+            iters += ref_iters
+            conv = conv and ref_conv
         components.append((a, b, trace, iters, conv, used))
         if j < r - 1:
             work_flat = _deflate(work_flat, np.outer(b, a).ravel())

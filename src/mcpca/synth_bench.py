@@ -17,7 +17,7 @@ instead of sampled ones; such records carry N = 0.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,13 +200,7 @@ def _parse_method(method):
 
 
 def _fit_template(cfg_fit: FitConfig | None, seed: int) -> FitConfig:
-    base = cfg_fit or FitConfig()
-    return FitConfig(
-        seed=seed,
-        restarts_per_component=base.restarts_per_component,
-        tol=base.tol,
-        max_iter=base.max_iter,
-    )
+    return replace(cfg_fit or FitConfig(), seed=seed)
 
 
 def _run_method(method, tensor, pm, fit_cfg):

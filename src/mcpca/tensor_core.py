@@ -45,6 +45,8 @@ class CovarianceTensor:
     ``SYMMETRY_RTOL`` (relative to the largest entry magnitude) and then
     symmetrized exactly.  Instances are immutable and safe to share; the
     SVD of the flattening is cached on first use by :func:`flatten`.
+    ``slices`` is a read-only view of a private base array, so its write
+    flag cannot be turned back on.
     """
 
     slices: np.ndarray
@@ -73,7 +75,9 @@ class CovarianceTensor:
                 )
         slices = 0.5 * (slices + slices.transpose(0, 2, 1))
         slices.setflags(write=False)
-        object.__setattr__(self, "slices", slices)
+        # Expose a view: numpy refuses to make a view of a read-only base
+        # writable again, which keeps the cached flattening valid.
+        object.__setattr__(self, "slices", slices.view())
         if self.context_ids is not None:
             ids = tuple(str(c) for c in self.context_ids)
             if len(ids) != k:
@@ -181,8 +185,8 @@ def flatten(t: CovarianceTensor) -> tuple[np.ndarray, np.ndarray]:
     ``singular_values`` has length p, nonincreasing; the rows of ``vt``
     (p x p*k) are the right singular vectors, vectorized as in the module
     docstring.  The SVD runs once per tensor: the read-only result is
-    cached on ``t`` (sound because its slices are read-only) and shared by
-    every later call.
+    cached on ``t`` (sound because its slices cannot be made writable) and
+    shared by every later call.
     """
     if t._flattening is None:
         m = t.slices.transpose(1, 0, 2).reshape(t.p, t.k * t.p)

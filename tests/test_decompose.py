@@ -1,7 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from helpers import duplicated_column_model, generate_identifiable
 
@@ -11,6 +15,7 @@ from mcpca import (
     FitConfig,
     GramSingularityError,
     RankDeficiencyError,
+    SubspaceTensor,
     ascore,
     extract_subspace,
     fit_mcpca,
@@ -19,7 +24,8 @@ from mcpca import (
     solve_nnls,
     tensor_from_factors,
 )
-from mcpca.decompose import _power_iterate
+from mcpca import decompose
+from mcpca.decompose import _FIXED_POINT_STEP, _power_iterate
 
 TIGHT = FitConfig(seed=0, tol=1e-14, max_iter=2000)
 
@@ -30,11 +36,55 @@ def _unit(rng, n):
 
 
 def _iterate(ts, a0, b0, tol=1e-10, max_iter=500):
-    """(a, b, objective, iterations) of the power iteration on ``ts``."""
-    a, b, objective, iterations, _, _ = _power_iterate(
-        ts._unfold_p, ts.k, ts.r, a0, b0, tol, max_iter
+    """(a, b, objective, iterations, trace, converged) of the power
+    iteration from one start on ``ts``."""
+    (result,) = _power_iterate(
+        ts._unfold_p, ts._unfold_p.T, ts.k, a0[None], b0[None], tol, max_iter
     )
-    return a, b, objective, iterations
+    if result is None:
+        raise DegenerateStartError("contraction vanished")
+    return result
+
+
+def _serial_unit(v):
+    norm = float(np.linalg.norm(v))
+    if norm <= 1e-150:
+        raise DegenerateStartError("contraction vanished during power iteration")
+    return v / norm, norm
+
+
+def _serial_step(x_new, x):
+    return float(np.linalg.norm(x_new - np.copysign(1.0, x_new @ x) * x))
+
+
+def _serial_power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=False):
+    """Reference: the one-start loop the lockstep kernel replaced."""
+    a = a0
+    b = b0
+    trace = []
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        c, sigma = _serial_unit(b @ (a @ unfold_p).reshape(k, r))
+        trace.append(sigma * sigma)
+        a_new, _ = _serial_unit(unfold_p @ np.outer(b, c).ravel())
+        b_new, _ = _serial_unit((a_new @ unfold_p).reshape(k, r) @ c)
+        step = max(_serial_step(a_new, a), _serial_step(b_new, b))
+        a, b = a_new, b_new
+        iterations += 1
+        converged = converged or 0.5 * step * step < tol
+        if (step <= _FIXED_POINT_STEP) if to_fixed_point else converged:
+            break
+    m_a = (a @ unfold_p).reshape(k, r)
+    final = float(np.linalg.norm(b @ m_a)) ** 2
+    trace.append(final)
+    return a, b, final, iterations, trace, converged
+
+
+def _design_nnls(t, A):
+    """Reference: Lawson-Hanson on the p^2 x r design of vectorized a_j a_j^T."""
+    design = np.einsum("pj,qj->pqj", A, A).reshape(t.p * t.p, A.shape[1])
+    return np.array([nnls(design, s.ravel())[0] for s in t.slices])
 
 
 def _planted_tensor(p, k, r, density, seed):
@@ -52,7 +102,7 @@ class TestExtractSubspace:
         expected = np.outer(a, b / np.linalg.norm(b))
         cos = abs(ts.basis[0].T.ravel() @ expected.T.ravel())
         assert cos >= 1 - 1e-10
-        _, _, objective, _ = _iterate(ts, a, b / np.linalg.norm(b))
+        _, _, objective, _, _, _ = _iterate(ts, a, b / np.linalg.norm(b))
         assert abs(objective - 1.0) <= 1e-10
 
     def test_orthogonal_pair_span_recovered(self):
@@ -94,7 +144,7 @@ class TestPowerIterate:
         ts = extract_subspace(t, 1)
         start_a = _unit(rng, 5)
         start_b = _unit(rng, 3)
-        a, _, objective, iterations = _iterate(ts, start_a, start_b, tol=1e-10)
+        a, _, objective, iterations, _, _ = _iterate(ts, start_a, start_b, tol=1e-10)
         assert iterations <= 3
         assert abs(objective - 1.0) <= 1e-10
         assert abs(a @ a0) >= 1 - 1e-9
@@ -104,7 +154,7 @@ class TestPowerIterate:
         ts = extract_subspace(t, 3)
         a = pm.A_true[:, 0]
         b = pm.B_true[:, 0] / np.linalg.norm(pm.B_true[:, 0])
-        a_out, b_out, objective, iterations = _iterate(ts, a, b)
+        a_out, b_out, objective, iterations, _, _ = _iterate(ts, a, b)
         assert iterations == 1
         assert objective >= 1 - 1e-9
         assert abs(a_out @ a) >= 1 - 1e-9
@@ -125,7 +175,7 @@ class TestPowerIterate:
                 continue
             if best is None or res[2] > best[2]:
                 best = res
-        best_a, _, best_objective, _ = best
+        best_a, _, best_objective, _, _, _ = best
         assert best_objective >= 0.999
         assert np.abs(oracle.T @ best_a).max() >= 0.999
         assert np.abs(pm.A_true.T @ best_a).max() >= 0.999
@@ -135,13 +185,75 @@ class TestPowerIterate:
         ts = extract_subspace(t, 4)
         rng = np.random.default_rng(10)
         for _ in range(10):
-            _, _, obj, _, trace, _ = _power_iterate(
-                ts._unfold_p, 5, 4, _unit(rng, 8), _unit(rng, 5), 1e-10, 200
+            _, _, obj, _, trace, _ = _iterate(
+                ts, _unit(rng, 8), _unit(rng, 5), tol=1e-10, max_iter=200
             )
             trace = np.asarray(trace)
             assert 0.0 <= obj <= 1.0 + 1e-12
             assert np.all(trace >= -1e-12) and np.all(trace <= 1.0 + 1e-12)
             assert np.all(np.diff(trace) >= -1e-9)
+
+    @pytest.mark.parametrize("to_fixed_point", [False, True])
+    def test_block_rows_match_serial_loop(self, to_fixed_point):
+        # Each row of a lockstep block follows the one-start loop from the
+        # same start; only the summation order of the products differs.
+        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
+        ts = extract_subspace(t, 5)
+        rng = np.random.default_rng(42)
+        a0 = np.array([_unit(rng, 12) for _ in range(10)])
+        b0 = np.array([_unit(rng, 6) for _ in range(10)])
+        unfold_t = np.ascontiguousarray(ts._unfold_p.T)
+        block = _power_iterate(
+            ts._unfold_p, unfold_t, 6, a0, b0, 1e-10, 300, to_fixed_point
+        )
+        for i, row in enumerate(block):
+            a, b, obj, iterations, trace, converged = _serial_power_iterate(
+                ts._unfold_p, 6, 5, a0[i], b0[i], 1e-10, 300, to_fixed_point
+            )
+            assert np.abs(row[0] - a).max() <= 1e-13
+            assert np.abs(row[1] - b).max() <= 1e-13
+            assert abs(row[2] - obj) <= 1e-13
+            assert row[3] == iterations
+            assert row[5] == converged
+            assert len(row[4]) == len(trace) == iterations + 1
+            assert np.abs(np.asarray(row[4]) - trace).max() <= 1e-12
+
+    def test_single_start_refinement_matches_serial_loop(self):
+        pm, t = _planted_tensor(20, 10, 8, 0.5, seed=43)
+        ts = extract_subspace(t, 8)
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            a0, b0 = _unit(rng, 20), _unit(rng, 10)
+            (row,) = _power_iterate(
+                ts._unfold_p, ts._unfold_p.T, 10, a0[None], b0[None],
+                1e-10, 500, to_fixed_point=True,
+            )
+            a, b, obj, iterations, trace, converged = _serial_power_iterate(
+                ts._unfold_p, 10, 8, a0, b0, 1e-10, 500, to_fixed_point=True
+            )
+            assert np.abs(row[0] - a).max() <= 1e-13
+            assert np.abs(row[1] - b).max() <= 1e-13
+            assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
+
+    def test_degenerate_start_masked_from_block(self):
+        # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
+        # exact zero.  That row is dropped; the others are unaffected.
+        basis = np.zeros((2, 4, 3))
+        basis[0, 0, 0] = basis[1, 1, 1] = 1.0
+        ts = SubspaceTensor(basis=basis)
+        rng = np.random.default_rng(45)
+        a0 = np.array([_unit(rng, 4), np.eye(4)[2], _unit(rng, 4)])
+        b0 = np.array([_unit(rng, 3) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _power_iterate(
+                ts._unfold_p, ts._unfold_p.T, 3, a0, b0, 1e-10, 100
+            )
+        assert block[1] is None
+        for i in (0, 2):
+            alone = _iterate(ts, a0[i], b0[i])
+            assert np.abs(block[i][0] - alone[0]).max() <= 1e-13
+            assert block[i][3] == alone[3]
 
 
 class TestSolveNnls:
@@ -183,6 +295,23 @@ class TestSolveNnls:
             solve_nnls(t, A)
         assert excinfo.value.columns == (0, 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_design_matrix_oracle(self, seed):
+        # Oracle: the p^2 x r design solved directly.  Loadings drawn with
+        # negative entries make some constraints active.
+        rng = np.random.default_rng(60 + seed)
+        p, k, r = 9, 12, 5
+        A = rng.standard_normal((p, r))
+        A /= np.linalg.norm(A, axis=0)
+        w = rng.standard_normal((k, r))
+        noise = 0.05 * rng.standard_normal((k, p, p))
+        slices = np.einsum("pj,qj,ij->ipq", A, A, w) + noise + noise.transpose(0, 2, 1)
+        t = CovarianceTensor(slices)
+        B = solve_nnls(t, A)
+        oracle = _design_nnls(t, A)
+        assert np.any(oracle == 0.0) and np.any(oracle > 0.0)
+        assert np.abs(B - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     def test_zero_slice_gets_zero_row(self):
         from mcpca import stack_covariances
 
@@ -191,6 +320,58 @@ class TestSolveNnls:
         t = stack_covariances([np.outer(a, a), np.zeros((4, 4))])
         B = solve_nnls(t, a[:, None])
         np.testing.assert_allclose(B, [[1.0], [0.0]], atol=1e-12)
+
+
+def _nnls_problem(k, seed):
+    """A fixed well-conditioned A and k symmetric slices with some loadings
+    pushed negative, so both interior and active rows occur."""
+    rng = np.random.default_rng(70)
+    A = rng.standard_normal((7, 4))
+    A /= np.linalg.norm(A, axis=0)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((k, 4)) + 0.5
+    noise = 0.1 * rng.standard_normal((k, 7, 7))
+    slices = np.einsum("pj,qj,ij->ipq", A, A, w) + noise + noise.transpose(0, 2, 1)
+    return A, slices
+
+
+def _close(x, y):
+    return np.abs(x - y).max() <= 1e-12 * max(1.0, np.abs(y).max())
+
+
+class TestSolveNnlsProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(6)))
+    def test_permuting_contexts_permutes_rows(self, seed, perm):
+        A, slices = _nnls_problem(6, seed)
+        B = solve_nnls(CovarianceTensor(slices), A)
+        permuted = solve_nnls(CovarianceTensor(slices[list(perm)]), A)
+        assert _close(permuted, B[list(perm)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        i=st.integers(0, 5),
+        c=st.floats(1e-3, 1e3),
+    )
+    def test_scaling_a_context_scales_its_row(self, seed, i, c):
+        A, slices = _nnls_problem(6, seed)
+        B = solve_nnls(CovarianceTensor(slices), A)
+        scaled = slices.copy()
+        scaled[i] *= c
+        B_scaled = solve_nnls(CovarianceTensor(scaled), A)
+        expected = B.copy()
+        expected[i] *= c
+        assert _close(B_scaled, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), i=st.integers(0, 5))
+    def test_duplicating_a_context_duplicates_its_row(self, seed, i):
+        A, slices = _nnls_problem(6, seed)
+        B = solve_nnls(CovarianceTensor(slices), A)
+        extended = np.concatenate([slices, slices[i : i + 1]])
+        doubled = solve_nnls(CovarianceTensor(extended), A)
+        assert _close(doubled, np.concatenate([B, B[i : i + 1]]))
 
 
 class TestReconstructionError:
@@ -308,6 +489,68 @@ class TestFitMcpca:
         pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
         _, report = fit_mcpca(t, 2, FitConfig(seed=3, restarts_per_component=4))
         assert report.restarts_used == (4, 4)
+
+    def _zero_start(self, monkeypatch, restarts):
+        """Make the a-starts of the given restart indices exact zeros,
+        which contract to nothing: a degenerate start."""
+        real = decompose._sphere
+        calls = []
+
+        def sphere(rng, n):
+            v = real(rng, n)
+            calls.append(n)
+            # Calls alternate a (length p) and b (length k) per restart.
+            if len(calls) % 2 == 1 and (len(calls) // 2) in restarts:
+                return np.zeros(n)
+            return v
+
+        monkeypatch.setattr(decompose, "_sphere", sphere)
+
+    def test_degenerate_restart_masked(self, monkeypatch):
+        pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
+        cfg = FitConfig(seed=3, restarts_per_component=4)
+        reference, _ = fit_mcpca(t, 2, cfg)
+        self._zero_start(monkeypatch, {1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, report = fit_mcpca(t, 2, cfg)
+        # Reported in final column order, which sorts by loading weight.
+        assert sorted(report.restarts_used) == [3, 4]
+        assert ascore(reference.A, model.A).ascore >= 1 - 1e-9
+
+    def test_all_restarts_degenerate_raises(self, monkeypatch):
+        pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
+        self._zero_start(monkeypatch, set(range(4)))
+        with pytest.raises(DegenerateStartError, match="all 4 restarts degenerate"):
+            fit_mcpca(t, 2, FitConfig(seed=3, restarts_per_component=4))
+
+    def test_ties_go_to_earliest_restart(self, monkeypatch):
+        # Two orthogonal components with orthogonal loadings of equal
+        # weight both maximize the objective at 1.  At seed 0 the first
+        # restart reaches one, the objective's argmax the other; the
+        # refinement must start from the first.
+        A = np.linalg.qr(np.random.default_rng(41).standard_normal((6, 2)))[0]
+        t = tensor_from_factors(A, np.eye(2))
+        real = decompose._power_iterate
+        calls = []
+
+        def record(*args, **kwargs):
+            results = real(*args, **kwargs)
+            calls.append((args, results))
+            return results
+
+        monkeypatch.setattr(decompose, "_power_iterate", record)
+        fit_mcpca(t, 2, FitConfig(seed=0, restarts_per_component=8, tol=1e-12))
+        discovery = calls[0][1]
+        objectives = [res[2] for res in discovery]
+        assert max(objectives) - min(objectives) <= 1e-9
+
+        def direction(i):
+            return int(np.argmax(np.abs(A.T @ discovery[i][0])))
+
+        assert direction(0) != direction(int(np.argmax(objectives)))
+        refinement_start = calls[1][0][3]
+        np.testing.assert_array_equal(refinement_start[0], discovery[0][0])
 
 
 class TestModelInvariants:

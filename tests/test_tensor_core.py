@@ -74,6 +74,19 @@ class TestFlatten:
             assert np.count_nonzero(sv > 1e-9 * sv[0]) == r
 
 
+    def test_slices_cannot_be_made_writable(self):
+        # flatten caches the SVD on the tensor, so the slices it was taken
+        # from must stay fixed: re-enabling writes has to fail.
+        A, B = _random_factors(5, 3, 2, seed=7)
+        t = tensor_from_factors(A, B)
+        singular_values = flatten(t)[0].copy()
+        with pytest.raises(ValueError):
+            t.slices.setflags(write=True)
+        with pytest.raises(ValueError):
+            t.slices[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(flatten(t)[0], singular_values)
+
+
 class TestContractMode3:
     def test_linearity_on_identities(self):
         t = stack_covariances([np.eye(2), np.eye(2)])
