@@ -38,6 +38,7 @@ from .exceptions import (
     DimensionMismatchError,
     GramSingularityError,
     McpcaError,
+    NnlsConvergenceError,
     RankDeficiencyError,
 )
 from .ingest import (

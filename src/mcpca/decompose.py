@@ -20,9 +20,11 @@ The fit proceeds in three stages:
    subspace from the discovered point removes that bias.
 3. recompute all loadings globally by non-negative least squares against
    the original tensor, discarding the loadings implied by the power
-   iterations.  Each context's problem is solved in r x r form through
-   the Cholesky factor of the Gram matrix (A^T A) o (A^T A), which has
-   the same minimizer as the p^2 x r least-squares problem.
+   iterations.  Each context's problem is solved on its r x r normal
+   equations G b = h_i, b >= 0, with G = (A^T A) o (A^T A) and
+   h_i = diag(A^T S_i A), which have the same minimizer as the p^2 x r
+   least-squares problem.  A Lawson-Hanson active-set solver in numpy
+   works on (G, h_i) directly: no Cholesky factor, no scipy.
 
 Fits are deterministic given (tensor, rank, config) at a fixed BLAS
 thread count: restart points are drawn up front from a seeded generator,
@@ -35,13 +37,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import nnls as _nnls
 
 from .exceptions import (
     DegenerateStartError,
     DimensionMismatchError,
     GramSingularityError,
+    NnlsConvergenceError,
     RankDeficiencyError,
 )
 from .tensor_core import CovarianceTensor, SubspaceTensor, flatten
@@ -365,18 +366,102 @@ def _sphere(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _lawson_hanson(G, h, x, passive, tol, max_iter):
+    """Lawson-Hanson loop for G x = h over x >= 0 from a feasible point.
+
+    ``x`` is positive on ``passive`` and zero elsewhere, and solves the
+    passive block.  The index of largest dual w = h - G x above ``tol``
+    enters the passive set; an entry that turns non-positive sends x back
+    to the boundary and leaves.  The loop ends when the KKT conditions
+    hold.  An entering index whose own solution is not positive is set
+    aside until x next moves: Lawson and Hanson's guard against a
+    rounding-level dual entering and leaving until the cap.  Raises
+    ``NnlsConvergenceError`` after ``max_iter`` solves.
+    """
+    r = h.shape[0]
+    passive = passive.copy()
+    set_aside = np.zeros(r, dtype=bool)
+    solves = 0
+    while True:
+        w = np.where(passive | set_aside, -np.inf, h - G @ x)
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return x
+        passive[j] = True
+        entering = True
+        while True:
+            solves += 1
+            if solves > max_iter:
+                raise NnlsConvergenceError(
+                    f"NNLS for the loadings did not converge in {max_iter} "
+                    f"active-set solves"
+                )
+            s = np.zeros(r)
+            s[passive] = np.linalg.solve(G[np.ix_(passive, passive)], h[passive])
+            if entering and s[j] <= 0:
+                passive[j] = False
+                set_aside[j] = True
+                break
+            entering = False
+            if s[passive].min() > 0:
+                x = s
+                set_aside[:] = False
+                break
+            blocking = np.flatnonzero(passive & (s <= 0))
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            x = x + ratios.min() * (s - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+
+
+def _nnls_gram(G, H, max_iter=None):
+    """Solutions of G x = h over x >= 0, one per row h of H.
+
+    Each row minimizes x^T G x / 2 - h^T x for symmetric positive definite
+    G, the normal equations of a non-negative least-squares problem.  A
+    warm start solves on all indices and drops those with a non-positive
+    solution until the rest are positive.  It runs for all rows at once:
+    outside a row's passive set its matrix holds identity rows and
+    columns, so one batched solve serves every row.  The warm start ends
+    at a feasible point, from which :func:`_lawson_hanson` reaches the KKT
+    conditions.  The dual tolerance scales with h and G x (G = (A^T A) o
+    (A^T A) and x are non-negative, so G x is the size of its own terms),
+    so x(c h) = c x(h) for every c > 0.  ``max_iter`` (default 3r) caps the
+    solves of each row's Lawson-Hanson loop.
+    """
+    k, r = H.shape
+    max_iter = 3 * r if max_iter is None else max_iter
+    X = np.zeros((k, r))
+    passive = np.ones((k, r), dtype=bool)
+    rows = np.arange(k)
+    while rows.size:
+        P = passive[rows]
+        M = np.where(P[:, :, None] & P[:, None, :], G, np.eye(r))
+        S = np.linalg.solve(M, np.where(P, H[rows], 0.0)[:, :, None])[:, :, 0]
+        done = ((S > 0) | ~P).all(axis=1)
+        X[rows[done]] = np.where(P, S, 0.0)[done]
+        passive[rows] &= S > 0
+        rows = rows[~done & passive[rows].any(axis=1)]
+    tol = 10 * np.finfo(float).eps * r * np.maximum(
+        np.abs(H).max(axis=1), (X @ G).max(axis=1)
+    )
+    return np.array(
+        [_lawson_hanson(G, H[i], X[i], passive[i], tol[i], max_iter) for i in range(k)]
+    )
+
+
 def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
     """Non-negative loadings B minimizing ||S_i - sum_j B[i,j] a_j a_j^T||_F.
 
     The objective separates over contexts.  With D the p^2 x r design
     whose columns are the vectorized a_j a_j^T, only its r x r Gram
     matrix G = D^T D = (A^T A) o (A^T A) and h_i = D^T vec(S_i) =
-    diag(A^T S_i A) enter: with G = L L^T (Cholesky),
-    ||D b - vec(S_i)||^2 = ||L^T b - L^{-1} h_i||^2 + const, so each row
-    is the Lawson-Hanson solution (scipy.optimize.nnls) of the r x r
-    problem min ||L^T b - L^{-1} h_i|| over b >= 0, and D is never built.
-    Raises ``GramSingularityError`` naming the most collinear column pair
-    when G is numerically singular.
+    diag(A^T S_i A) enter: ||D b - vec(S_i)||^2 = b^T G b - 2 b^T h_i +
+    ||S_i||^2, so each row is the solution of G b = h_i over b >= 0,
+    found by the numpy active-set solver :func:`_nnls_gram` on (G, h_i),
+    and D is never built.  Raises ``GramSingularityError`` naming the
+    most collinear column pair when G is numerically singular.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != t.p:
@@ -396,14 +481,9 @@ def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
             f"(|cos| = {abs(cross[i, j]):.6f}); loadings are not determined",
             columns=pair,
         )
-    chol = np.linalg.cholesky(gram)
     sa = (t.slices.reshape(t.k * t.p, t.p) @ A).reshape(t.k, t.p, r)
-    h = np.einsum("ipj,pj->ji", sa, A)
-    rhs = solve_triangular(chol, h, lower=True).T
-    B = np.empty((t.k, r))
-    for i in range(t.k):
-        B[i], _ = _nnls(chol.T, rhs[i])
-    return B
+    h = np.einsum("ipj,pj->ij", sa, A)
+    return _nnls_gram(gram, h)
 
 
 def _identifiability_gap(unfold_p, k, r, b):

@@ -49,3 +49,29 @@ def exact_sample_matrix(cov, rows_per_eigvec=2):
         rows.append(row)
         rows.append(-row)
     return np.asarray(rows)
+
+
+def active_set_example():
+    """Strongly correlated components and a context that needs Lawson-Hanson.
+
+    Returns (A, B, extra): A is 10 x 4 with unit columns around a common
+    direction (cond of (A^T A) o (A^T A) about 17), B holds positive
+    loadings for five contexts, and ``extra`` is a PSD matrix off the
+    model whose NNLS loadings on A need two active-set solves after the
+    warm start.
+    """
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal(10)
+    A = u[:, None] + 0.9 * np.linalg.norm(u) / np.sqrt(10) * rng.standard_normal((10, 4))
+    A /= np.linalg.norm(A, axis=0)
+    B = np.array(
+        [
+            [1.0, 2.0, 0.5, 1.5],
+            [2.0, 1.0, 1.0, 0.5],
+            [0.5, 1.0, 2.0, 1.0],
+            [1.0, 0.5, 1.5, 2.0],
+            [1.5, 1.5, 0.5, 1.0],
+        ]
+    )
+    W = np.random.default_rng(44).standard_normal((10, 3))
+    return A, B, W @ W.T

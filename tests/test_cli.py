@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import exact_sample_matrix, generate_identifiable
+from helpers import active_set_example, exact_sample_matrix, generate_identifiable
 
 from mcpca import (
     ContextDataset,
@@ -14,6 +20,7 @@ from mcpca import (
     fit_mcpca,
     global_pca_reduce,
     load_model,
+    mix_seed,
     tensor_from_factors,
 )
 from mcpca.cli import main
@@ -129,6 +136,43 @@ class TestSelectRankCommand:
         assert report["threshold"] == 0.8
         assert report["n_seed_pairs"] == 5
         assert len(report["scree"]) == 10
+
+    def test_fit_options_reach_the_stability_fits(
+        self, planted_dir, tmp_path, monkeypatch
+    ):
+        import mcpca.model_select
+
+        configs = []
+
+        def record(t, r, cfg):
+            configs.append(cfg)
+            return fit_mcpca(t, r, cfg)
+
+        monkeypatch.setattr(mcpca.model_select, "fit_mcpca", record)
+        _, data_dir = planted_dir
+        code = main(
+            ["select-rank", "--input", str(data_dir), "--candidates", "2",
+             "--n-seed-pairs", "2", "--seed", "4", "--restarts", "3",
+             "--tol", "1e-12", "--max-iter", "50",
+             "--output", str(tmp_path / "rank.json")]
+        )
+        assert code == 0
+        cfg = FitConfig(seed=4, restarts_per_component=3, tol=1e-12, max_iter=50)
+        assert configs == [
+            replace(cfg, seed=mix_seed(4, pair, run))
+            for pair in range(2)
+            for run in range(2)
+        ]
+
+    def test_fit_options_default_like_fit(self):
+        from mcpca.cli import build_parser
+
+        parser = build_parser()
+        common = ["--input", "d", "--output", "o"]
+        fit = parser.parse_args(["fit", "--rank", "2"] + common)
+        select = parser.parse_args(["select-rank", "--candidates", "2"] + common)
+        for option in ("restarts", "tol", "max_iter"):
+            assert getattr(select, option) == getattr(fit, option)
 
     def test_empty_candidates_usage_error(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
@@ -302,6 +346,46 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical failure: SVD did not converge\n"
         )
+
+
+    def test_nnls_iteration_cap_is_numerical(self, tmp_path, monkeypatch, capsys):
+        # The last context's loadings need two Lawson-Hanson solves after
+        # the warm start, so a cap of one makes the fit fail.
+        import mcpca.decompose
+
+        A, B, extra = active_set_example()
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        slices = list(tensor_from_factors(A, B).slices) + [0.01 * extra]
+        for i, cov in enumerate(slices):
+            np.savetxt(data_dir / f"c{i:02d}.csv", exact_sample_matrix(cov), delimiter=",")
+        argv = ["fit", "--input", str(data_dir), "--rank", "4", "--seed", "5",
+                "--output", str(tmp_path / "model.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        capped = partial(mcpca.decompose._nnls_gram, max_iter=1)
+        monkeypatch.setattr(mcpca.decompose, "_nnls_gram", capped)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: NNLS for the loadings did not converge in 1 "
+            "active-set solves\n"
+        )
+
+
+@pytest.mark.parametrize("module", ["mcpca", "mcpca.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy costs about 0.7 s per fresh interpreter; no CLI call needs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 class TestDiagCommand:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from helpers import duplicated_column_model, generate_identifiable
+from helpers import active_set_example, duplicated_column_model, generate_identifiable
 
 from mcpca import (
     CovarianceTensor,
     DegenerateStartError,
     FitConfig,
     GramSingularityError,
+    NnlsConvergenceError,
     RankDeficiencyError,
     SubspaceTensor,
     ascore,
@@ -312,6 +313,40 @@ class TestSolveNnls:
         assert np.any(oracle == 0.0) and np.any(oracle > 0.0)
         assert np.abs(B - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
+    def test_active_set_changes_after_warm_start(self):
+        # The warm start is not optimal here: the Lawson-Hanson loop needs
+        # two solves, so a cap of one raises and the default cap does not.
+        A, _, extra = active_set_example()
+        t = CovarianceTensor(extra[None])
+        gram = (A.T @ A) ** 2
+        h = np.einsum("pj,pq,qj->j", A, extra, A)
+        with pytest.raises(NnlsConvergenceError, match="1 active-set solves"):
+            decompose._nnls_gram(gram, h[None], max_iter=1)
+        oracle = _design_nnls(t, A)
+        assert np.any(oracle == 0.0) and np.any(oracle > 0.0)
+        for B in (decompose._nnls_gram(gram, h[None], max_iter=2), solve_nnls(t, A)):
+            assert np.abs(B - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # The dual tolerance follows the scale of h: at 1e-30 a fixed one
+        # would accept the (wrong) warm start.
+        for c in (1e-30, 2.0**-60, 1e30):
+            (x,) = decompose._nnls_gram(gram, c * h[None])
+            assert np.abs(x - c * oracle[0]).max() <= 1e-12 * c * oracle.max()
+
+    def test_rounding_level_dual_does_not_cycle(self):
+        # h = G x for an x with zeros: the optimal duals there are zero, and
+        # at cond G = 7e7 rounding lifts one above the tolerance.  Its
+        # index cannot enter (its own solution is not positive), so it is
+        # set aside instead of being added and dropped until the cap.
+        rng = np.random.default_rng(694)
+        A = rng.standard_normal((8, 6))
+        A[:, 1] = A[:, 0] + 1e-4 * rng.standard_normal(8)
+        A /= np.linalg.norm(A, axis=0)
+        gram = (A.T @ A) ** 2
+        x = np.abs(rng.standard_normal(6)) * (rng.random(6) < 0.6)
+        assert np.any(x == 0.0)
+        (solution,) = decompose._nnls_gram(gram, (gram @ x)[None])
+        assert np.abs(solution - x).max() <= 1e-8 * x.max()
+
     def test_zero_slice_gets_zero_row(self):
         from mcpca import stack_covariances
 
@@ -348,21 +383,25 @@ class TestSolveNnlsProperties:
         permuted = solve_nnls(CovarianceTensor(slices[list(perm)]), A)
         assert _close(permuted, B[list(perm)])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         i=st.integers(0, 5),
-        c=st.floats(1e-3, 1e3),
+        c=st.floats(-30, 30).map(lambda e: 10.0**e),
     )
     def test_scaling_a_context_scales_its_row(self, seed, i, c):
+        # c spans 1e-30 to 1e30, so the NNLS stop test must be scale-free;
+        # the scaled row is compared relative to its own scale.
         A, slices = _nnls_problem(6, seed)
         B = solve_nnls(CovarianceTensor(slices), A)
         scaled = slices.copy()
         scaled[i] *= c
         B_scaled = solve_nnls(CovarianceTensor(scaled), A)
-        expected = B.copy()
-        expected[i] *= c
-        assert _close(B_scaled, expected)
+        others = np.arange(6) != i
+        assert _close(B_scaled[others], B[others])
+        assert np.abs(B_scaled[i] - c * B[i]).max() <= 1e-12 * c * max(
+            1.0, np.abs(B[i]).max()
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), i=st.integers(0, 5))
@@ -372,6 +411,75 @@ class TestSolveNnlsProperties:
         extended = np.concatenate([slices, slices[i : i + 1]])
         doubled = solve_nnls(CovarianceTensor(extended), A)
         assert _close(doubled, np.concatenate([B, B[i : i + 1]]))
+
+
+def _metamorphic_tensor(seed):
+    """Noiseless identifiable p=20, k=10, r=8 tensor."""
+    return _planted_tensor(20, 10, 8, 0.5, seed)[1]
+
+
+def _active_set_tensor():
+    """Rank-4 tensor whose last context is off the model, so its
+    loadings need Lawson-Hanson steps beyond the warm start."""
+    A, B, extra = active_set_example()
+    slices = np.concatenate([tensor_from_factors(A, B).slices, 0.01 * extra[None]])
+    return CovarianceTensor(slices)
+
+
+def _aligned(model, other):
+    """``other``'s A and B with columns matched and signed to ``model``'s."""
+    match = ascore(model.A, other.A)
+    perm = list(match.permutation)
+    signs = np.array(match.signs)[perm]
+    return match, other.A[:, perm] * signs, other.B[:, perm]
+
+
+class TestFitMetamorphic:
+    @pytest.mark.parametrize("seed", [101, 102])
+    @pytest.mark.parametrize("c", [1e-30, 2.0**-60, 1e30])
+    def test_scaling_contexts_scales_loadings(self, seed, c):
+        t = _metamorphic_tensor(seed)
+        cfg = FitConfig(seed=3)
+        model, _ = fit_mcpca(t, 8, cfg)
+        scaled, _ = fit_mcpca(CovarianceTensor(c * t.slices), 8, cfg)
+        _, A, B = _aligned(model, scaled)
+        assert np.abs(A - model.A).max() <= 1e-12
+        assert np.abs(B - c * model.B).max() <= 1e-12 * c * model.B.max()
+
+    @pytest.mark.parametrize("c", [1e-30, 2.0**-60, 1e30])
+    def test_scaling_keeps_active_set_loadings(self, c):
+        t = _active_set_tensor()
+        cfg = FitConfig(seed=5)
+        model, _ = fit_mcpca(t, 4, cfg)
+        scaled, _ = fit_mcpca(CovarianceTensor(c * t.slices), 4, cfg)
+        _, A, B = _aligned(model, scaled)
+        assert np.abs(A - model.A).max() <= 1e-12
+        assert np.abs(B - c * model.B).max() <= 1e-12 * c * model.B.max()
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_permuting_contexts_permutes_loading_rows(self, seed):
+        t = _metamorphic_tensor(seed)
+        perm = np.random.default_rng(seed).permutation(t.k)
+        cfg = FitConfig(seed=3)
+        model, _ = fit_mcpca(t, 8, cfg)
+        permuted, _ = fit_mcpca(CovarianceTensor(t.slices[perm]), 8, cfg)
+        _, A, B = _aligned(model, permuted)
+        assert np.abs(A - model.A).max() <= 1e-12
+        assert np.abs(B - model.B[perm]).max() <= 1e-12 * model.B.max()
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_orthogonal_change_of_variables_rotates_components(self, seed):
+        t = _metamorphic_tensor(seed)
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((t.p, t.p)))[0]
+        cfg = FitConfig(seed=3)
+        model, _ = fit_mcpca(t, 8, cfg)
+        rotated, _ = fit_mcpca(CovarianceTensor(Q @ t.slices @ Q.T), 8, cfg)
+        QA = Q @ model.A
+        QA /= np.linalg.norm(QA, axis=0)
+        match = ascore(QA, rotated.A)
+        assert match.ascore >= 1 - 1e-9
+        B = rotated.B[:, list(match.permutation)]
+        assert np.abs(B - model.B).max() <= 1e-8 * model.B.max()
 
 
 class TestReconstructionError:
