@@ -38,7 +38,6 @@ from .exceptions import (
     DimensionMismatchError,
     GramSingularityError,
     McpcaError,
-    NnlsConvergenceError,
     RankDeficiencyError,
 )
 from .ingest import (

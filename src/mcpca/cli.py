@@ -2,9 +2,8 @@
 
 Exit codes: 0 on success, 2 on usage or input errors (including files
 that cannot be read or written), 3 on numerical failures (rank
-deficiency, degenerate restarts, singular Gram matrix, loadings whose
-NNLS solver reaches its iteration cap, a linear-algebra routine that
-does not converge).
+deficiency, degenerate restarts, singular Gram matrix, a linear-algebra
+routine that does not converge).
 All output tables are UTF-8, comma-delimited with a header row and LF
 line endings.  Benchmark trials run serially, so each recorded runtime
 is the fit alone.
@@ -30,7 +29,6 @@ from .exceptions import (
     DimensionMismatchError,
     AsymmetricInputError,
     GramSingularityError,
-    NnlsConvergenceError,
     RankDeficiencyError,
 )
 from .ingest import (
@@ -63,7 +61,6 @@ _NUMERICAL_ERRORS = (
     RankDeficiencyError,
     DegenerateStartError,
     GramSingularityError,
-    NnlsConvergenceError,
     DegeneracyError,
     np.linalg.LinAlgError,
 )
@@ -101,15 +98,6 @@ def _write_table(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        seed=args.seed,
-        restarts_per_component=args.restarts,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-
-
 def cmd_fit(args) -> int:
     if args.rank < 1:
         raise ValueError("usage: --rank must be a positive integer")
@@ -127,9 +115,13 @@ def cmd_fit(args) -> int:
         metadata.append(("pca_components", str(args.pca_components)))
         metadata.append(("pca_whitened", "false"))
     tensor = build_tensor(dataset)
-    model, report = fit_mcpca(
-        tensor, args.rank, _fit_config(args), identifiability_probe=True
+    cfg = FitConfig(
+        seed=args.seed,
+        restarts_per_component=args.restarts,
+        tol=args.tol,
+        max_iter=args.max_iter,
     )
+    model, report = fit_mcpca(tensor, args.rank, cfg, identifiability_probe=True)
     report = dataclasses.replace(report, metadata=tuple(metadata))
     save_model(args.output, model, preprocessing)
     report_path = args.report or args.output + ".report.json"
@@ -149,7 +141,7 @@ def cmd_select_rank(args) -> int:
         candidates,
         threshold=args.threshold,
         n_seed_pairs=args.n_seed_pairs,
-        cfg=_fit_config(args),
+        cfg=FitConfig(seed=args.seed),
     )
     payload = {
         "candidates": list(report.candidates),
@@ -261,13 +253,6 @@ def _add_dataset_arguments(sub):
     )
 
 
-def _add_fit_config_arguments(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--restarts", type=int, default=10)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", type=int, default=500)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcpca",
@@ -282,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit = commands.add_parser("fit", help="fit a model and write model/report files")
     _add_dataset_arguments(fit)
     fit.add_argument("--rank", type=int, required=True)
-    _add_fit_config_arguments(fit)
+    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--restarts", type=int, default=10)
+    fit.add_argument("--tol", type=float, default=1e-10)
+    fit.add_argument("--max-iter", type=int, default=500)
     fit.add_argument(
         "--pca-components",
         type=int,
@@ -298,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--candidates", required=True, help="comma-separated ranks")
     select.add_argument("--threshold", type=float, default=0.8)
     select.add_argument("--n-seed-pairs", type=int, default=5)
-    _add_fit_config_arguments(select)
+    select.add_argument("--seed", type=int, default=0)
     select.add_argument("--output", required=True)
     select.set_defaults(func=cmd_select_rank)
 

@@ -42,7 +42,6 @@ from .exceptions import (
     DegenerateStartError,
     DimensionMismatchError,
     GramSingularityError,
-    NnlsConvergenceError,
     RankDeficiencyError,
 )
 from .tensor_core import CovarianceTensor, SubspaceTensor, flatten
@@ -77,6 +76,10 @@ IDENTIFIABILITY_GAP_TOL = 1e-8
 # iteration contracts linearly, so stopping on the tolerance instead
 # would leave an error of the same order as the last step.
 _FIXED_POINT_STEP = 16 * np.finfo(float).eps
+
+# Cap on the Lawson-Hanson solves of one NNLS row, per column of A
+# (scipy.optimize.nnls uses the same 3r).
+_NNLS_SOLVES_PER_COLUMN = 3
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,7 @@ def _lawson_hanson(G, h, x, passive, tol, max_iter):
     hold.  An entering index whose own solution is not positive is set
     aside until x next moves: Lawson and Hanson's guard against a
     rounding-level dual entering and leaving until the cap.  Raises
-    ``NnlsConvergenceError`` after ``max_iter`` solves.
+    ``np.linalg.LinAlgError`` after ``max_iter`` solves.
     """
     r = h.shape[0]
     passive = passive.copy()
@@ -392,7 +395,7 @@ def _lawson_hanson(G, h, x, passive, tol, max_iter):
         while True:
             solves += 1
             if solves > max_iter:
-                raise NnlsConvergenceError(
+                raise np.linalg.LinAlgError(
                     f"NNLS for the loadings did not converge in {max_iter} "
                     f"active-set solves"
                 )
@@ -415,7 +418,7 @@ def _lawson_hanson(G, h, x, passive, tol, max_iter):
             x[~passive] = 0.0
 
 
-def _nnls_gram(G, H, max_iter=None):
+def _nnls_gram(G, H):
     """Solutions of G x = h over x >= 0, one per row h of H.
 
     Each row minimizes x^T G x / 2 - h^T x for symmetric positive definite
@@ -427,11 +430,11 @@ def _nnls_gram(G, H, max_iter=None):
     at a feasible point, from which :func:`_lawson_hanson` reaches the KKT
     conditions.  The dual tolerance scales with h and G x (G = (A^T A) o
     (A^T A) and x are non-negative, so G x is the size of its own terms),
-    so x(c h) = c x(h) for every c > 0.  ``max_iter`` (default 3r) caps the
-    solves of each row's Lawson-Hanson loop.
+    so x(c h) = c x(h) for every c > 0.  Each row's Lawson-Hanson loop
+    may take ``_NNLS_SOLVES_PER_COLUMN`` * r solves.
     """
     k, r = H.shape
-    max_iter = 3 * r if max_iter is None else max_iter
+    max_iter = _NNLS_SOLVES_PER_COLUMN * r
     X = np.zeros((k, r))
     passive = np.ones((k, r), dtype=bool)
     rows = np.arange(k)

@@ -49,9 +49,5 @@ class GramSingularityError(McpcaError):
         self.columns = columns
 
 
-class NnlsConvergenceError(McpcaError):
-    """The active-set NNLS solver for the loadings reached its iteration cap."""
-
-
 class DegeneracyError(McpcaError):
     """An eigenvalue collision made a spectral method non-identifiable."""

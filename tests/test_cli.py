@@ -2,8 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +18,6 @@ from mcpca import (
     fit_mcpca,
     global_pca_reduce,
     load_model,
-    mix_seed,
     tensor_from_factors,
 )
 from mcpca.cli import main
@@ -136,43 +133,6 @@ class TestSelectRankCommand:
         assert report["threshold"] == 0.8
         assert report["n_seed_pairs"] == 5
         assert len(report["scree"]) == 10
-
-    def test_fit_options_reach_the_stability_fits(
-        self, planted_dir, tmp_path, monkeypatch
-    ):
-        import mcpca.model_select
-
-        configs = []
-
-        def record(t, r, cfg):
-            configs.append(cfg)
-            return fit_mcpca(t, r, cfg)
-
-        monkeypatch.setattr(mcpca.model_select, "fit_mcpca", record)
-        _, data_dir = planted_dir
-        code = main(
-            ["select-rank", "--input", str(data_dir), "--candidates", "2",
-             "--n-seed-pairs", "2", "--seed", "4", "--restarts", "3",
-             "--tol", "1e-12", "--max-iter", "50",
-             "--output", str(tmp_path / "rank.json")]
-        )
-        assert code == 0
-        cfg = FitConfig(seed=4, restarts_per_component=3, tol=1e-12, max_iter=50)
-        assert configs == [
-            replace(cfg, seed=mix_seed(4, pair, run))
-            for pair in range(2)
-            for run in range(2)
-        ]
-
-    def test_fit_options_default_like_fit(self):
-        from mcpca.cli import build_parser
-
-        parser = build_parser()
-        common = ["--input", "d", "--output", "o"]
-        fit = parser.parse_args(["fit", "--rank", "2"] + common)
-        select = parser.parse_args(["select-rank", "--candidates", "2"] + common)
-        for option in ("restarts", "tol", "max_iter"):
-            assert getattr(select, option) == getattr(fit, option)
 
     def test_empty_candidates_usage_error(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
@@ -347,10 +307,9 @@ class TestExitCodes:
             "numerical failure: SVD did not converge\n"
         )
 
-
     def test_nnls_iteration_cap_is_numerical(self, tmp_path, monkeypatch, capsys):
-        # The last context's loadings need two Lawson-Hanson solves after
-        # the warm start, so a cap of one makes the fit fail.
+        # The last context's loadings need Lawson-Hanson solves after the
+        # warm start, so a cap of none makes the fit fail.
         import mcpca.decompose
 
         A, B, extra = active_set_example()
@@ -363,11 +322,10 @@ class TestExitCodes:
                 "--output", str(tmp_path / "model.json")]
         assert main(argv) == 0
         capsys.readouterr()
-        capped = partial(mcpca.decompose._nnls_gram, max_iter=1)
-        monkeypatch.setattr(mcpca.decompose, "_nnls_gram", capped)
+        monkeypatch.setattr(mcpca.decompose, "_NNLS_SOLVES_PER_COLUMN", 0)
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: NNLS for the loadings did not converge in 1 "
+            "numerical failure: NNLS for the loadings did not converge in 0 "
             "active-set solves\n"
         )
 
