@@ -9,15 +9,17 @@ The fit proceeds in three stages:
 2. find component directions one at a time: power iterations maximize
    F(a, b) = ||T_A(a, b, *)||^2, the squared norm of the projection of
    the unit rank-one matrix a (x) b onto the working subspace.  All
-   restarts of a component advance together as one block, so each step
-   is a few matrix-matrix products over the subspace's unfolding.  Each
-   discovered pair is refined on the original (undeflated) subspace and
-   then projected out of the working basis before the next component is
-   sought.  Refinement matters: with non-orthogonal components the
-   deflated subspace no longer contains the remaining rank-one
-   generators exactly, so maximizers drift by an amount that grows with
-   the component correlations; re-running the iteration on the original
-   subspace from the discovered point removes that bias.
+   restarts of a component advance together as one block, and each step
+   reads the subspace's unfolding twice, in two matrix-matrix products:
+   the contraction behind one step's b-update is carried into the next
+   step's c-update.  Each discovered pair is refined on the original
+   (undeflated) subspace and then projected out of the working basis
+   before the next component is sought.  Refinement matters: with
+   non-orthogonal components the deflated subspace no longer contains
+   the remaining rank-one generators exactly, so maximizers drift by an
+   amount that grows with the component correlations; re-running the
+   iteration on the original subspace from the discovered point removes
+   that bias.
 3. recompute all loadings globally by non-negative least squares against
    the original tensor, discarding the loadings implied by the power
    iterations.  Each context's problem is solved on its r x r normal
@@ -243,6 +245,8 @@ def _unit_rows(x, ok):
     raises no floating-point warning.
     """
     norms = _row_norms(x)
+    if norms.min() > _DEGENERATE_NORM:
+        return x / norms[:, None], norms
     ok &= norms > _DEGENERATE_NORM
     return x / np.where(ok, norms, 1.0)[:, None], norms
 
@@ -265,8 +269,12 @@ def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=Fa
     numpy run the very vector products of a one-start loop.  ``a0``
     (R, p) and ``b0`` (R, k) hold R unit starts.  Every row repeats
     c <- normalize(T_A(a, b, *)), a <- normalize(T_A(*, b, c)),
-    b <- normalize(T_A(a, *, c)), and the rows advance in lockstep: a step
-    is three matrix products over the block, not 3R vector products.
+    b <- normalize(T_A(a, *, c)), and the rows advance in lockstep.  The
+    contraction T_A(a, *, *) that gives the new b is also the one the
+    next step's c comes from, so it is carried over: a step reads the
+    unfolding twice, once through ``unfold_t`` for a and once through
+    ``unfold`` for T_A(a, *, *), with two matrix products over the block
+    rather than 2R vector products, plus one read before the first step.
     Each row measures the larger sign-aligned step of its two iterates;
     its ``converged`` flag is set once step^2 / 2 = 1 - |cos| falls below
     ``tol``.  A row leaves the block when its own stop test passes (the
@@ -280,28 +288,31 @@ def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=Fa
     """
     n = a0.shape[0]
     m = unfold.shape[1] // k
-    a = np.array(a0, dtype=float)
-    b = np.array(b0, dtype=float)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    vanished = np.zeros(n, dtype=bool)
-    # A row whose stop test passed stays for one more contraction, which
-    # gives its final objective, and then leaves.
-    stopped = np.zeros(n, dtype=bool)
+    # The live rows' state, compact: row j belongs to start live[j].  All
+    # live rows have taken ``steps`` steps.
     live = np.arange(n)
-    objectives = []
+    x = np.array(a0, dtype=float)
+    y = np.array(b0, dtype=float)
+    m_a = (x @ unfold).reshape(n, k, m)
+    converged = np.zeros(n, dtype=bool)
+    stop = np.zeros(n, dtype=bool)
+    steps = 0
+    lives, objectives = [], []
+    results = [None] * n
     while live.size:
-        x, y = a[live], b[live]
         ok = np.ones(live.size, dtype=bool)
-        # T_A(a, b, *), T_A(*, b, c) and T_A(a, *, c) for every row at once.
-        m_a = (x @ unfold).reshape(-1, k, m)
         c, sigma = _unit_rows((y[:, None, :] @ m_a)[:, 0], ok)
-        objective = np.full(n, np.nan)
-        objective[live] = sigma * sigma
-        objectives.append(objective)
-        going = ~stopped[live]
-        if not going.all():
-            live, x, y, c, ok = live[going], x[going], y[going], c[going], ok[going]
+        lives.append(live)
+        objectives.append(sigma * sigma)
+        # A row whose stop test passed leaves once the carried contraction
+        # has given its final objective.
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                results[live[j]] = (x[j], y[j], steps, bool(converged[j]))
+            going = ~stop
+            live, x, y, m_a, c, ok, converged = (
+                v[going] for v in (live, x, y, m_a, c, ok, converged)
+            )
             if not live.size:
                 break
         outer_bc = (y[:, :, None] * c[:, None, :]).reshape(-1, k * m)
@@ -309,23 +320,27 @@ def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=Fa
         m_a = (x_new @ unfold).reshape(-1, k, m)
         y_new, _ = _unit_rows((m_a @ c[:, :, None])[:, :, 0], ok)
         step = np.maximum(_aligned_steps(x_new, x), _aligned_steps(y_new, y))
-        a[live] = x_new
-        b[live] = y_new
-        iterations[live] += 1
-        converged[live] |= 0.5 * step * step < tol
-        stop = step <= _FIXED_POINT_STEP if to_fixed_point else converged[live]
-        stopped[live] = stop | (iterations[live] >= max_iter)
-        vanished[live[~ok]] = True
-        live = live[ok]
-    objectives = np.array(objectives)
-    results = []
-    for i in range(n):
-        if vanished[i]:
-            results.append(None)
-            continue
-        steps = int(iterations[i])
-        trace = objectives[: steps + 1, i].tolist()
-        results.append((a[i], b[i], trace[-1], steps, trace, bool(converged[i])))
+        x, y = x_new, y_new
+        steps += 1
+        converged |= 0.5 * step * step < tol
+        stop = (step <= _FIXED_POINT_STEP if to_fixed_point else converged) | (
+            steps >= max_iter
+        )
+        if not ok.all():
+            live, x, y, m_a, converged, stop = (
+                v[ok] for v in (live, x, y, m_a, converged, stop)
+            )
+    # Row t of ``objectives`` holds the objectives of the rows live at step t.
+    trace_table = np.empty((len(lives), n))
+    trace_table[
+        np.repeat(np.arange(len(lives)), [rows.size for rows in lives]),
+        np.concatenate(lives),
+    ] = np.concatenate(objectives)
+    for i, row in enumerate(results):
+        if row is not None:
+            a, b, row_steps, row_converged = row
+            trace = trace_table[: row_steps + 1, i].tolist()
+            results[i] = (a, b, trace[-1], row_steps, trace, row_converged)
     return results
 
 

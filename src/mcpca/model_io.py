@@ -38,8 +38,9 @@ class Preprocessing:
                 "pca_components, projection and pca_mean must be given together"
             )
         if self.projection is not None:
-            proj = np.asarray(self.projection, dtype=float)
-            mean = np.asarray(self.pca_mean, dtype=float)
+            # Copies: freezing the caller's arrays would change them.
+            proj = np.array(self.projection, dtype=float)
+            mean = np.array(self.pca_mean, dtype=float)
             if proj.ndim != 2 or proj.shape[0] != self.pca_components:
                 raise ValueError("projection must have pca_components rows")
             if mean.shape != (proj.shape[1],):

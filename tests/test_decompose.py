@@ -81,6 +81,18 @@ def _serial_power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=
     return a, b, final, iterations, trace, converged
 
 
+class _ReadCounter(np.ndarray):
+    """Array view that counts the matrix products taking it as an operand."""
+
+    reads = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _ReadCounter.reads += 1
+        inputs = [np.asarray(x) if isinstance(x, _ReadCounter) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def _design_nnls(t, A):
     """Reference: Lawson-Hanson on the p^2 x r design of vectorized a_j a_j^T."""
     design = np.einsum("pj,qj->pqj", A, A).reshape(t.p * t.p, A.shape[1])
@@ -193,8 +205,17 @@ class TestPowerIterate:
             assert np.all(trace >= -1e-12) and np.all(trace <= 1.0 + 1e-12)
             assert np.all(np.diff(trace) >= -1e-9)
 
-    @pytest.mark.parametrize("to_fixed_point", [False, True])
-    def test_block_rows_match_serial_loop(self, to_fixed_point):
+    @pytest.mark.parametrize(
+        "to_fixed_point, max_iter",
+        [
+            pytest.param(False, 300, id="False"),
+            pytest.param(True, 300, id="True"),
+            # Every row leaves at the step cap, unconverged.
+            pytest.param(False, 3, id="False-max_iter3"),
+            pytest.param(True, 3, id="True-max_iter3"),
+        ],
+    )
+    def test_block_rows_match_serial_loop(self, to_fixed_point, max_iter):
         # Each row of a lockstep block follows the one-start loop from the
         # same start; only the summation order of the products differs.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
@@ -204,11 +225,13 @@ class TestPowerIterate:
         b0 = np.array([_unit(rng, 6) for _ in range(10)])
         unfold_t = np.ascontiguousarray(ts._unfold_p.T)
         block = _power_iterate(
-            ts._unfold_p, unfold_t, 6, a0, b0, 1e-10, 300, to_fixed_point
+            ts._unfold_p, unfold_t, 6, a0, b0, 1e-10, max_iter, to_fixed_point
         )
+        if max_iter == 3:
+            assert all(row[3] == 3 and not row[5] for row in block)
         for i, row in enumerate(block):
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
-                ts._unfold_p, 6, 5, a0[i], b0[i], 1e-10, 300, to_fixed_point
+                ts._unfold_p, 6, 5, a0[i], b0[i], 1e-10, max_iter, to_fixed_point
             )
             assert np.abs(row[0] - a).max() <= 1e-13
             assert np.abs(row[1] - b).max() <= 1e-13
@@ -234,6 +257,30 @@ class TestPowerIterate:
             assert np.abs(row[0] - a).max() <= 1e-13
             assert np.abs(row[1] - b).max() <= 1e-13
             assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
+
+    @pytest.mark.parametrize("starts", [1, 10])
+    def test_two_unfolding_reads_per_step(self, starts):
+        # The T_A(a, *, *) that gives a step its new b also gives the next
+        # step its c, so the unfolding is read twice per step plus once
+        # before the first step.
+        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
+        ts = extract_subspace(t, 5)
+        rng = np.random.default_rng(47)
+        a0 = np.array([_unit(rng, 12) for _ in range(starts)])
+        b0 = np.array([_unit(rng, 6) for _ in range(starts)])
+        unfold_t = ts._unfold_p.T if starts == 1 else np.ascontiguousarray(ts._unfold_p.T)
+        plain = _power_iterate(ts._unfold_p, unfold_t, 6, a0, b0, 1e-10, 300)
+        _ReadCounter.reads = 0
+        counted = _power_iterate(
+            ts._unfold_p.view(_ReadCounter), unfold_t.view(_ReadCounter),
+            6, a0, b0, 1e-10, 300,
+        )
+        steps = max(row[3] for row in counted)
+        assert steps > 1
+        assert _ReadCounter.reads == 2 * steps + 1
+        for row, expected in zip(counted, plain):
+            assert np.array_equal(row[0], expected[0])
+            assert row[3:] == expected[3:]
 
     def test_degenerate_start_masked_from_block(self):
         # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
@@ -468,6 +515,19 @@ class TestFitMetamorphic:
         _, A, B = _aligned(model, permuted)
         assert np.abs(A - model.A).max() <= 1e-12
         assert np.abs(B - model.B[perm]).max() <= 1e-12 * model.B.max()
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    @pytest.mark.parametrize("i", [0, 9])
+    def test_duplicating_a_context_duplicates_its_loading_row(self, seed, i):
+        t = _metamorphic_tensor(seed)
+        cfg = FitConfig(seed=3)
+        model, _ = fit_mcpca(t, 8, cfg)
+        extended = CovarianceTensor(np.concatenate([t.slices, t.slices[i : i + 1]]))
+        doubled, _ = fit_mcpca(extended, 8, cfg)
+        _, A, B = _aligned(model, doubled)
+        assert np.abs(A - model.A).max() <= 1e-12
+        expected = np.concatenate([model.B, model.B[i : i + 1]])
+        assert np.abs(B - expected).max() <= 1e-12 * model.B.max()
 
     @pytest.mark.parametrize("seed", [101, 102])
     def test_orthogonal_change_of_variables_rotates_components(self, seed):
