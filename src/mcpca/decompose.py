@@ -28,6 +28,12 @@ The fit proceeds in three stages:
    least-squares problem.  A Lawson-Hanson active-set solver in numpy
    works on (G, h_i) directly: no Cholesky factor, no scipy.
 
+Vectorization convention: a p x k matrix D and a vector in R^{p*k} are
+identified by vec(D)[i*p + alpha] = D[alpha, i] (variable index fastest,
+context index slowest), the column order of the flattening.  The working
+subspace is held as r orthonormal rows in that order; :func:`_unfoldings`
+gives the unfolding the power iterations contract.
+
 Fits are deterministic given (tensor, rank, config) at a fixed BLAS
 thread count: restart points are drawn up front from a seeded generator,
 and ties between restarts are broken by the earliest restart index.
@@ -46,7 +52,7 @@ from .exceptions import (
     GramSingularityError,
     RankDeficiencyError,
 )
-from .tensor_core import CovarianceTensor, SubspaceTensor, flatten
+from .tensor_core import CovarianceTensor, flatten
 
 # Singular values below RANK_RTOL * sigma_1 do not count toward the
 # numerical rank of the flattening.
@@ -144,7 +150,9 @@ class McpcaModel:
             raise ValueError("columns of A must have unit norm within 1e-10")
         if np.any(B < 0):
             raise ValueError("B must be entrywise non-negative")
-        colsums = B.sum(axis=0)
+        # Sums of B over its largest entry: those of B itself can overflow.
+        top = float(B.max(initial=0.0))
+        colsums = (B / top if top > 0 else B).sum(axis=0)
         if np.any(np.diff(colsums) > 1e-12 * max(1.0, float(colsums.max(initial=0.0)))):
             raise ValueError("columns must be ordered by nonincreasing B column sums")
         for j in range(A.shape[1]):
@@ -205,13 +213,15 @@ class FitReport:
     metadata: tuple[tuple[str, str], ...] = ()
 
 
-def extract_subspace(t: CovarianceTensor, r: int) -> SubspaceTensor:
-    """Top-r right singular vectors of the flattening, as p x k slices.
+def extract_subspace(t: CovarianceTensor, r: int) -> np.ndarray:
+    """Top-r right singular vectors of the flattening, as (r, p*k) rows.
 
-    Slices the tensor's cached SVD from :func:`flatten` and runs none of
-    its own.  Raises ``ValueError`` unless 1 <= r <= p, and
-    ``RankDeficiencyError`` (carrying the largest admissible rank) when
-    sigma_r falls below RANK_RTOL * sigma_1.
+    The rows are orthonormal and vectorized as in the module docstring.
+    They are a read-only view of the tensor's cached SVD from
+    :func:`flatten`: no SVD runs and nothing is copied.  Raises
+    ``ValueError`` unless 1 <= r <= p, and ``RankDeficiencyError``
+    (carrying the largest admissible rank) when sigma_r falls below
+    RANK_RTOL * sigma_1.
     """
     if not 1 <= r <= t.p:
         raise ValueError(f"rank must satisfy 1 <= r <= p = {t.p}, got {r}")
@@ -225,7 +235,7 @@ def extract_subspace(t: CovarianceTensor, r: int) -> SubspaceTensor:
             f"of the flattening; the largest admissible rank is {numerical_rank}",
             max_rank=numerical_rank,
         )
-    return SubspaceTensor(basis=vt[:r].reshape(r, t.k, t.p).transpose(0, 2, 1))
+    return vt[:r]
 
 
 def _row_dots(x, y):
@@ -373,7 +383,11 @@ def _deflate(flat, direction):
 
 
 def _unfoldings(flat, p, k):
-    """Contiguous (p, k*m) unfolding of an (m, p*k) basis and its transpose."""
+    """Contiguous (p, k*m) unfolding of an (m, p*k) basis and its transpose.
+
+    ``unfold[alpha, i*m + j] == flat[j, i*p + alpha]``: the one conversion
+    between the two layouts of a subspace.
+    """
     m = flat.shape[0]
     unfold_t = flat.reshape(m, k, p).transpose(1, 0, 2).reshape(k * m, p)
     return np.ascontiguousarray(unfold_t.T), unfold_t
@@ -557,12 +571,13 @@ def fit_mcpca(
     The model is the same with or without the probe.
     """
     started = time.perf_counter()
-    ts = extract_subspace(t, r)
+    work_flat = extract_subspace(t, r)
     rng = np.random.default_rng(cfg.seed)
     p, k = t.p, t.k
 
-    work_flat = ts._flat.copy()
-    orig_unfold = ts._unfold_p
+    # _deflate returns a new basis, so the read-only rows need no copy.
+    work = _unfoldings(work_flat, p, k)
+    orig_unfold = work[0]
     components = []
     for j in range(r):
         starts = [
@@ -570,7 +585,7 @@ def fit_mcpca(
             for _ in range(cfg.restarts_per_component)
         ]
         results = _power_iterate(
-            *_unfoldings(work_flat, p, k),
+            *work,
             k,
             np.array([a0 for a0, _ in starts]),
             np.array([b0 for _, b0 in starts]),
@@ -603,6 +618,7 @@ def fit_mcpca(
         components.append((a, b, trace, iters, conv, used))
         if j < r - 1:
             work_flat = _deflate(work_flat, np.outer(b, a).ravel())
+            work = _unfoldings(work_flat, p, k)
 
     A = np.column_stack([c[0] for c in components])
     B = solve_nnls(t, A)

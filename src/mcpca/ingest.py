@@ -16,9 +16,11 @@ not imputed.
 The numeric cells of a file are parsed in one ``np.loadtxt`` pass in C.
 When numpy rejects a cell, the per-cell walk with Python's ``float``
 runs instead: it accepts the cells ``float`` accepts (``1_0``, non-ASCII
-digits) and otherwise raises the error naming the first bad cell.  Both
-paths give the same float64 bits, and every error message is the one
-the cell walk gives.
+digits) and otherwise raises the error naming the first bad cell by its
+data row in the file and its column.  The walk covers every data line
+in file order, in a long table before the rows are grouped by context.
+Both paths give the same float64 bits, and every error message is the
+one the cell walk gives.
 """
 
 from __future__ import annotations
@@ -183,8 +185,11 @@ def _numeric_matrix(path, rows, columns) -> np.ndarray:
     return out
 
 
-def _numeric_lines(path, lines, delim) -> np.ndarray:
-    columns = list(range(lines[0].count(delim) + 1))
+def _numeric_lines(path, lines, delim, columns=None) -> np.ndarray:
+    """``columns`` (default: all) of every data line, in file order, so a
+    bad cell is named by its data row in the file."""
+    if columns is None:
+        columns = list(range(lines[0].count(delim) + 1))
     block = _parse_block(lines, delim, columns)
     if block is None:
         block = _numeric_matrix(path, [_split(ln, delim) for ln in lines], columns)
@@ -228,14 +233,10 @@ def _load_long_table(path) -> ContextDataset:
     for i, ln in enumerate(lines):
         cid = ln.split(delim, ctx_col + 1)[ctx_col].strip()
         groups.setdefault(cid, []).append(i)
-    block = _parse_block(lines, delim, value_cols)
+    block = _numeric_lines(path, lines, delim, value_cols)
     contexts = []
     for cid, idx in groups.items():
-        if block is None:
-            rows = [_split(lines[i], delim) for i in idx]
-            matrix = _numeric_matrix(path, rows, value_cols)
-        else:
-            matrix = block[idx]
+        matrix = block[idx]
         if matrix.shape[0] < 2:
             raise DataFormatError(
                 f"{path}: fewer than 2 samples in context {cid!r}"

@@ -142,6 +142,10 @@ def load_model(path) -> tuple[McpcaModel, Preprocessing]:
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing field {exc}") from exc
+    except TypeError as exc:
+        # A field of the wrong JSON type: null for the seed, a number for
+        # the converged flags, a list for the preprocessing block.
+        raise DataFormatError(f"{path}: malformed model file ({exc})") from exc
     return model, preprocessing
 
 

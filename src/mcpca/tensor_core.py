@@ -3,14 +3,10 @@
 A covariance tensor stacks one symmetric p x p matrix per context into a
 p x p x k array that is symmetric under swapping its first two indices.
 Every other module works through the operations here: the SVD of the
-flattening (the p x (p*k) matrix whose column blocks are the individual
-slices), computed once per tensor and cached on it; mode-3 contractions;
-and the orthonormal subspace bases that power iterations contract.
-
-Vectorization convention: a p x k matrix ``D`` and a vector in R^{p*k}
-are identified by ``vec(D)[i*p + alpha] = D[alpha, i]`` (variable index
-fastest, context index slowest).  This matches the column-block order of
-the flattening and is part of the on-disk contract.
+flattening M = [S_1 ... S_k] (the p x (p*k) matrix whose column blocks
+are the individual slices), computed once per tensor and cached on it,
+and mode-3 contractions.  Column i*p + alpha of M holds variable alpha
+of context i, and so does entry i*p + alpha of a right singular vector.
 """
 
 from __future__ import annotations
@@ -24,9 +20,6 @@ from .exceptions import AsymmetricInputError, DimensionMismatchError
 # Relative tolerance for the symmetry check on input slices.  Inputs that
 # pass are symmetrized exactly so drift cannot accumulate downstream.
 SYMMETRY_RTOL = 1e-12
-
-# Orthonormality tolerance for subspace bases.
-ORTHONORMALITY_TOL = 1e-10
 
 
 def _as_float_array(x, name):
@@ -51,7 +44,7 @@ class CovarianceTensor:
 
     slices: np.ndarray
     context_ids: tuple[str, ...] | None = None
-    _flattening: tuple[np.ndarray, np.ndarray] | None = field(
+    _svd: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -93,52 +86,6 @@ class CovarianceTensor:
     @property
     def k(self) -> int:
         return self.slices.shape[0]
-
-
-@dataclass(frozen=True)
-class SubspaceTensor:
-    """Orthonormal basis of an r-dimensional subspace of p x k matrices.
-
-    ``basis`` has shape (r, p, k); the vectorized rows (see module
-    docstring) are pairwise orthonormal.  The contiguous (p, k*r)
-    unfolding used by power iterations is cached at construction.
-    """
-
-    basis: np.ndarray
-    _unfold_p: np.ndarray = field(init=False, repr=False, compare=False)
-    _flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        basis = _as_float_array(self.basis, "basis")
-        if basis.ndim != 3:
-            raise DimensionMismatchError("basis must have shape (r, p, k)")
-        r, p, k = basis.shape
-        if r > p:
-            raise DimensionMismatchError(f"r={r} exceeds p={p}")
-        flat = np.ascontiguousarray(basis.transpose(0, 2, 1).reshape(r, p * k))
-        gram_dev = float(np.abs(flat @ flat.T - np.eye(r)).max())
-        if gram_dev > ORTHONORMALITY_TOL:
-            raise ValueError(
-                f"basis is not orthonormal: max Gram deviation {gram_dev:.3e}"
-            )
-        unfold_p = np.ascontiguousarray(basis.transpose(1, 2, 0).reshape(p, k * r))
-        for arr in (basis, flat, unfold_p):
-            arr.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_unfold_p", unfold_p)
-
-    @property
-    def r(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[2]
 
 
 def stack_covariances(matrices, context_ids=None) -> CovarianceTensor:
@@ -183,18 +130,18 @@ def flatten(t: CovarianceTensor) -> tuple[np.ndarray, np.ndarray]:
     """SVD of the flattening M = [S_1 ... S_k]: (singular_values, vt).
 
     ``singular_values`` has length p, nonincreasing; the rows of ``vt``
-    (p x p*k) are the right singular vectors, vectorized as in the module
-    docstring.  The SVD runs once per tensor: the read-only result is
-    cached on ``t`` (sound because its slices cannot be made writable) and
-    shared by every later call.
+    (p x p*k) are the right singular vectors, indexed like the columns of
+    M (see the module docstring).  The SVD runs once per tensor: the
+    read-only result is cached on ``t`` (sound because its slices cannot
+    be made writable) and shared by every later call.
     """
-    if t._flattening is None:
+    if t._svd is None:
         m = t.slices.transpose(1, 0, 2).reshape(t.p, t.k * t.p)
         _, sv, vt = np.linalg.svd(m, full_matrices=False)
         sv.setflags(write=False)
         vt.setflags(write=False)
-        object.__setattr__(t, "_flattening", (sv, vt))
-    return t._flattening
+        object.__setattr__(t, "_svd", (sv, vt))
+    return t._svd
 
 
 def contract_mode3(t: CovarianceTensor, v) -> np.ndarray:

@@ -288,6 +288,27 @@ class TestExitCodes:
             f"error: {factor} contains non-finite entries\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, value", [("converged", 5), ("seed", None), ("preprocessing", [])]
+    )
+    def test_malformed_model_file_is_input_error(
+        self, field, value, model_path, planted_dir, tmp_path, capsys
+    ):
+        # Well-formed JSON with a field of the wrong type.
+        raw = json.loads(model_path.read_text())
+        raw[field] = value
+        model_path.write_text(json.dumps(raw))
+        _, data_dir = planted_dir
+        capsys.readouterr()
+        code = main(
+            ["score", "--model", str(model_path), "--data",
+             str(data_dir / "c00.csv"), "--output", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: malformed model file (")
+        assert err.count("\n") == 1 and err.endswith(")\n")
+
     def test_linalg_failure_is_numerical(
         self, model_path, planted_dir, tmp_path, monkeypatch, capsys
     ):

@@ -15,17 +15,17 @@ from mcpca import (
     FitConfig,
     GramSingularityError,
     RankDeficiencyError,
-    SubspaceTensor,
     ascore,
     extract_subspace,
     fit_mcpca,
+    flatten,
     jennrich,
     reconstruction_error,
     solve_nnls,
     tensor_from_factors,
 )
 from mcpca import decompose
-from mcpca.decompose import _FIXED_POINT_STEP, _power_iterate
+from mcpca.decompose import _FIXED_POINT_STEP, _power_iterate, _unfoldings
 
 TIGHT = FitConfig(seed=0, tol=1e-14, max_iter=2000)
 
@@ -35,11 +35,17 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _iterate(ts, a0, b0, tol=1e-10, max_iter=500):
+def _unfold(t, r):
+    """The (p, k*r) unfolding of the rank-r working subspace of ``t``."""
+    unfold, _ = _unfoldings(extract_subspace(t, r), t.p, t.k)
+    return unfold
+
+
+def _iterate(unfold, a0, b0, tol=1e-10, max_iter=500):
     """(a, b, objective, iterations, trace, converged) of the power
-    iteration from one start on ``ts``."""
+    iteration from one start on the unfolding ``unfold``."""
     (result,) = _power_iterate(
-        ts._unfold_p, ts._unfold_p.T, ts.k, a0[None], b0[None], tol, max_iter
+        unfold, unfold.T, b0.shape[0], a0[None], b0[None], tol, max_iter
     )
     if result is None:
         raise DegenerateStartError("contraction vanished")
@@ -110,11 +116,11 @@ class TestExtractSubspace:
         a = _unit(rng, 5)
         b = np.abs(rng.standard_normal(4))
         t = tensor_from_factors(a[:, None], b[:, None])
-        ts = extract_subspace(t, 1)
+        rows = extract_subspace(t, 1)
         expected = np.outer(a, b / np.linalg.norm(b))
-        cos = abs(ts.basis[0].T.ravel() @ expected.T.ravel())
+        cos = abs(rows[0] @ expected.T.ravel())
         assert cos >= 1 - 1e-10
-        _, _, objective, _, _, _ = _iterate(ts, a, b / np.linalg.norm(b))
+        _, _, objective, _, _, _ = _iterate(_unfold(t, 1), a, b / np.linalg.norm(b))
         assert abs(objective - 1.0) <= 1e-10
 
     def test_orthogonal_pair_span_recovered(self):
@@ -128,8 +134,7 @@ class TestExtractSubspace:
         b1 = np.abs(rng.standard_normal(4)) + 0.5
         b2 = np.abs(rng.standard_normal(4)) + 0.5
         t = tensor_from_factors(np.column_stack([a1, a2]), np.column_stack([b1, b2]))
-        ts = extract_subspace(t, 2)
-        flat = ts.basis.transpose(0, 2, 1).reshape(2, -1)
+        flat = extract_subspace(t, 2)
         for a, b in ((a1, b1), (a2, b2)):
             d = np.outer(a, b / np.linalg.norm(b)).T.ravel()
             assert np.linalg.norm(flat @ d) >= 1 - 1e-9
@@ -146,6 +151,26 @@ class TestExtractSubspace:
         with pytest.raises(ValueError):
             extract_subspace(t, 0)
 
+    def test_rows_are_the_cached_svd_and_unfold_by_context(self):
+        # The rows are a read-only view of flatten's cached SVD, and the
+        # unfolding puts entry i*p + alpha of row j at [alpha, i*r + j].
+        p, k, r = 6, 4, 3
+        _, t = _planted_tensor(p, k, r, 0.8, seed=5)
+        rows = extract_subspace(t, r)
+        vt = flatten(t)[1]
+        np.testing.assert_array_equal(rows, vt[:r])
+        assert np.shares_memory(rows, vt)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        unfold, unfold_t = _unfoldings(rows, p, k)
+        for alpha in range(p):
+            for i in range(k):
+                for j in range(r):
+                    assert unfold[alpha, i * r + j] == rows[j, i * p + alpha]
+        np.testing.assert_array_equal(unfold_t, unfold.T)
+        assert unfold.flags.c_contiguous and unfold_t.flags.c_contiguous
+
 
 class TestPowerIterate:
     def test_rank_one_converges_fast(self):
@@ -153,20 +178,20 @@ class TestPowerIterate:
         a0 = _unit(rng, 5)
         b0 = np.abs(rng.standard_normal(3)) + 0.1
         t = tensor_from_factors(a0[:, None], b0[:, None])
-        ts = extract_subspace(t, 1)
         start_a = _unit(rng, 5)
         start_b = _unit(rng, 3)
-        a, _, objective, iterations, _, _ = _iterate(ts, start_a, start_b, tol=1e-10)
+        a, _, objective, iterations, _, _ = _iterate(
+            _unfold(t, 1), start_a, start_b, tol=1e-10
+        )
         assert iterations <= 3
         assert abs(objective - 1.0) <= 1e-10
         assert abs(a @ a0) >= 1 - 1e-9
 
     def test_planted_pair_is_fixed_point(self):
         pm, t = _planted_tensor(6, 4, 3, 0.7, seed=6)
-        ts = extract_subspace(t, 3)
         a = pm.A_true[:, 0]
         b = pm.B_true[:, 0] / np.linalg.norm(pm.B_true[:, 0])
-        a_out, b_out, objective, iterations, _, _ = _iterate(ts, a, b)
+        a_out, b_out, objective, iterations, _, _ = _iterate(_unfold(t, 3), a, b)
         assert iterations == 1
         assert objective >= 1 - 1e-9
         assert abs(a_out @ a) >= 1 - 1e-9
@@ -176,13 +201,13 @@ class TestPowerIterate:
         # Oracle: Jennrich on the same tensor identifies the planted
         # directions; the best of 20 restarts must agree with one of them.
         pm, t = _planted_tensor(6, 4, 3, 0.7, seed=7)
-        ts = extract_subspace(t, 3)
+        unfold = _unfold(t, 3)
         oracle = jennrich(t, 3, seed=99).A
         rng = np.random.default_rng(8)
         best = None
         for _ in range(20):
             try:
-                res = _iterate(ts, _unit(rng, 6), _unit(rng, 4), tol=1e-12)
+                res = _iterate(unfold, _unit(rng, 6), _unit(rng, 4), tol=1e-12)
             except DegenerateStartError:
                 continue
             if best is None or res[2] > best[2]:
@@ -194,11 +219,11 @@ class TestPowerIterate:
 
     def test_objective_bounded_and_monotone(self):
         pm, t = _planted_tensor(8, 5, 4, 0.6, seed=9)
-        ts = extract_subspace(t, 4)
+        unfold = _unfold(t, 4)
         rng = np.random.default_rng(10)
         for _ in range(10):
             _, _, obj, _, trace, _ = _iterate(
-                ts, _unit(rng, 8), _unit(rng, 5), tol=1e-10, max_iter=200
+                unfold, _unit(rng, 8), _unit(rng, 5), tol=1e-10, max_iter=200
             )
             trace = np.asarray(trace)
             assert 0.0 <= obj <= 1.0 + 1e-12
@@ -219,19 +244,18 @@ class TestPowerIterate:
         # Each row of a lockstep block follows the one-start loop from the
         # same start; only the summation order of the products differs.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
-        ts = extract_subspace(t, 5)
+        unfold, unfold_t = _unfoldings(extract_subspace(t, 5), 12, 6)
         rng = np.random.default_rng(42)
         a0 = np.array([_unit(rng, 12) for _ in range(10)])
         b0 = np.array([_unit(rng, 6) for _ in range(10)])
-        unfold_t = np.ascontiguousarray(ts._unfold_p.T)
         block = _power_iterate(
-            ts._unfold_p, unfold_t, 6, a0, b0, 1e-10, max_iter, to_fixed_point
+            unfold, unfold_t, 6, a0, b0, 1e-10, max_iter, to_fixed_point
         )
         if max_iter == 3:
             assert all(row[3] == 3 and not row[5] for row in block)
         for i, row in enumerate(block):
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
-                ts._unfold_p, 6, 5, a0[i], b0[i], 1e-10, max_iter, to_fixed_point
+                unfold, 6, 5, a0[i], b0[i], 1e-10, max_iter, to_fixed_point
             )
             assert np.abs(row[0] - a).max() <= 1e-13
             assert np.abs(row[1] - b).max() <= 1e-13
@@ -243,16 +267,16 @@ class TestPowerIterate:
 
     def test_single_start_refinement_matches_serial_loop(self):
         pm, t = _planted_tensor(20, 10, 8, 0.5, seed=43)
-        ts = extract_subspace(t, 8)
+        unfold = _unfold(t, 8)
         rng = np.random.default_rng(44)
         for _ in range(5):
             a0, b0 = _unit(rng, 20), _unit(rng, 10)
             (row,) = _power_iterate(
-                ts._unfold_p, ts._unfold_p.T, 10, a0[None], b0[None],
+                unfold, unfold.T, 10, a0[None], b0[None],
                 1e-10, 500, to_fixed_point=True,
             )
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
-                ts._unfold_p, 10, 8, a0, b0, 1e-10, 500, to_fixed_point=True
+                unfold, 10, 8, a0, b0, 1e-10, 500, to_fixed_point=True
             )
             assert np.abs(row[0] - a).max() <= 1e-13
             assert np.abs(row[1] - b).max() <= 1e-13
@@ -264,15 +288,16 @@ class TestPowerIterate:
         # step its c, so the unfolding is read twice per step plus once
         # before the first step.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
-        ts = extract_subspace(t, 5)
+        unfold, unfold_t = _unfoldings(extract_subspace(t, 5), 12, 6)
+        if starts == 1:
+            unfold_t = unfold.T
         rng = np.random.default_rng(47)
         a0 = np.array([_unit(rng, 12) for _ in range(starts)])
         b0 = np.array([_unit(rng, 6) for _ in range(starts)])
-        unfold_t = ts._unfold_p.T if starts == 1 else np.ascontiguousarray(ts._unfold_p.T)
-        plain = _power_iterate(ts._unfold_p, unfold_t, 6, a0, b0, 1e-10, 300)
+        plain = _power_iterate(unfold, unfold_t, 6, a0, b0, 1e-10, 300)
         _ReadCounter.reads = 0
         counted = _power_iterate(
-            ts._unfold_p.view(_ReadCounter), unfold_t.view(_ReadCounter),
+            unfold.view(_ReadCounter), unfold_t.view(_ReadCounter),
             6, a0, b0, 1e-10, 300,
         )
         steps = max(row[3] for row in counted)
@@ -285,20 +310,18 @@ class TestPowerIterate:
     def test_degenerate_start_masked_from_block(self):
         # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
         # exact zero.  That row is dropped; the others are unaffected.
-        basis = np.zeros((2, 4, 3))
-        basis[0, 0, 0] = basis[1, 1, 1] = 1.0
-        ts = SubspaceTensor(basis=basis)
+        flat = np.zeros((2, 12))
+        flat[0, 0] = flat[1, 5] = 1.0
+        unfold, _ = _unfoldings(flat, 4, 3)
         rng = np.random.default_rng(45)
         a0 = np.array([_unit(rng, 4), np.eye(4)[2], _unit(rng, 4)])
         b0 = np.array([_unit(rng, 3) for _ in range(3)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _power_iterate(
-                ts._unfold_p, ts._unfold_p.T, 3, a0, b0, 1e-10, 100
-            )
+            block = _power_iterate(unfold, unfold.T, 3, a0, b0, 1e-10, 100)
         assert block[1] is None
         for i in (0, 2):
-            alone = _iterate(ts, a0[i], b0[i])
+            alone = _iterate(unfold, a0[i], b0[i])
             assert np.abs(block[i][0] - alone[0]).max() <= 1e-13
             assert block[i][3] == alone[3]
 

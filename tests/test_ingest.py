@@ -67,6 +67,17 @@ class TestLoadContexts:
         with pytest.raises(DataFormatError, match="non-numeric"):
             load_contexts(tmp_path, "per-context-files")
 
+    def test_long_table_bad_cell_named_by_file_row(self, tmp_path):
+        # Contexts interleave: the bad cell is on data row 4 of the file
+        # (header and blank line not counted), the second row of context b.
+        f = tmp_path / "data.csv"
+        _write(f, "ctx,x,y\na,1,2\n\nb,3,4\na,5,6\nb,7,oops\na,9,10\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_contexts(f, "long-table")
+        assert str(excinfo.value) == (
+            f"{f}: non-numeric cell 'oops' at row 4, column 3"
+        )
+
     def test_empty_input_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
         _write(f, "\n")
@@ -180,12 +191,15 @@ def _ref_load_long_table(path):
     value_cols = [j for j in range(len(rows[0])) if j != ctx_col]
     if not value_cols:
         raise DataFormatError(f"{path}: no value columns besides the context id")
+    # Every data row is walked in file order before the rows are grouped,
+    # so an error names the cell's data row in the file.
+    values = _ref_numeric_matrix(path, rows, value_cols)
     groups = {}
-    for row in rows:
-        groups.setdefault(row[ctx_col], []).append(row)
+    for i, row in enumerate(rows):
+        groups.setdefault(row[ctx_col], []).append(i)
     contexts = []
-    for cid, group in groups.items():
-        matrix = _ref_numeric_matrix(path, group, value_cols)
+    for cid, idx in groups.items():
+        matrix = values[idx]
         if matrix.shape[0] < 2:
             raise DataFormatError(f"{path}: fewer than 2 samples in context {cid!r}")
         contexts.append((cid, matrix))

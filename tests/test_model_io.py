@@ -1,7 +1,9 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,9 +48,10 @@ def _models(draw):
     A[pivots, np.arange(r)] = 2.0
     A /= np.linalg.norm(A, axis=0)
     B = _matrix(draw, _loadings, k, r)
-    # Column sums may overflow to inf, which still sorts.
-    with np.errstate(over="ignore"):
-        B = B[:, np.argsort(-B.sum(axis=0), kind="stable")]
+    # Sorted on the sums of B over its largest entry, as the model checks
+    # its column order: the sums of B itself may overflow to inf.
+    top = B.max()
+    B = B[:, np.argsort(-(B / top if top > 0 else B).sum(axis=0), kind="stable")]
     model = McpcaModel(
         A=A,
         B=B,
@@ -107,3 +110,23 @@ def test_preprocessing_copies_its_arrays():
     mean[0] = 5.0
     assert pre.projection[0, 0] == 1.0 and pre.pca_mean[0] == 0.0
     assert not (pre.projection.flags.writeable or pre.pca_mean.flags.writeable)
+
+
+def test_column_order_check_survives_overflowing_sums():
+    # The column sums of B are 1e308 and inf: the second column is the
+    # heavier one, so the order is wrong, and the check must see that
+    # without an overflow warning.
+    B = np.array([[1.0, HUGE], [1e308, HUGE]])
+    fields = dict(
+        A=np.eye(2),
+        context_ids=("a", "b"),
+        ordering_rule="loading-column-sum-desc",
+        sign_rule="max-abs-entry-positive",
+        seed=0,
+        converged=(True, True),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonincreasing B column sums"):
+            McpcaModel(B=B, **fields)
+        McpcaModel(B=B[:, ::-1], **fields)

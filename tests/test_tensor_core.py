@@ -5,12 +5,13 @@ from mcpca import (
     AsymmetricInputError,
     CovarianceTensor,
     DimensionMismatchError,
-    SubspaceTensor,
     contract_mode3,
+    extract_subspace,
     flatten,
     stack_covariances,
     tensor_from_factors,
 )
+from mcpca.decompose import _unfoldings
 
 
 def _random_factors(p, k, r, seed):
@@ -133,17 +134,19 @@ class TestContractMode3:
 
 
 def _subspace_from_pairs(pairs, p, k):
-    """Orthonormalized subspace spanned by vec(a (x) b) for given pairs."""
-    vecs = [np.outer(a, b).T.ravel() for a, b in pairs]
-    q, _ = np.linalg.qr(np.array(vecs).T)
-    basis = np.stack([q[:, j].reshape(k, p).T for j in range(q.shape[1])])
-    return SubspaceTensor(basis=basis)
+    """(p, k*r) unfolding of the working subspace of the tensor whose
+    slices are sum_j b_j[i] a_j a_j^T: the span of the vec(a_j (x) b_j)."""
+    A = np.column_stack([a for a, _ in pairs])
+    B = np.column_stack([b for _, b in pairs])
+    rows = extract_subspace(tensor_from_factors(A, B), len(pairs))
+    unfold, _ = _unfoldings(rows, p, k)
+    return rows, unfold
 
 
-def _contract_pair(ts, a, b):
-    """Entry l is a^T basis[l] b, read through the (p, k*r) unfolding the
-    power iterations contract."""
-    return (a @ ts._unfold_p).reshape(ts.k, ts.r).T @ b
+def _contract_pair(unfold, a, b):
+    """Entry l is a^T D_l b for the l-th basis element D_l, read through
+    the (p, k*r) unfolding the power iterations contract."""
+    return (a @ unfold).reshape(b.shape[0], -1).T @ b
 
 
 class TestContractPair:
@@ -153,8 +156,8 @@ class TestContractPair:
         a0 /= np.linalg.norm(a0)
         b0 = rng.standard_normal(3)
         b0 /= np.linalg.norm(b0)
-        ts = _subspace_from_pairs([(a0, b0)], 5, 3)
-        np.testing.assert_allclose(abs(_contract_pair(ts, a0, b0)[0]), 1.0, atol=1e-12)
+        _, unfold = _subspace_from_pairs([(a0, b0)], 5, 3)
+        np.testing.assert_allclose(abs(_contract_pair(unfold, a0, b0)[0]), 1.0, atol=1e-12)
 
     def test_orthogonal_direction_gives_zero(self):
         rng = np.random.default_rng(12)
@@ -165,8 +168,8 @@ class TestContractPair:
         perp = rng.standard_normal(5)
         perp -= (perp @ a0) * a0
         perp /= np.linalg.norm(perp)
-        ts = _subspace_from_pairs([(a0, b0)], 5, 3)
-        np.testing.assert_allclose(_contract_pair(ts, perp, b0), [0.0], atol=1e-12)
+        _, unfold = _subspace_from_pairs([(a0, b0)], 5, 3)
+        np.testing.assert_allclose(_contract_pair(unfold, perp, b0), [0.0], atol=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -175,21 +178,16 @@ class TestContractPair:
             a = rng.standard_normal(6)
             b = rng.standard_normal(4)
             pairs.append((a / np.linalg.norm(a), b / np.linalg.norm(b)))
-        ts = _subspace_from_pairs(pairs, 6, 4)
+        rows, unfold = _subspace_from_pairs(pairs, 6, 4)
         a = rng.standard_normal(6)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(4)
         b /= np.linalg.norm(b)
-        # Oracle: explicit double sum over every basis slice entry.
+        # Oracle: explicit double sum over every entry of each basis row,
+        # entry j*p + i holding variable i of context j.
         expected = np.zeros(3)
         for ell in range(3):
             for i in range(6):
                 for j in range(4):
-                    expected[ell] += a[i] * ts.basis[ell, i, j] * b[j]
-        np.testing.assert_allclose(_contract_pair(ts, a, b), expected, atol=1e-12)
-
-
-def test_subspace_tensor_requires_orthonormal_basis():
-    basis = np.ones((2, 3, 2))
-    with pytest.raises(ValueError):
-        SubspaceTensor(basis=basis)
+                    expected[ell] += a[i] * rows[ell, j * 6 + i] * b[j]
+        np.testing.assert_allclose(_contract_pair(unfold, a, b), expected, atol=1e-12)
