@@ -8,18 +8,21 @@ The fit proceeds in three stages:
    fit of it, whatever the rank or seed;
 2. find component directions one at a time: power iterations maximize
    F(a, b) = ||T_A(a, b, *)||^2, the squared norm of the projection of
-   the unit rank-one matrix a (x) b onto the working subspace.  All
-   restarts of a component advance together as one block, and each step
-   reads the subspace's unfolding twice, in two matrix-matrix products:
-   the contraction behind one step's b-update is carried into the next
-   step's c-update.  Each discovered pair is refined on the original
-   (undeflated) subspace and then projected out of the working basis
-   before the next component is sought.  Refinement matters: with
-   non-orthogonal components the deflated subspace no longer contains
-   the remaining rank-one generators exactly, so maximizers drift by an
-   amount that grows with the component correlations; re-running the
-   iteration on the original subspace from the discovered point removes
-   that bias.
+   the unit rank-one matrix a (x) b onto the working subspace.  Each step
+   reads the subspace's unfolding twice: the contraction behind one
+   step's b-update is carried into the next step's c-update.  The two
+   stages of a component have one loop each.  Discovery
+   (:func:`_power_iterate`) advances all restarts as one block on the
+   working (deflated) subspace, in matrix-matrix products, until each
+   passes the ``tol`` test.  Refinement (:func:`_refine`) takes the best
+   restart alone, in matrix-vector products, on the original
+   (undeflated) subspace to its floating-point fixed point.  The refined
+   pair is then projected out of the working basis before the next
+   component is sought.  Refinement matters: with non-orthogonal
+   components the deflated subspace no longer contains the remaining
+   rank-one generators exactly, so maximizers drift by an amount that
+   grows with the component correlations; re-running the iteration on
+   the original subspace from the discovered point removes that bias.
 3. recompute all loadings globally by non-negative least squares against
    the original tensor, discarding the loadings implied by the power
    iterations.  Each context's problem is solved on its r x r normal
@@ -41,6 +44,7 @@ and ties between restarts are broken by the earliest restart index.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -94,9 +98,9 @@ _NNLS_SOLVES_PER_COLUMN = 3
 class FitConfig:
     """Knobs for :func:`fit_mcpca`.
 
-    ``tol`` bounds the successive cosine gap 1 - |<x_new, x_old>| of both
-    unit-vector iterates: a restart has converged, and its discovery
-    stops, once the gap falls below it.  Refinement continues past that
+    ``tol`` (finite and positive) bounds the successive cosine gap
+    1 - |<x_new, x_old>| of both unit-vector iterates: a restart has
+    converged, and its discovery stops, once the gap falls below it.  Refinement continues past that
     point to the floating-point fixed point, within ``max_iter``
     iterations.  ``restarts_per_component`` random starts are drawn per
     component from ``seed``.
@@ -110,8 +114,8 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts_per_component < 1:
             raise ValueError("restarts_per_component must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -243,53 +247,41 @@ def _row_dots(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _row_norms(x):
-    return np.sqrt(_row_dots(x, x))
-
-
 def _unit_rows(x, ok):
-    """Rows of ``x`` over their norms, and the norms.
+    """Rows of ``x`` over their norms, the norms, and the mask of usable rows.
 
-    Rows whose norm is at most ``_DEGENERATE_NORM`` are cleared in ``ok``
-    (in place) and divided by one instead, so a vanished contraction
-    raises no floating-point warning.
+    ``ok`` is None while every row is usable.  Rows whose norm is at most
+    ``_DEGENERATE_NORM`` are cleared in the mask, which is built only then,
+    and divided by one instead, so a vanished contraction raises no
+    floating-point warning.
     """
-    norms = _row_norms(x)
+    norms = np.sqrt(_row_dots(x, x))
     if norms.min() > _DEGENERATE_NORM:
-        return x / norms[:, None], norms
-    ok &= norms > _DEGENERATE_NORM
-    return x / np.where(ok, norms, 1.0)[:, None], norms
+        return x / norms[:, None], norms, ok
+    usable = norms > _DEGENERATE_NORM
+    ok = usable if ok is None else ok & usable
+    return x / np.where(ok, norms, 1.0)[:, None], norms, ok
 
 
-def _aligned_steps(x_new, x):
-    """Sign-aligned steps ||x_new - sign(x_new . x) x|| between unit rows.
-
-    Each square over two is 1 - |x_new . x|, computed without cancellation.
-    """
-    signs = np.copysign(1.0, _row_dots(x_new, x))
-    return _row_norms(x_new - signs[:, None] * x)
-
-
-def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=False):
-    """Alternating normalized contractions of a block of starts on one unfolding.
+def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter):
+    """Discovery: alternating normalized contractions of a block of starts.
 
     ``unfold`` is the (p, k*m) unfolding of an m-dimensional subspace and
-    ``unfold_t`` its (k*m, p) transpose: a contiguous copy speeds up the
-    block products, and for a single start the view ``unfold.T`` makes
-    numpy run the very vector products of a one-start loop.  ``a0``
-    (R, p) and ``b0`` (R, k) hold R unit starts.  Every row repeats
-    c <- normalize(T_A(a, b, *)), a <- normalize(T_A(*, b, c)),
-    b <- normalize(T_A(a, *, c)), and the rows advance in lockstep.  The
-    contraction T_A(a, *, *) that gives the new b is also the one the
-    next step's c comes from, so it is carried over: a step reads the
-    unfolding twice, once through ``unfold_t`` for a and once through
-    ``unfold`` for T_A(a, *, *), with two matrix products over the block
-    rather than 2R vector products, plus one read before the first step.
-    Each row measures the larger sign-aligned step of its two iterates;
-    its ``converged`` flag is set once step^2 / 2 = 1 - |cos| falls below
-    ``tol``.  A row leaves the block when its own stop test passes (the
-    ``tol`` test, or with ``to_fixed_point`` a step of at most
-    ``_FIXED_POINT_STEP``) or after ``max_iter`` steps.
+    ``unfold_t`` its (k*m, p) transpose, a contiguous copy that speeds up
+    the block products.  ``a0`` (R, p) and ``b0`` (R, k) hold R unit
+    starts.  Every row repeats c <- normalize(T_A(a, b, *)),
+    a <- normalize(T_A(*, b, c)), b <- normalize(T_A(a, *, c)), and the
+    rows advance in lockstep.  The contraction T_A(a, *, *) that gives the
+    new b is also the one the next step's c comes from, so it is carried
+    over: a step reads the unfolding twice, once through ``unfold_t`` for
+    a and once through ``unfold`` for T_A(a, *, *), with two matrix
+    products over the block rather than 2R vector products, plus one read
+    before the first step.  Each row measures the larger sign-aligned step
+    ||x_new - sign(x_new . x) x|| of its two iterates (step^2 / 2 is
+    1 - |cos|, computed without cancellation), and leaves the block, its
+    ``converged`` flag set, once step^2 / 2 falls below ``tol``.  Rows
+    still live after ``max_iter`` steps leave then, converged only if that
+    last step passed the test.
 
     Returns one entry per start: None if one of its contractions vanished
     (a degenerate start, masked out of the block without a warning), else
@@ -305,41 +297,39 @@ def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=Fa
     y = np.array(b0, dtype=float)
     m_a = (x @ unfold).reshape(n, k, m)
     converged = np.zeros(n, dtype=bool)
-    stop = np.zeros(n, dtype=bool)
     steps = 0
     lives, objectives = [], []
     results = [None] * n
     while live.size:
-        ok = np.ones(live.size, dtype=bool)
-        c, sigma = _unit_rows((y[:, None, :] @ m_a)[:, 0], ok)
+        c, sigma, ok = _unit_rows((y[:, None, :] @ m_a)[:, 0], None)
         lives.append(live)
         objectives.append(sigma * sigma)
         # A row whose stop test passed leaves once the carried contraction
         # has given its final objective.
+        stop = converged if steps < max_iter else np.ones(live.size, dtype=bool)
         if stop.any():
             for j in np.flatnonzero(stop):
                 results[live[j]] = (x[j], y[j], steps, bool(converged[j]))
             going = ~stop
-            live, x, y, m_a, c, ok, converged = (
-                v[going] for v in (live, x, y, m_a, c, ok, converged)
-            )
-            if not live.size:
+            if not going.any():
                 break
+            live, x, y, m_a, c = (v[going] for v in (live, x, y, m_a, c))
+            if ok is not None:
+                ok = ok[going]
         outer_bc = (y[:, :, None] * c[:, None, :]).reshape(-1, k * m)
-        x_new, _ = _unit_rows(outer_bc @ unfold_t, ok)
+        x_new, _, ok = _unit_rows(outer_bc @ unfold_t, ok)
         m_a = (x_new @ unfold).reshape(-1, k, m)
-        y_new, _ = _unit_rows((m_a @ c[:, :, None])[:, :, 0], ok)
-        step = np.maximum(_aligned_steps(x_new, x), _aligned_steps(y_new, y))
+        y_new, _, ok = _unit_rows((m_a @ c[:, :, None])[:, :, 0], ok)
+        # Sign-aligned steps of both iterates.
+        dx = x_new - np.copysign(1.0, _row_dots(x_new, x))[:, None] * x
+        dy = y_new - np.copysign(1.0, _row_dots(y_new, y))[:, None] * y
+        step = np.sqrt(np.maximum(_row_dots(dx, dx), _row_dots(dy, dy)))
         x, y = x_new, y_new
         steps += 1
-        converged |= 0.5 * step * step < tol
-        stop = (step <= _FIXED_POINT_STEP if to_fixed_point else converged) | (
-            steps >= max_iter
-        )
-        if not ok.all():
-            live, x, y, m_a, converged, stop = (
-                v[ok] for v in (live, x, y, m_a, converged, stop)
-            )
+        # Rows converged earlier have left, so the flag is this step's test.
+        converged = 0.5 * step * step < tol
+        if ok is not None:
+            live, x, y, m_a, converged = (v[ok] for v in (live, x, y, m_a, converged))
     # Row t of ``objectives`` holds the objectives of the rows live at step t.
     trace_table = np.empty((len(lives), n))
     trace_table[
@@ -352,6 +342,62 @@ def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter, to_fixed_point=Fa
             trace = trace_table[: row_steps + 1, i].tolist()
             results[i] = (a, b, trace[-1], row_steps, trace, row_converged)
     return results
+
+
+def _aligned_step(x_new, x):
+    """||x_new - sign(x_new . x) x|| between unit vectors, as a float."""
+    d = x_new - math.copysign(1.0, np.dot(x_new, x)) * x
+    return math.sqrt(np.dot(d, d))
+
+
+def _refine(unfold, k, a, b, tol, max_iter):
+    """Refinement: the power iteration of one start to its fixed point.
+
+    ``unfold`` is the (p, k*m) unfolding of the original subspace, ``a``
+    (p,) and ``b`` (k,) a unit start.  The step is that of
+    :func:`_power_iterate` for one start: two reads of the unfolding per
+    step plus one before the first, with T_A(a, *, *) carried from one
+    step to the next.  The products are matrix-vector products, and the
+    norms, sign-aligned steps and stop tests Python floats, so a step
+    makes about 23 numpy calls where the block loop makes about 70.
+    ``converged`` is set once step^2 / 2 falls below ``tol``, but the loop
+    runs on until the step is at most ``_FIXED_POINT_STEP`` or ``max_iter``
+    steps are taken.
+
+    Returns (a, b, objective, iterations, trace, converged) as
+    :func:`_power_iterate` does for one row, or None, without a warning,
+    when a contraction vanishes.
+    """
+    m = unfold.shape[1] // k
+    m_a = (a @ unfold).reshape(k, m)
+    trace = []
+    converged = False
+    steps = 0
+    step = math.inf
+    while True:
+        c = b @ m_a
+        sigma = math.sqrt(np.dot(c, c))
+        trace.append(sigma * sigma)
+        if step <= _FIXED_POINT_STEP or steps >= max_iter:
+            return a, b, trace[-1], steps, trace, converged
+        if sigma <= _DEGENERATE_NORM:
+            return None
+        c = c / sigma
+        a_new = unfold @ (b[:, None] * c).ravel()
+        norm = math.sqrt(np.dot(a_new, a_new))
+        if norm <= _DEGENERATE_NORM:
+            return None
+        a_new = a_new / norm
+        m_a = (a_new @ unfold).reshape(k, m)
+        b_new = m_a @ c
+        norm = math.sqrt(np.dot(b_new, b_new))
+        if norm <= _DEGENERATE_NORM:
+            return None
+        b_new = b_new / norm
+        step = max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+        a, b = a_new, b_new
+        steps += 1
+        converged = converged or 0.5 * step * step < tol
 
 
 def _householder_complement(u):
@@ -393,9 +439,19 @@ def _unfoldings(flat, p, k):
     return np.ascontiguousarray(unfold_t.T), unfold_t
 
 
-def _sphere(rng, n):
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _draw_starts(rng, n, p, k):
+    """n unit starts (a, b) from one draw of n rows of p + k normals.
+
+    Row i holds restart i's a-start then its b-start, the order of 2n
+    separate draws.  Each part is scaled by the square root of its own
+    dot product, as ``np.linalg.norm`` would.
+    """
+    block = rng.standard_normal((n, p + k))
+    a0, b0 = block[:, :p], block[:, p:]
+    return (
+        a0 / np.sqrt(_row_dots(a0, a0))[:, None],
+        b0 / np.sqrt(_row_dots(b0, b0))[:, None],
+    )
 
 
 def _lawson_hanson(G, h, x, passive, tol, max_iter):
@@ -580,18 +636,8 @@ def fit_mcpca(
     orig_unfold = work[0]
     components = []
     for j in range(r):
-        starts = [
-            (_sphere(rng, p), _sphere(rng, k))
-            for _ in range(cfg.restarts_per_component)
-        ]
-        results = _power_iterate(
-            *work,
-            k,
-            np.array([a0 for a0, _ in starts]),
-            np.array([b0 for _, b0 in starts]),
-            cfg.tol,
-            cfg.max_iter,
-        )
+        a0, b0 = _draw_starts(rng, cfg.restarts_per_component, p, k)
+        results = _power_iterate(*work, k, a0, b0, cfg.tol, cfg.max_iter)
         best = None
         used = 0
         for result in results:
@@ -606,10 +652,7 @@ def fit_mcpca(
                 f"for component {j}"
             )
         a, b, _, iters, trace, conv = best
-        (refined,) = _power_iterate(
-            orig_unfold, orig_unfold.T, k, a[None], b[None], cfg.tol, cfg.max_iter,
-            to_fixed_point=True,
-        )
+        refined = _refine(orig_unfold, k, a, b, cfg.tol, cfg.max_iter)
         if refined is not None:
             a, b, _, ref_iters, ref_trace, ref_conv = refined
             trace = trace + ref_trace

@@ -14,6 +14,7 @@ candidate whose average reaches the threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,6 +160,8 @@ def select_rank(
     The scree (singular values of the flattening) is attached for
     shortlisting candidates; no elbow detection is attempted.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     candidates = [int(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate list is empty")

@@ -107,6 +107,17 @@ class TestFitCommand:
         assert code == 3
         assert "rank" in capsys.readouterr().err
 
+    def test_nan_tol_is_input_error(self, planted_dir, tmp_path, capsys):
+        pm, data_dir = planted_dir
+        out = tmp_path / "m.json"
+        code = main(
+            ["fit", "--input", str(data_dir), "--rank", "3", "--tol", "nan",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: tol must be finite and positive\n"
+        assert not out.exists()
+
     def test_round_trip_byte_identical(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
         model_path = tmp_path / "model.json"
@@ -133,6 +144,17 @@ class TestSelectRankCommand:
         assert report["threshold"] == 0.8
         assert report["n_seed_pairs"] == 5
         assert len(report["scree"]) == 10
+
+    def test_nan_threshold_is_input_error(self, planted_dir, tmp_path, capsys):
+        pm, data_dir = planted_dir
+        out = tmp_path / "r.json"
+        code = main(
+            ["select-rank", "--input", str(data_dir), "--candidates", "2,3",
+             "--threshold", "nan", "--output", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: threshold must be finite, got nan\n"
+        assert not out.exists()
 
     def test_empty_candidates_usage_error(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir

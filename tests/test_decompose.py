@@ -25,7 +25,7 @@ from mcpca import (
     tensor_from_factors,
 )
 from mcpca import decompose
-from mcpca.decompose import _FIXED_POINT_STEP, _power_iterate, _unfoldings
+from mcpca.decompose import _FIXED_POINT_STEP, _power_iterate, _refine, _unfoldings
 
 TIGHT = FitConfig(seed=0, tol=1e-14, max_iter=2000)
 
@@ -243,14 +243,18 @@ class TestPowerIterate:
     def test_block_rows_match_serial_loop(self, to_fixed_point, max_iter):
         # Each row of a lockstep block follows the one-start loop from the
         # same start; only the summation order of the products differs.
+        # Runs to the fixed point are refinements: one _refine per start.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         unfold, unfold_t = _unfoldings(extract_subspace(t, 5), 12, 6)
         rng = np.random.default_rng(42)
         a0 = np.array([_unit(rng, 12) for _ in range(10)])
         b0 = np.array([_unit(rng, 6) for _ in range(10)])
-        block = _power_iterate(
-            unfold, unfold_t, 6, a0, b0, 1e-10, max_iter, to_fixed_point
-        )
+        if to_fixed_point:
+            block = [
+                _refine(unfold, 6, a0[i], b0[i], 1e-10, max_iter) for i in range(10)
+            ]
+        else:
+            block = _power_iterate(unfold, unfold_t, 6, a0, b0, 1e-10, max_iter)
         if max_iter == 3:
             assert all(row[3] == 3 and not row[5] for row in block)
         for i, row in enumerate(block):
@@ -266,20 +270,18 @@ class TestPowerIterate:
             assert np.abs(np.asarray(row[4]) - trace).max() <= 1e-12
 
     def test_single_start_refinement_matches_serial_loop(self):
+        # The same vector products in the same order: the same bits.
         pm, t = _planted_tensor(20, 10, 8, 0.5, seed=43)
         unfold = _unfold(t, 8)
         rng = np.random.default_rng(44)
         for _ in range(5):
             a0, b0 = _unit(rng, 20), _unit(rng, 10)
-            (row,) = _power_iterate(
-                unfold, unfold.T, 10, a0[None], b0[None],
-                1e-10, 500, to_fixed_point=True,
-            )
+            row = _refine(unfold, 10, a0, b0, 1e-10, 500)
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
                 unfold, 10, 8, a0, b0, 1e-10, 500, to_fixed_point=True
             )
-            assert np.abs(row[0] - a).max() <= 1e-13
-            assert np.abs(row[1] - b).max() <= 1e-13
+            assert np.array_equal(row[0], a)
+            assert np.array_equal(row[1], b)
             assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
 
     @pytest.mark.parametrize("starts", [1, 10])
@@ -306,6 +308,32 @@ class TestPowerIterate:
         for row, expected in zip(counted, plain):
             assert np.array_equal(row[0], expected[0])
             assert row[3:] == expected[3:]
+
+    def test_refinement_reads_unfolding_twice_per_step(self):
+        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
+        unfold = _unfold(t, 5)
+        rng = np.random.default_rng(48)
+        a0, b0 = _unit(rng, 12), _unit(rng, 6)
+        plain = _refine(unfold, 6, a0, b0, 1e-10, 300)
+        _ReadCounter.reads = 0
+        counted = _refine(unfold.view(_ReadCounter), 6, a0, b0, 1e-10, 300)
+        steps = counted[3]
+        assert steps > 1
+        assert _ReadCounter.reads == 2 * steps + 1
+        assert np.array_equal(counted[0], plain[0])
+        assert counted[3:] == plain[3:]
+
+    def test_degenerate_refinement_start_returns_none(self):
+        # The basis of test_degenerate_start_masked_from_block: a = e_2
+        # contracts to an exact zero.
+        flat = np.zeros((2, 12))
+        flat[0, 0] = flat[1, 5] = 1.0
+        unfold, _ = _unfoldings(flat, 4, 3)
+        rng = np.random.default_rng(45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _refine(unfold, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
+            assert _refine(unfold, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
 
     def test_degenerate_start_masked_from_block(self):
         # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
@@ -634,6 +662,11 @@ class TestFitMcpca:
         for trace, iterations in zip(report.objective_trace, report.iterations):
             assert len(trace) == iterations + 2
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            FitConfig(tol=tol)
+
     def test_rank_one_exact(self):
         rng = np.random.default_rng(21)
         a = _unit(rng, 6)
@@ -685,19 +718,29 @@ class TestFitMcpca:
 
     def _zero_start(self, monkeypatch, restarts):
         """Make the a-starts of the given restart indices exact zeros,
-        which contract to nothing: a degenerate start."""
-        real = decompose._sphere
-        calls = []
+        which contract to nothing: a degenerate start.  Restarts are
+        counted over the whole fit, so indices below restarts_per_component
+        belong to the first component."""
+        real = decompose._draw_starts
+        drawn = [0]
 
-        def sphere(rng, n):
-            v = real(rng, n)
-            calls.append(n)
-            # Calls alternate a (length p) and b (length k) per restart.
-            if len(calls) % 2 == 1 and (len(calls) // 2) in restarts:
-                return np.zeros(n)
-            return v
+        def draw_starts(rng, n, p, k):
+            a0, b0 = real(rng, n, p, k)
+            a0[[i - drawn[0] for i in restarts if 0 <= i - drawn[0] < n]] = 0.0
+            drawn[0] += n
+            return a0, b0
 
-        monkeypatch.setattr(decompose, "_sphere", sphere)
+        monkeypatch.setattr(decompose, "_draw_starts", draw_starts)
+
+    @pytest.mark.parametrize("restarts", [1, 10])
+    def test_starts_match_separate_draws(self, restarts):
+        # One draw of restarts x (p + k) normals continues the generator
+        # stream as 2 * restarts separate draws would, with the same bits.
+        a0, b0 = decompose._draw_starts(np.random.default_rng(5), restarts, 20, 10)
+        rng = np.random.default_rng(5)
+        for i in range(restarts):
+            np.testing.assert_array_equal(a0[i], _unit(rng, 20))
+            np.testing.assert_array_equal(b0[i], _unit(rng, 10))
 
     def test_degenerate_restart_masked(self, monkeypatch):
         pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
@@ -724,17 +767,22 @@ class TestFitMcpca:
         # refinement must start from the first.
         A = np.linalg.qr(np.random.default_rng(41).standard_normal((6, 2)))[0]
         t = tensor_from_factors(A, np.eye(2))
-        real = decompose._power_iterate
-        calls = []
+        calls = {"_power_iterate": [], "_refine": []}
 
-        def record(*args, **kwargs):
-            results = real(*args, **kwargs)
-            calls.append((args, results))
-            return results
+        def recorder(name):
+            real = getattr(decompose, name)
 
-        monkeypatch.setattr(decompose, "_power_iterate", record)
+            def record(*args, **kwargs):
+                results = real(*args, **kwargs)
+                calls[name].append((args, results))
+                return results
+
+            return record
+
+        for name in calls:
+            monkeypatch.setattr(decompose, name, recorder(name))
         fit_mcpca(t, 2, FitConfig(seed=0, restarts_per_component=8, tol=1e-12))
-        discovery = calls[0][1]
+        discovery = calls["_power_iterate"][0][1]
         objectives = [res[2] for res in discovery]
         assert max(objectives) - min(objectives) <= 1e-9
 
@@ -742,8 +790,8 @@ class TestFitMcpca:
             return int(np.argmax(np.abs(A.T @ discovery[i][0])))
 
         assert direction(0) != direction(int(np.argmax(objectives)))
-        refinement_start = calls[1][0][3]
-        np.testing.assert_array_equal(refinement_start[0], discovery[0][0])
+        refinement_start = calls["_refine"][0][0][2]
+        np.testing.assert_array_equal(refinement_start, discovery[0][0])
 
 
 class TestModelInvariants:

@@ -209,6 +209,13 @@ class TestSelectRank:
         with pytest.raises(ValueError):
             select_rank(t, [], cfg=FitConfig(seed=0))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        pm = generate_identifiable(8, 5, 2, 0.8, seed=13)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            select_rank(t, [1, 2], threshold=threshold, cfg=FitConfig(seed=0))
+
     def test_chosen_is_largest_qualifying(self):
         pm = generate_identifiable(12, 6, 4, 0.7, seed=14)
         t = tensor_from_factors(pm.A_true, pm.B_true)
