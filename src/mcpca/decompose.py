@@ -98,7 +98,7 @@ _NNLS_SOLVES_PER_COLUMN = 3
 class FitConfig:
     """Knobs for :func:`fit_mcpca`.
 
-    ``tol`` (finite and positive) bounds the successive cosine gap
+    ``tol`` (0 < tol < 1) bounds the successive cosine gap
     1 - |<x_new, x_old>| of both unit-vector iterates: a restart has
     converged, and its discovery stops, once the gap falls below it.  Refinement continues past that
     point to the floating-point fixed point, within ``max_iter``
@@ -116,6 +116,9 @@ class FitConfig:
             raise ValueError("restarts_per_component must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
+        if self.tol >= 1:
+            # The test quantity step^2 / 2 = 1 - |cos| never exceeds 1.
+            raise ValueError("tol must be below 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

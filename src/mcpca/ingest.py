@@ -13,14 +13,19 @@ Covariances use each context's own mean and the unbiased 1/(n-1)
 normalization.  Missing, non-numeric and non-finite values are rejected,
 not imputed.
 
-The numeric cells of a file are parsed in one ``np.loadtxt`` pass in C.
-When numpy rejects a cell, the per-cell walk with Python's ``float``
-runs instead: it accepts the cells ``float`` accepts (``1_0``, non-ASCII
-digits) and otherwise raises the error naming the first bad cell by its
-data row in the file and its column.  The walk covers every data line
-in file order, in a long table before the rows are grouped by context.
-Both paths give the same float64 bits, and every error message is the
-one the cell walk gives.
+The numeric cells of a file are parsed by ``np.loadtxt`` in C.  An input
+of ``PARALLEL_MIN_BYTES`` or more is parsed in contiguous chunks by one
+forked worker process per available CPU (``ingest_workers``), with the
+same float64 bits as one pass.  Any chunk that fails sends the whole
+input to the serial path, which raises every error.
+
+On that path, when numpy rejects a cell, the per-cell walk with Python's
+``float`` runs instead: it accepts the cells ``float`` accepts (``1_0``,
+non-ASCII digits) and otherwise raises the error naming the first bad
+cell by its data row in the file and its column.  The walk covers every
+data line in file order, in a long table before the rows are grouped by
+context.  Both paths give the same float64 bits, and every error message
+is the one the cell walk gives.
 """
 
 from __future__ import annotations
@@ -118,6 +123,28 @@ def _split(line: str, delim: str) -> list[str]:
     return [c.strip() for c in line.split(delim)]
 
 
+def _read_lines(fh) -> list[str]:
+    """The non-blank lines of a text stream, without their line ends."""
+    return [ln.rstrip("\r\n") for ln in fh if ln.strip()]
+
+
+def _header(line: str, delim: str) -> list[str] | None:
+    """The stripped cells of a first line that is a header, else None."""
+    first = _split(line, delim)
+    if any(not _is_numeric(c) for c in first[1:]) or (
+        len(first) == 1 and not _is_numeric(first[0])
+    ):
+        return first
+    return None
+
+
+def _ragged_row(lines, delim, width) -> int | None:
+    """Index of the first line without ``width`` cells, or None."""
+    return next(
+        (i for i, ln in enumerate(lines) if ln.count(delim) + 1 != width), None
+    )
+
+
 def parse_delimited(path) -> tuple[list[str] | None, list[str], str]:
     """Read a delimited text file: optional header, data lines, delimiter.
 
@@ -128,29 +155,28 @@ def parse_delimited(path) -> tuple[list[str] | None, list[str], str]:
     empty input, ragged rows or a header without data rows.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh if ln.strip()]
+        lines = _read_lines(fh)
     if not lines:
         raise DataFormatError(f"{path}: empty input")
     delim = _detect_delimiter(lines[0])
     width = lines[0].count(delim) + 1
-    for idx, ln in enumerate(lines):
-        cells = ln.count(delim) + 1
-        if cells != width:
-            raise DataFormatError(
-                f"{path}: ragged row {idx + 1} has {cells} cells, expected {width}"
-            )
-    first = _split(lines[0], delim)
-    if any(not _is_numeric(c) for c in first[1:]) or (
-        len(first) == 1 and not _is_numeric(first[0])
-    ):
-        if len(lines) == 1:
-            raise DataFormatError(f"{path}: header but no data rows")
-        return first, lines[1:], delim
-    return None, lines, delim
+    idx = _ragged_row(lines, delim, width)
+    if idx is not None:
+        cells = lines[idx].count(delim) + 1
+        raise DataFormatError(
+            f"{path}: ragged row {idx + 1} has {cells} cells, expected {width}"
+        )
+    header = _header(lines[0], delim)
+    if header is None:
+        return None, lines, delim
+    if len(lines) == 1:
+        raise DataFormatError(f"{path}: header but no data rows")
+    return header, lines[1:], delim
 
 
-def _parse_block(lines, delim, columns) -> np.ndarray | None:
-    """``columns`` of ``lines`` as floats in one C pass, or None.
+def _parse_block(lines, delim, columns=None) -> np.ndarray | None:
+    """``columns`` (default: all) of ``lines`` as floats in one C pass, or
+    None.
 
     None means numpy's reader rejected a cell.  Python's ``float`` accepts
     some of those (``1_0``, non-ASCII digits), so the caller then runs the
@@ -188,12 +214,35 @@ def _numeric_matrix(path, rows, columns) -> np.ndarray:
 def _numeric_lines(path, lines, delim, columns=None) -> np.ndarray:
     """``columns`` (default: all) of every data line, in file order, so a
     bad cell is named by its data row in the file."""
-    if columns is None:
-        columns = list(range(lines[0].count(delim) + 1))
     block = _parse_block(lines, delim, columns)
     if block is None:
+        if columns is None:
+            columns = range(lines[0].count(delim) + 1)
         block = _numeric_matrix(path, [_split(ln, delim) for ln in lines], columns)
     return block
+
+
+def _context_column(header) -> int:
+    """Index of the context-id column: the one a header names
+    ``context``, else the first."""
+    lowered = [h.lower() for h in header or ()]
+    return lowered.index("context") if "context" in lowered else 0
+
+
+def _context_ids(lines, delim, ctx_col) -> list[str]:
+    return [ln.split(delim, ctx_col + 1)[ctx_col].strip() for ln in lines]
+
+
+# Inputs of this many bytes or more go to the worker processes of
+# ``ingest_workers``, imported only then: below it, starting the workers
+# costs about as much as they save on 2 CPUs (docs/decisions.md, "Parsing
+# in parallel"), and every CLI call would pay the module's import.
+PARALLEL_MIN_BYTES = 4_000_000
+
+
+def _parse_file(path) -> tuple:
+    header, lines, delim = parse_delimited(path)
+    return header, _numeric_lines(path, lines, delim)
 
 
 def _load_directory(path) -> ContextDataset:
@@ -202,38 +251,59 @@ def _load_directory(path) -> ContextDataset:
     )
     if not names:
         raise DataFormatError(f"{path}: directory contains no files")
+    paths = [os.path.join(path, f) for f in names]
+    parsed = None
+    if sum(os.path.getsize(p) for p in paths) >= PARALLEL_MIN_BYTES:
+        from .ingest_workers import parse_files
+
+        parsed = parse_files(paths)
+    if parsed is None:
+        parsed = [_parse_file(p) for p in paths]
     contexts = []
     variable_names = None
-    for fname in names:
-        fpath = os.path.join(path, fname)
-        header, lines, delim = parse_delimited(fpath)
-        matrix = _numeric_lines(fpath, lines, delim)
-        stem = os.path.splitext(fname)[0]
-        contexts.append((stem, matrix))
+    for fname, (header, matrix) in zip(names, parsed):
+        contexts.append((os.path.splitext(fname)[0], matrix))
         if header is not None and variable_names is None:
             variable_names = tuple(header)
     return ContextDataset(tuple(contexts), variable_names=variable_names)
 
 
+def _parse_large_file(path, long_table: bool):
+    """(header, block, context ids or None) of a file of at least
+    ``PARALLEL_MIN_BYTES``, parsed by worker processes; None otherwise,
+    or to parse it serially."""
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return None
+    if size < PARALLEL_MIN_BYTES:
+        return None
+    from .ingest_workers import parse_file
+
+    return parse_file(path, size, long_table)
+
+
 def _load_long_table(path) -> ContextDataset:
-    header, lines, delim = parse_delimited(path)
-    ctx_col = 0
+    parsed = _parse_large_file(path, long_table=True)
+    if parsed is not None:
+        header, block, ids = parsed
+        ctx_col = _context_column(header)
+    else:
+        header, lines, delim = parse_delimited(path)
+        ctx_col = _context_column(header)
+        width = lines[0].count(delim) + 1
+        value_cols = [j for j in range(width) if j != ctx_col]
+        if not value_cols:
+            raise DataFormatError(f"{path}: no value columns besides the context id")
+        ids = _context_ids(lines, delim, ctx_col)
+        block = _numeric_lines(path, lines, delim, value_cols)
     variable_names = None
     if header is not None:
-        lowered = [h.lower() for h in header]
-        if "context" in lowered:
-            ctx_col = lowered.index("context")
         variable_names = tuple(h for j, h in enumerate(header) if j != ctx_col)
-    width = lines[0].count(delim) + 1
-    value_cols = [j for j in range(width) if j != ctx_col]
-    if not value_cols:
-        raise DataFormatError(f"{path}: no value columns besides the context id")
     # Row indices per context id, in order of first appearance.
     groups: dict[str, list[int]] = {}
-    for i, ln in enumerate(lines):
-        cid = ln.split(delim, ctx_col + 1)[ctx_col].strip()
+    for i, cid in enumerate(ids):
         groups.setdefault(cid, []).append(i)
-    block = _numeric_lines(path, lines, delim, value_cols)
     contexts = []
     for cid, idx in groups.items():
         matrix = block[idx]
@@ -269,6 +339,9 @@ def load_matrix(path) -> np.ndarray:
     as ``1e400``) are rejected, naming the first one by data row and
     column.
     """
+    parsed = _parse_large_file(path, long_table=False)
+    if parsed is not None and np.isfinite(parsed[1]).all():
+        return parsed[1]
     _, lines, delim = parse_delimited(path)
     out = _numeric_lines(path, lines, delim)
     finite = np.isfinite(out)

@@ -118,6 +118,17 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: tol must be finite and positive\n"
         assert not out.exists()
 
+    def test_tol_of_one_or_more_is_input_error(self, planted_dir, tmp_path, capsys):
+        pm, data_dir = planted_dir
+        out = tmp_path / "m.json"
+        code = main(
+            ["fit", "--input", str(data_dir), "--rank", "3", "--tol", "2",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: tol must be below 1\n"
+        assert not out.exists()
+
     def test_round_trip_byte_identical(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
         model_path = tmp_path / "model.json"
@@ -380,6 +391,24 @@ def test_import_loads_no_scipy(module):
     code = (
         f"import sys, {module}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["mcpca", "mcpca.cli"])
+def test_import_loads_no_process_pool(module):
+    # A fresh import of multiprocessing.pool costs about 27 ms; only a large
+    # input, parsed in worker processes, needs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -667,6 +667,19 @@ class TestFitMcpca:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             FitConfig(tol=tol)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0])
+    def test_tol_must_be_below_one(self, tol):
+        # The test quantity step^2 / 2 = 1 - |cos| never exceeds 1.  At
+        # tol = 2.0 this noiseless p=8, k=5, r=3 fit reported all three
+        # components converged after 93/96/45 iterations, against 106/102/66
+        # at the default: every restart "converged" after one step.
+        pm = generate_identifiable(8, 5, 3, 0.8, seed=1)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            fit_mcpca(t, 3, FitConfig(tol=tol))
+        model, _ = fit_mcpca(t, 3, FitConfig(tol=np.nextafter(1.0, 0.0)))
+        assert all(np.isfinite(model.A).ravel())
+
     def test_rank_one_exact(self):
         rng = np.random.default_rng(21)
         a = _unit(rng, 6)

@@ -1,4 +1,6 @@
+import multiprocessing
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from mcpca import (
     load_contexts,
     sample_covariance,
 )
+from mcpca import ingest, ingest_workers
 from mcpca.ingest import load_matrix, pooled_mean
 from mcpca.exceptions import McpcaError
 
@@ -256,8 +259,15 @@ _TOKENS = [
     "\u0661", "\u0661.\u0665", "#1", "2#3", '"1"', "'1'", "", " ", " 4 ",
     "\xa06", "0x1p3", "1.", ".5", "1e", "+7", "1 2", "a", "ctx",
 ]
+# Characters that end a line for str.splitlines; only \r also ends one for
+# the text-mode reader.
+_LINE_CHARS = [
+    "1\r2", "\r", "\x0c", "3\x0c", "3\x0c4", "\x85", "4\x85", "4\x855",
+    "\u2028", "5\u2028", "5\u20286",
+]
 _CELLS = st.one_of(
     st.sampled_from(_TOKENS),
+    st.sampled_from(_LINE_CHARS),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
 )
@@ -311,6 +321,190 @@ def test_each_token_matches_cell_walk(token, delim, cell):
     rows[cell[0]][cell[1]] = token
     _assert_matches_cell_walk("".join(delim.join(r) + "\n" for r in rows))
     _assert_matches_cell_walk("".join(delim.join(r[1:]) + "\n" for r in rows))
+
+
+# --- the chunked path: byte ranges and file groups parsed by workers ----------
+
+
+@contextmanager
+def _forced_chunks():
+    """Parse every input in worker processes, at most two, whatever its
+    size; on one CPU the input is still parsed serially."""
+    cpus = min(ingest_workers._cpu_count(), 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
+        mp.setattr(ingest_workers, "_cpu_count", lambda: cpus)
+        yield
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=_delimited_files())
+def test_chunked_path_matches_cell_walk(text):
+    with _forced_chunks():
+        _assert_matches_cell_walk(text)
+
+
+@contextmanager
+def _counting_tasks():
+    """Record how many chunks each parallel load was split into."""
+    counts = []
+    real = ingest_workers._map_in_workers
+
+    def counted(fn, tasks):
+        counts.append(len(tasks))
+        return real(fn, tasks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest_workers, "_map_in_workers", counted)
+        yield counts
+
+
+def _result(load, path):
+    try:
+        return load(path), None
+    except Exception as exc:  # every outcome is compared, errors included
+        return None, exc
+
+
+def _assert_same_as_serial(load, path, split=True):
+    """The forced-chunk load gives the serial load's bits or its exception
+    type and message, and leaves no worker process behind.  With ``split``
+    and two CPUs, workers must have parsed the input."""
+    want, want_exc = _result(load, path)
+    with _forced_chunks(), _counting_tasks() as counts:
+        got, got_exc = _result(load, path)
+    assert multiprocessing.active_children() == []
+    if split and ingest_workers._cpu_count() >= 2:
+        assert counts and min(counts) >= 2
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        return want_exc
+    assert got_exc is None
+    if isinstance(want, np.ndarray):
+        assert _same_bits(got, want)
+    else:
+        assert got.context_ids == want.context_ids
+        assert got.variable_names == want.variable_names
+        for (_, x), (_, y) in zip(got.contexts, want.contexts):
+            assert _same_bits(x, y)
+    return None
+
+
+def _load_long(path):
+    return load_contexts(path, "long-table")
+
+
+def _load_dir(path):
+    return load_contexts(path, "per-context-files")
+
+
+_ROWS = [f"{i}.5,{-i}.25,{i * i}e-3" for i in range(12)]
+
+
+class TestChunkedPath:
+    @pytest.mark.skipif(ingest_workers._cpu_count() < 2, reason="one CPU parses serially")
+    def test_two_lines_are_split(self, tmp_path):
+        f = tmp_path / "m.csv"
+        # The middle byte lies in the last line: the cut goes before it.
+        _write(f, "1,2\n3,4.000000000000000000000\n")
+        with _forced_chunks(), _counting_tasks() as counts:
+            np.testing.assert_array_equal(load_matrix(f), [[1, 2], [3, 4]])
+        assert counts == [2]
+
+    def test_small_input_is_parsed_serially(self, tmp_path):
+        f = tmp_path / "m.csv"
+        _write(f, "".join(r + "\n" for r in _ROWS))
+        with _counting_tasks() as counts:
+            load_matrix(f)
+        assert counts == []
+
+    @pytest.mark.parametrize("row", range(len(_ROWS)))
+    @pytest.mark.parametrize("defect", ["oops", "1,2,3,4", "1_0", "nan"])
+    def test_defect_in_any_row(self, tmp_path, row, defect):
+        lines = list(_ROWS)
+        cells = lines[row].split(",")
+        lines[row] = defect if "," in defect else ",".join([cells[0], defect, cells[2]])
+        f = tmp_path / "m.csv"
+        _write(f, "x,y,z\n" + "".join(ln + "\n" for ln in lines))
+        exc = _assert_same_as_serial(load_matrix, f)
+        assert (exc is None) == (defect == "1_0")
+        ctx = tmp_path / "long.csv"
+        _write(ctx, "".join(f"{'ab'[i % 2]},{ln}\n" for i, ln in enumerate(lines)))
+        _assert_same_as_serial(_load_long, ctx)
+
+    @pytest.mark.parametrize("row", range(len(_ROWS)))
+    @pytest.mark.parametrize(
+        "newline", ["\r\n", "\r", "\n\n", "\n \t\x0c\n", "\x0c", "\x85", "\u2028"]
+    )
+    def test_line_end_after_any_row(self, tmp_path, row, newline):
+        # A \r\n pair, a lone \r or a blank line at every offset, including
+        # the one where the byte ranges meet.  \x0c, \x85 and \u2028 end a
+        # line for str.splitlines only: the two rows they join are ragged.
+        text = "".join(ln + (newline if i == row else "\n") for i, ln in enumerate(_ROWS))
+        f = tmp_path / "m.csv"
+        f.write_bytes(text.encode("utf-8"))
+        exc = _assert_same_as_serial(load_matrix, f)
+        assert (exc is None) == (newline[0] in "\r\n" or row == len(_ROWS) - 1)
+
+    def test_interleaved_contexts_keep_first_appearance_order(self, tmp_path):
+        ids = ["z", "q", "z", "m", "q", "z", "m", "q", "z", "m", "a", "a"]
+        f = tmp_path / "long.csv"
+        _write(f, "ctx,x,y,z\n" + "".join(f"{c},{r}\n" for c, r in zip(ids, _ROWS)))
+        with _forced_chunks():
+            ds = _load_long(f)
+        assert ds.context_ids == ("z", "q", "m", "a")
+        assert ds.sample_counts == (4, 3, 3, 2)
+        _assert_same_as_serial(_load_long, f)
+
+    def test_single_sample_context_in_second_range(self, tmp_path):
+        f = tmp_path / "long.csv"
+        _write(f, "".join(f"a,{r}\n" for r in _ROWS) + f"b,{_ROWS[0]}\n")
+        exc = _assert_same_as_serial(_load_long, f)
+        assert "fewer than 2 samples in context 'b'" in str(exc)
+
+    @pytest.mark.parametrize("row", range(len(_ROWS)))
+    def test_byte_order_mark_only_at_byte_zero(self, tmp_path, row):
+        text = "".join(("\ufeff" if i == row else "") + ln + "\n" for i, ln in enumerate(_ROWS))
+        f = tmp_path / "m.csv"
+        f.write_bytes(text.encode("utf-8"))
+        exc = _assert_same_as_serial(load_matrix, f)
+        assert (exc is None) == (row == 0)
+
+    @pytest.mark.parametrize("row", [0, 700, 1600])
+    def test_undecodable_byte(self, tmp_path, row):
+        # 1,800 rows of about 16 bytes: rows 700 and 1600 lie beyond the
+        # 8 KiB the parent decodes to read the first line, in the first and
+        # the second range.  A bad byte in that first block keeps the
+        # parent from reading the delimiter, so the input is parsed
+        # serially from the start.
+        data = b"".join(ln.encode() + (b"\xff" if i == row else b"") + b"\n"
+                        for i, ln in enumerate(_ROWS * 150))
+        f = tmp_path / "m.csv"
+        f.write_bytes(data)
+        exc = _assert_same_as_serial(load_matrix, f, split=row > 0)
+        assert isinstance(exc, UnicodeDecodeError)
+
+    def test_header_without_data_rows(self, tmp_path):
+        f = tmp_path / "m.csv"
+        _write(f, "x,y,z\n\n\n\n\n\n")
+        exc = _assert_same_as_serial(load_matrix, f)
+        assert str(exc).endswith("header but no data rows")
+
+    @pytest.mark.parametrize("bad", [None, 0, 3, 5])
+    @pytest.mark.parametrize("defect", ["oops", "1_0", "ragged"])
+    def test_directory_file_groups(self, tmp_path, bad, defect):
+        for i in range(6):
+            rows = _ROWS[i:i + 3]
+            if i == bad:
+                rows[1] = "1,2" if defect == "ragged" else f"1,{defect},3"
+            _write(tmp_path / f"c{i}.csv", "x,y,z\n" + "".join(r + "\n" for r in rows))
+        exc = _assert_same_as_serial(_load_dir, tmp_path)
+        assert (exc is None) == (bad is None or defect == "1_0")
 
 
 class TestSampleCovariance:
