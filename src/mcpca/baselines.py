@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegeneracyError, DimensionMismatchError
-from .tensor_core import CovarianceTensor, contract_mode3
+from .tensor_core import CovarianceTensor, contract_mode3, fix_signs
 
 # Eigenvalue gaps at or below this (relative to the largest magnitude)
 # count as collisions.
@@ -49,13 +49,6 @@ class BaselineResult:
         object.__setattr__(self, "notes", tuple(self.notes))
 
 
-def _sign_fix(A):
-    for j in range(A.shape[1]):
-        if A[np.argmax(np.abs(A[:, j])), j] < 0:
-            A[:, j] *= -1.0
-    return A
-
-
 def pca_stack(t: CovarianceTensor, weights=None, r: int | None = None) -> BaselineResult:
     """Top-r eigenvectors of the weighted average covariance matrix.
 
@@ -81,15 +74,14 @@ def pca_stack(t: CovarianceTensor, weights=None, r: int | None = None) -> Baseli
     eigvals, eigvecs = np.linalg.eigh(combined)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    A = eigvecs[:, order[:r]]
+    fix_signs(A)
     notes = []
     if r < t.p:
         gap = eigvals[r - 1] - eigvals[r]
         if gap <= _PCA_TIE_TOL * max(1.0, abs(eigvals[0])):
             notes.append("eigenvalue-tie")
-    return BaselineResult(
-        method="pca_stack", A=_sign_fix(eigvecs[:, :r].copy()), notes=tuple(notes)
-    )
+    return BaselineResult(method="pca_stack", A=A, notes=tuple(notes))
 
 
 def _jennrich_attempt(t: CovarianceTensor, r, rng):
@@ -126,9 +118,8 @@ def _jennrich_attempt(t: CovarianceTensor, r, rng):
     if np.any(norms <= 1e-12):
         raise DegeneracyError("eigenvector with vanishing real part; redraw")
     comps /= norms
-    return BaselineResult(
-        method="jennrich", A=_sign_fix(comps), notes=tuple(notes)
-    )
+    fix_signs(comps)
+    return BaselineResult(method="jennrich", A=comps, notes=tuple(notes))
 
 
 def jennrich(t: CovarianceTensor, r: int, seed: int = 0) -> BaselineResult:

@@ -107,11 +107,7 @@ def cmd_fit(args) -> int:
     if args.pca_components is not None:
         mean = pooled_mean(dataset)
         dataset, projection = global_pca_reduce(dataset, args.pca_components)
-        preprocessing = Preprocessing(
-            pca_components=args.pca_components,
-            projection=projection,
-            pca_mean=mean,
-        )
+        preprocessing = Preprocessing(projection=projection, pca_mean=mean)
         metadata.append(("pca_components", str(args.pca_components)))
         metadata.append(("pca_whitened", "false"))
     tensor = build_tensor(dataset)

@@ -56,7 +56,7 @@ from .exceptions import (
     GramSingularityError,
     RankDeficiencyError,
 )
-from .tensor_core import CovarianceTensor, flatten
+from .tensor_core import CovarianceTensor, fix_signs, flatten
 
 # Singular values below RANK_RTOL * sigma_1 do not count toward the
 # numerical rank of the flattening.
@@ -131,20 +131,20 @@ class McpcaModel:
     every comparison, so it would pass all the others.
 
     Columns are ordered by nonincreasing column sums of B and sign-fixed
-    so each column of A has a positive entry of maximum magnitude.
+    by :func:`~mcpca.tensor_core.fix_signs`, so each column of A has a
+    positive entry of maximum magnitude.
     """
 
     A: np.ndarray
     B: np.ndarray
     context_ids: tuple[str, ...]
-    ordering_rule: str
-    sign_rule: str
     seed: int
     converged: tuple[bool, ...]
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        # Copies: freezing the caller's arrays would change them.
+        A = np.array(self.A, dtype=float)
+        B = np.array(self.B, dtype=float)
         for name, m in (("A", A), ("B", B)):
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -162,15 +162,14 @@ class McpcaModel:
         colsums = (B / top if top > 0 else B).sum(axis=0)
         if np.any(np.diff(colsums) > 1e-12 * max(1.0, float(colsums.max(initial=0.0)))):
             raise ValueError("columns must be ordered by nonincreasing B column sums")
-        for j in range(A.shape[1]):
-            if A[np.argmax(np.abs(A[:, j])), j] < 0:
-                raise ValueError(f"column {j} violates the sign convention")
+        # The copy of A is dropped if fixing its signs flips a column.
+        flipped = np.flatnonzero(fix_signs(A))
+        if flipped.size:
+            raise ValueError(f"column {flipped[0]} violates the sign convention")
         if len(self.context_ids) != B.shape[0]:
             raise DimensionMismatchError("one context id per row of B required")
         if len(self.converged) != A.shape[1]:
             raise DimensionMismatchError("one converged flag per component required")
-        A = A.copy()
-        B = B.copy()
         A.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -669,9 +668,7 @@ def fit_mcpca(
     A = np.column_stack([c[0] for c in components])
     B = solve_nnls(t, A)
 
-    for j in range(r):
-        if A[np.argmax(np.abs(A[:, j])), j] < 0:
-            A[:, j] *= -1.0
+    fix_signs(A)
     colsums = B.sum(axis=0)
     order = sorted(
         range(r),
@@ -686,8 +683,6 @@ def fit_mcpca(
         A=A,
         B=B,
         context_ids=context_ids,
-        ordering_rule="loading-column-sum-desc",
-        sign_rule="max-abs-entry-positive",
         seed=cfg.seed,
         converged=tuple(c[4] for c in components),
     )

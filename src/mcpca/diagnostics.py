@@ -32,17 +32,13 @@ class VarianceExplained:
 
     ``explained[i]`` is ||A B_i A^T||_F^2, computed exactly through the
     Gram matrix of the component outer products; ``ratio[i]`` divides by
-    ||S_i||_F^2 (zero slices give ratio 0).  ``per_component`` holds the
-    naive decomposition B**2 that ignores Gram cross-terms; the two
-    disagree whenever components are correlated, and ``explained`` +
-    residual = ||S_i||_F^2 only holds when no non-negativity constraint
-    is active in the loadings.
+    ||S_i||_F^2 (zero slices give ratio 0).  ``explained`` + residual =
+    ||S_i||_F^2 only holds when no non-negativity constraint is active in
+    the loadings.
     """
 
-    per_component: np.ndarray
     explained: np.ndarray
     ratio: np.ndarray
-    gram: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class Diagnostics:
     variance: VarianceExplained
     uncorrelatedness: np.ndarray
     kl_loss: tuple[float | None, ...]
-    projection: np.ndarray
 
 
 def model_dimension(p: int, k: int, r: int) -> int:
@@ -137,12 +132,7 @@ def variance_explained(t: CovarianceTensor, m: McpcaModel) -> VarianceExplained:
     ratio = np.divide(
         explained, totals, out=np.zeros_like(explained), where=totals > 0
     )
-    return VarianceExplained(
-        per_component=m.B**2,
-        explained=explained,
-        ratio=ratio,
-        gram=gram,
-    )
+    return VarianceExplained(explained=explained, ratio=ratio)
 
 
 def compute_diagnostics(t: CovarianceTensor, m: McpcaModel) -> Diagnostics:
@@ -151,5 +141,4 @@ def compute_diagnostics(t: CovarianceTensor, m: McpcaModel) -> Diagnostics:
         variance=variance_explained(t, m),
         uncorrelatedness=uncorrelatedness_score(t, m),
         kl_loss=kl_loss(t, m),
-        projection=projection_matrix(m),
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataFormatError, DimensionMismatchError
-from .tensor_core import CovarianceTensor, stack_covariances
+from .tensor_core import CovarianceTensor, fix_signs, stack_covariances
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,9 @@ class ContextDataset:
 
     ``contexts`` is a tuple of (context_id, X_i) pairs where every X_i is
     an n_i x p array with n_i >= 2.  ``variable_names``, when present,
-    has length p.
+    has length p.  The arrays are read-only: a writable one is copied, so
+    the caller can change it without changing the dataset, and a read-only
+    float64 one, as the loaders hand over, is kept as it is.
     """
 
     contexts: tuple[tuple[str, np.ndarray], ...]
@@ -73,8 +75,9 @@ class ContextDataset:
                     f"fewer than 2 samples in context {cid!r} "
                     f"(covariance needs n >= 2)"
                 )
-            arr = arr.copy()
-            arr.setflags(write=False)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
             cleaned.append((str(cid), arr))
         if p == 0:
             raise DataFormatError("dataset has zero variables")
@@ -98,10 +101,6 @@ class ContextDataset:
     @property
     def context_ids(self) -> tuple[str, ...]:
         return tuple(cid for cid, _ in self.contexts)
-
-    @property
-    def sample_counts(self) -> tuple[int, ...]:
-        return tuple(x.shape[0] for _, x in self.contexts)
 
     def pooled(self) -> np.ndarray:
         return np.vstack([x for _, x in self.contexts])
@@ -262,6 +261,7 @@ def _load_directory(path) -> ContextDataset:
     contexts = []
     variable_names = None
     for fname, (header, matrix) in zip(names, parsed):
+        matrix.setflags(write=False)
         contexts.append((os.path.splitext(fname)[0], matrix))
         if header is not None and variable_names is None:
             variable_names = tuple(header)
@@ -311,6 +311,7 @@ def _load_long_table(path) -> ContextDataset:
             raise DataFormatError(
                 f"{path}: fewer than 2 samples in context {cid!r}"
             )
+        matrix.setflags(write=False)
         contexts.append((cid, matrix))
     return ContextDataset(tuple(contexts), variable_names=variable_names)
 
@@ -374,7 +375,8 @@ def global_pca_reduce(d: ContextDataset, n_components: int):
     ``n_components`` eigenvectors are computed; each context's scores on
     those axes form the returned dataset.  Returns the reduced dataset
     and the projection matrix with orthonormal rows.  Row signs are fixed
-    so the entry of largest magnitude in each row is positive.
+    as component signs are, by :func:`~mcpca.tensor_core.fix_signs`: the
+    entry of largest magnitude in each row is positive.
     """
     pooled = d.pooled()
     total = pooled.shape[0]
@@ -387,9 +389,7 @@ def global_pca_reduce(d: ContextDataset, n_components: int):
     centered = pooled - mean
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     projection = vt[:n_components].copy()
-    for row in projection:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    fix_signs(projection.T)
     reduced = tuple(
         (cid, (x - mean) @ projection.T) for cid, x in d.contexts
     )

@@ -22,27 +22,31 @@ from .exceptions import DataFormatError
 
 FORMAT_VERSION = 1
 
+# The column order and sign convention every model is fitted under
+# (see McpcaModel); files name them, and a file naming others is rejected.
+ORDERING_RULE = "loading-column-sum-desc"
+SIGN_RULE = "max-abs-entry-positive"
+
 
 @dataclass(frozen=True)
 class Preprocessing:
-    """Transformations applied to training data before covariance building."""
+    """Transformations applied to training data before covariance building.
 
-    pca_components: int | None = None
+    ``projection`` has one row per principal component kept.
+    """
+
     projection: np.ndarray | None = None
     pca_mean: np.ndarray | None = None
 
     def __post_init__(self):
-        have = (self.projection is None, self.pca_mean is None, self.pca_components is None)
-        if len(set(have)) != 1:
-            raise ValueError(
-                "pca_components, projection and pca_mean must be given together"
-            )
+        if (self.projection is None) != (self.pca_mean is None):
+            raise ValueError("projection and pca_mean must be given together")
         if self.projection is not None:
             # Copies: freezing the caller's arrays would change them.
             proj = np.array(self.projection, dtype=float)
             mean = np.array(self.pca_mean, dtype=float)
-            if proj.ndim != 2 or proj.shape[0] != self.pca_components:
-                raise ValueError("projection must have pca_components rows")
+            if proj.ndim != 2:
+                raise ValueError("projection must be a matrix")
             if mean.shape != (proj.shape[1],):
                 raise ValueError("pca_mean must match the projection's columns")
             if not (np.all(np.isfinite(proj)) and np.all(np.isfinite(mean))):
@@ -58,6 +62,7 @@ def _matrix_rows(m) -> list[list[float]]:
 
 
 def model_to_dict(model: McpcaModel, preprocessing: Preprocessing) -> dict:
+    proj = preprocessing.projection
     return {
         "format_version": FORMAT_VERSION,
         "p": model.p,
@@ -66,20 +71,16 @@ def model_to_dict(model: McpcaModel, preprocessing: Preprocessing) -> dict:
         "context_ids": list(model.context_ids),
         "A": _matrix_rows(model.A),
         "B": _matrix_rows(model.B),
-        "ordering_rule": model.ordering_rule,
-        "sign_rule": model.sign_rule,
+        "ordering_rule": ORDERING_RULE,
+        "sign_rule": SIGN_RULE,
         "seed": model.seed,
         "converged": list(model.converged),
         "preprocessing": {
             "centering": "per-context",
             "covariance": "unbiased",
-            "pca_components": preprocessing.pca_components,
+            "pca_components": None if proj is None else proj.shape[0],
             "pca_whitened": False,
-            "projection": (
-                None
-                if preprocessing.projection is None
-                else _matrix_rows(preprocessing.projection)
-            ),
+            "projection": None if proj is None else _matrix_rows(proj),
             "pca_mean": (
                 None
                 if preprocessing.pca_mean is None
@@ -121,18 +122,11 @@ def load_model(path) -> tuple[McpcaModel, Preprocessing]:
             A=A,
             B=B,
             context_ids=tuple(raw["context_ids"]),
-            ordering_rule=raw["ordering_rule"],
-            sign_rule=raw["sign_rule"],
             seed=int(raw["seed"]),
             converged=tuple(bool(c) for c in raw["converged"]),
         )
         pre = raw["preprocessing"]
         preprocessing = Preprocessing(
-            pca_components=(
-                None
-                if pre["pca_components"] is None
-                else int(pre["pca_components"])
-            ),
             projection=(
                 None if pre["projection"] is None else np.asarray(pre["projection"])
             ),
@@ -140,6 +134,16 @@ def load_model(path) -> tuple[McpcaModel, Preprocessing]:
                 None if pre["pca_mean"] is None else np.asarray(pre["pca_mean"])
             ),
         )
+        proj = preprocessing.projection
+        for block, field, value in (
+            (raw, "ordering_rule", ORDERING_RULE),
+            (raw, "sign_rule", SIGN_RULE),
+            (pre, "pca_components", None if proj is None else proj.shape[0]),
+        ):
+            if block[field] != value:
+                raise DataFormatError(
+                    f"{path}: {field} must be {value!r}, got {block[field]!r}"
+                )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing field {exc}") from exc
     except TypeError as exc:

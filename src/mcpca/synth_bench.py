@@ -17,7 +17,7 @@ instead of sampled ones; such records carry N = 0.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,19 +27,6 @@ from .exceptions import DataFormatError, McpcaError
 from .ingest import ContextDataset, build_tensor, load_matrix
 from .model_select import ascore, mix_seed
 from .tensor_core import CovarianceTensor, tensor_from_factors
-
-RECORD_HEADER = (
-    "method",
-    "p",
-    "k",
-    "r",
-    "N",
-    "trial",
-    "seed",
-    "ascore",
-    "runtime_seconds",
-    "converged",
-)
 
 KNOWN_METHODS = ("mcpca", "pca_stack", "jennrich")
 
@@ -91,6 +78,15 @@ class TrialRecord:
     converged: bool
 
 
+# A record file has one column per TrialRecord field, in field order; each
+# field type has one text form.
+RECORD_HEADER = tuple(f.name for f in fields(TrialRecord))
+_FORMAT = {
+    "str": str, "int": str, "float": repr, "bool": lambda v: "true" if v else "false"
+}
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda c: c == "true"}
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Accuracy-trial protocol: fresh planted model and data per trial."""
@@ -105,7 +101,6 @@ class BenchConfig:
     seed: int = 0
     noiseless: bool = False
     orthonormal: bool = False
-    fit: FitConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,6 @@ class SweepConfig:
     methods: tuple[str, ...] = KNOWN_METHODS
     seed: int = 0
     orthonormal: bool = False
-    fit: FitConfig | None = None
 
 
 def generate_planted(
@@ -168,16 +162,16 @@ def sample_dataset(pm: PlantedModel, N: int, seed: int = 0) -> ContextDataset:
     return ContextDataset(tuple(contexts))
 
 
-def load_external_components(path, p: int | None = None, r: int | None = None):
+def load_external_components(path, p: int, r: int):
     """Read an externally computed component matrix (p rows, r columns).
 
     Columns are normalized to unit norm so the file may carry unscaled
     directions.
     """
     A = load_matrix(path)
-    if p is not None and A.shape[0] != p:
+    if A.shape[0] != p:
         raise DataFormatError(f"{path}: expected {p} rows, got {A.shape[0]}")
-    if r is not None and A.shape[1] != r:
+    if A.shape[1] != r:
         raise DataFormatError(f"{path}: expected {r} columns, got {A.shape[1]}")
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms <= 0):
@@ -199,41 +193,40 @@ def _parse_method(method):
     )
 
 
-def _fit_template(cfg_fit: FitConfig | None, seed: int) -> FitConfig:
-    return replace(cfg_fit or FitConfig(), seed=seed)
-
-
-def _run_method(method, tensor, pm, fit_cfg):
-    """Fit one method, timing the fit call only."""
-    name, external_path = _parse_method(method)
-    components = None
-    converged = False
-    started = time.perf_counter()
-    try:
-        if name == "mcpca":
-            model, _ = fit_mcpca(tensor, pm.r, fit_cfg)
-            components = model.A
-            converged = all(model.converged)
-        elif name == "pca_stack":
-            result = pca_stack(tensor, None, pm.r)
-            components = result.A
-            converged = not result.notes
-        elif name == "jennrich":
-            result = jennrich(tensor, pm.r, seed=fit_cfg.seed)
-            components = result.A
-            converged = not result.notes
-        else:
-            components = load_external_components(external_path, pm.p, pm.r)
-            converged = True
-    except McpcaError:
+def _trial_records(methods, tensor, pm, N, trial, seed) -> list[TrialRecord]:
+    """Fit each method to ``tensor``, one record each, timing the fit call
+    only.  ``seed`` seeds the fits that draw random numbers."""
+    records = []
+    for method in methods:
+        name, external_path = _parse_method(method)
         components = None
         converged = False
-    runtime = time.perf_counter() - started
-    if components is None:
-        score = 0.0
-    else:
-        score = ascore(pm.A_true, components).ascore
-    return name, score, runtime, converged
+        started = time.perf_counter()
+        try:
+            if name == "mcpca":
+                model, _ = fit_mcpca(tensor, pm.r, FitConfig(seed=seed))
+                components = model.A
+                converged = all(model.converged)
+            elif name == "pca_stack":
+                result = pca_stack(tensor, None, pm.r)
+                components = result.A
+                converged = not result.notes
+            elif name == "jennrich":
+                result = jennrich(tensor, pm.r, seed=seed)
+                components = result.A
+                converged = not result.notes
+            else:
+                components = load_external_components(external_path, pm.p, pm.r)
+                converged = True
+        except McpcaError:
+            components = None
+            converged = False
+        runtime = time.perf_counter() - started
+        score = 0.0 if components is None else ascore(pm.A_true, components).ascore
+        records.append(
+            TrialRecord(name, pm.p, pm.k, pm.r, N, trial, seed, score, runtime, converged)
+        )
+    return records
 
 
 def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
@@ -261,23 +254,7 @@ def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
             tensor = build_tensor(data)
             n_recorded = cfg.N
         fit_seed = mix_seed(cfg.seed, _SEED_FIT, trial)
-        fit_cfg = _fit_template(cfg.fit, fit_seed)
-        for method in cfg.methods:
-            name, score, runtime, converged = _run_method(method, tensor, pm, fit_cfg)
-            records.append(
-                TrialRecord(
-                    method=name,
-                    p=cfg.p,
-                    k=cfg.k,
-                    r=cfg.r,
-                    N=n_recorded,
-                    trial=trial,
-                    seed=fit_seed,
-                    ascore=score,
-                    runtime_seconds=runtime,
-                    converged=converged,
-                )
-            )
+        records += _trial_records(cfg.methods, tensor, pm, n_recorded, trial, fit_seed)
     return records
 
 
@@ -309,23 +286,7 @@ def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
         data = sample_dataset(pm, n, seed=mix_seed(cfg.seed, _SEED_DATA, n))
         tensor = build_tensor(data)
         fit_seed = mix_seed(cfg.seed, _SEED_FIT, n)
-        fit_cfg = _fit_template(cfg.fit, fit_seed)
-        for method in cfg.methods:
-            name, score, runtime, converged = _run_method(method, tensor, pm, fit_cfg)
-            records.append(
-                TrialRecord(
-                    method=name,
-                    p=cfg.p,
-                    k=cfg.k,
-                    r=cfg.r,
-                    N=n,
-                    trial=idx,
-                    seed=fit_seed,
-                    ascore=score,
-                    runtime_seconds=runtime,
-                    converged=converged,
-                )
-            )
+        records += _trial_records(cfg.methods, tensor, pm, n, idx, fit_seed)
     return records
 
 
@@ -333,22 +294,8 @@ def write_records(path, records) -> None:
     """Comma-delimited records with the fixed header, LF line endings."""
     lines = [",".join(RECORD_HEADER)]
     for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    rec.method,
-                    str(rec.p),
-                    str(rec.k),
-                    str(rec.r),
-                    str(rec.N),
-                    str(rec.trial),
-                    str(rec.seed),
-                    repr(rec.ascore),
-                    repr(rec.runtime_seconds),
-                    "true" if rec.converged else "false",
-                )
-            )
-        )
+        cells = (_FORMAT[f.type](getattr(rec, f.name)) for f in fields(TrialRecord))
+        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -363,18 +310,6 @@ def read_records(path) -> list[TrialRecord]:
         cells = ln.split(",")
         if len(cells) != len(RECORD_HEADER):
             raise DataFormatError(f"{path}: malformed record line {ln!r}")
-        records.append(
-            TrialRecord(
-                method=cells[0],
-                p=int(cells[1]),
-                k=int(cells[2]),
-                r=int(cells[3]),
-                N=int(cells[4]),
-                trial=int(cells[5]),
-                seed=int(cells[6]),
-                ascore=float(cells[7]),
-                runtime_seconds=float(cells[8]),
-                converged=cells[9] == "true",
-            )
-        )
+        values = (_PARSE[f.type](c) for f, c in zip(fields(TrialRecord), cells))
+        records.append(TrialRecord(*values))
     return records

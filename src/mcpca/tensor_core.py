@@ -144,6 +144,18 @@ def flatten(t: CovarianceTensor) -> tuple[np.ndarray, np.ndarray]:
     return t._svd
 
 
+def fix_signs(A) -> np.ndarray:
+    """Negate, in place, each column of ``A`` whose entry of largest
+    magnitude (the first such entry, on ties) is negative.
+
+    This is the one sign convention of components and projection rows.
+    Returns the mask of negated columns.
+    """
+    flip = A[np.argmax(np.abs(A), axis=0), np.arange(A.shape[1])] < 0
+    A[:, flip] *= -1.0
+    return flip
+
+
 def contract_mode3(t: CovarianceTensor, v) -> np.ndarray:
     """Weighted sum of slices: sum_i v[i] * S_i.  Symmetric by construction."""
     v = _as_float_array(v, "v")

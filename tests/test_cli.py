@@ -342,6 +342,37 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}: malformed model file (")
         assert err.count("\n") == 1 and err.endswith(")\n")
 
+    @pytest.mark.parametrize(
+        "block, field, value",
+        [
+            (None, "ordering_rule", "loading-column-sum-asc"),
+            (None, "sign_rule", "max-abs-entry-negative"),
+            ("preprocessing", "pca_components", 5),
+            ("preprocessing", "pca_components", 4.5),
+        ],
+    )
+    def test_model_file_rule_mismatch_is_input_error(
+        self, block, field, value, planted_dir, tmp_path, capsys
+    ):
+        # The model was fitted under fixed rules on 4 principal components.
+        _, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        assert main(
+            ["fit", "--input", str(data_dir), "--rank", "3", "--seed", "5",
+             "--pca-components", "4", "--output", str(model_path)]
+        ) == 0
+        raw = json.loads(model_path.read_text())
+        (raw[block] if block else raw)[field] = value
+        model_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        code = main(
+            ["score", "--model", str(model_path), "--data",
+             str(data_dir / "c00.csv"), "--output", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: {field} ")
+
     def test_linalg_failure_is_numerical(
         self, model_path, planted_dir, tmp_path, monkeypatch, capsys
     ):
@@ -535,4 +566,4 @@ def test_preprocessing_rejects_non_finite(field):
     values = {"projection": np.eye(2, 3), "pca_mean": np.zeros(3)}
     values[field][0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        Preprocessing(pca_components=2, **values)
+        Preprocessing(**values)

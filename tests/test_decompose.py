@@ -611,8 +611,6 @@ class TestReconstructionError:
             A=pm.A_true,
             B=np.zeros((3, 2)),
             context_ids=("a", "b", "c"),
-            ordering_rule="loading-column-sum-desc",
-            sign_rule="max-abs-entry-positive",
             seed=0,
             converged=(True, True),
         )
@@ -807,6 +805,17 @@ class TestFitMcpca:
         np.testing.assert_array_equal(refinement_start, discovery[0][0])
 
 
+@pytest.mark.xfail(strict=True, raises=GramSingularityError)
+@pytest.mark.parametrize("seed", range(6))
+def test_off_model_context_gives_distinct_components(seed):
+    # Known defect: two deflated discoveries refine to the same maximizer,
+    # so the loadings fail with "components 1 and 3 are near-duplicates".
+    A, B, _ = active_set_example()
+    W = np.random.default_rng(334).standard_normal((10, 2))
+    slices = np.concatenate([tensor_from_factors(A, B).slices, (W @ W.T)[None]])
+    fit_mcpca(CovarianceTensor(slices), 4, FitConfig(seed=seed))
+
+
 class TestModelInvariants:
     def test_loading_nonnegativity_exact(self):
         for seed in range(3):
@@ -828,6 +837,13 @@ class TestModelInvariants:
         assert np.all(np.diff(sums) <= 1e-12)
         for j in range(4):
             assert model.A[np.argmax(np.abs(model.A[:, j])), j] > 0
+
+    def test_sign_check_names_first_violating_column(self):
+        pm, t = _planted_tensor(10, 6, 4, 0.5, seed=34)
+        model, _ = fit_mcpca(t, 4, FitConfig(seed=2))
+        A = model.A * np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="^column 1 violates the sign convention"):
+            replace(model, A=A)
 
     def test_objective_traces_monotone(self):
         pm, t = _planted_tensor(10, 6, 4, 0.5, seed=35)

@@ -25,6 +25,17 @@ def _write(path, text):
     path.write_text(text, encoding="utf-8")
 
 
+def test_dataset_copies_writable_arrays_only():
+    x = np.arange(6.0).reshape(3, 2)
+    ds = ContextDataset((("a", x),))
+    x[0, 0] = 99.0
+    assert ds.contexts[0][1][0, 0] == 0.0
+    assert not ds.contexts[0][1].flags.writeable
+    # A read-only float64 array, as the loaders hand over, is kept.
+    x.setflags(write=False)
+    assert ContextDataset((("a", x),)).contexts[0][1] is x
+
+
 class TestLoadContexts:
     def test_directory_layout(self, tmp_path):
         _write(tmp_path / "c1.csv", "1,2\n3,4\n5,6\n")
@@ -32,7 +43,7 @@ class TestLoadContexts:
         ds = load_contexts(tmp_path, "per-context-files")
         assert ds.k == 2 and ds.p == 2
         assert ds.context_ids == ("c1", "c2")
-        assert ds.sample_counts == (3, 4)
+        assert [len(x) for _, x in ds.contexts] == [3, 4]
 
     def test_directory_orders_lexicographically(self, tmp_path):
         _write(tmp_path / "b.csv", "1,1\n2,2\n")
@@ -458,7 +469,7 @@ class TestChunkedPath:
         with _forced_chunks():
             ds = _load_long(f)
         assert ds.context_ids == ("z", "q", "m", "a")
-        assert ds.sample_counts == (4, 3, 3, 2)
+        assert [len(x) for _, x in ds.contexts] == [4, 3, 3, 2]
         _assert_same_as_serial(_load_long, f)
 
     def test_single_sample_context_in_second_range(self, tmp_path):

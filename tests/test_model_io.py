@@ -56,15 +56,12 @@ def _models(draw):
         A=A,
         B=B,
         context_ids=tuple(draw(st.lists(st.text(), min_size=k, max_size=k))),
-        ordering_rule="loading-column-sum-desc",
-        sign_rule="max-abs-entry-positive",
         seed=draw(st.integers(-(2**70), 2**70)),
         converged=tuple(draw(st.lists(st.booleans(), min_size=r, max_size=r))),
     )
     if draw(st.booleans()):
         d = draw(st.integers(1, 4))
         pre = Preprocessing(
-            pca_components=p,
             projection=_matrix(draw, _finite, p, d),
             pca_mean=_matrix(draw, _finite, 1, d)[0],
         )
@@ -94,7 +91,6 @@ class TestModelFileRoundTrip:
         assert _bits(loaded.B) == _bits(model.B)
         assert loaded.context_ids == model.context_ids
         assert (loaded.seed, loaded.converged) == (model.seed, model.converged)
-        assert loaded_pre.pca_components == pre.pca_components
         if pre.projection is None:
             assert loaded_pre.projection is None and loaded_pre.pca_mean is None
         else:
@@ -104,7 +100,7 @@ class TestModelFileRoundTrip:
 
 def test_preprocessing_copies_its_arrays():
     projection, mean = np.eye(2, 3), np.zeros(3)
-    pre = Preprocessing(pca_components=2, projection=projection, pca_mean=mean)
+    pre = Preprocessing(projection=projection, pca_mean=mean)
     assert projection.flags.writeable and mean.flags.writeable
     projection[0, 0] = 5.0
     mean[0] = 5.0
@@ -120,8 +116,6 @@ def test_column_order_check_survives_overflowing_sums():
     fields = dict(
         A=np.eye(2),
         context_ids=("a", "b"),
-        ordering_rule="loading-column-sum-desc",
-        sign_rule="max-abs-entry-positive",
         seed=0,
         converged=(True, True),
     )

@@ -5,12 +5,11 @@ import pytest
 
 from mcpca import (
     BenchConfig,
-    FitConfig,
     SweepConfig,
+    TrialRecord,
     ascore,
     build_tensor,
     exact_covariance_tensor,
-    fit_mcpca,
     generate_planted,
     run_accuracy_trials,
     run_sample_sweep,
@@ -22,26 +21,6 @@ from mcpca.synth_bench import (
     read_records,
     write_records,
 )
-
-
-def _record_fit_configs(monkeypatch):
-    """Route the harness's fits through a recorder; returns the list of
-    configs it is called with."""
-    import mcpca.synth_bench
-
-    configs = []
-
-    def record(t, r, cfg):
-        configs.append(cfg)
-        return fit_mcpca(t, r, cfg)
-
-    monkeypatch.setattr(mcpca.synth_bench, "fit_mcpca", record)
-    return configs
-
-
-# Every field differs from its default, so a field dropped on the way to
-# the fits shows.
-_CUSTOM_FIT = FitConfig(seed=99, restarts_per_component=3, tol=1e-12, max_iter=50)
 
 
 class TestGeneratePlanted:
@@ -152,18 +131,6 @@ class TestAccuracyTrials:
         strip = lambda rec: dataclasses.replace(rec, runtime_seconds=0.0)
         assert [strip(r) for r in first] == [strip(r) for r in second]
 
-    def test_every_config_field_reaches_the_fits(self, monkeypatch):
-        configs = _record_fit_configs(monkeypatch)
-        cfg = BenchConfig(
-            p=8, k=5, r=2, density=0.8, N=50, n_trials=2,
-            methods=("mcpca",), seed=17, noiseless=True, fit=_CUSTOM_FIT,
-        )
-        records = run_accuracy_trials(cfg)
-        assert configs == [
-            dataclasses.replace(_CUSTOM_FIT, seed=rec.seed) for rec in records
-        ]
-        assert len({c.seed for c in configs}) == 2
-
     def test_unknown_method_rejected(self):
         cfg = BenchConfig(methods=("magic",), n_trials=1)
         with pytest.raises(ValueError):
@@ -197,18 +164,6 @@ class TestSampleSweep:
         )
         assert strip(first) == strip(second)
 
-    def test_every_config_field_reaches_the_fits(self, monkeypatch):
-        configs = _record_fit_configs(monkeypatch)
-        cfg = SweepConfig(
-            p=8, k=4, r=2, density=0.8, N_grid=(50, 100),
-            methods=("mcpca",), seed=18, fit=_CUSTOM_FIT,
-        )
-        records = run_sample_sweep(cfg)
-        assert configs == [
-            dataclasses.replace(_CUSTOM_FIT, seed=rec.seed) for rec in records
-        ]
-        assert len({c.seed for c in configs}) == 2
-
     def test_grid_validated(self):
         with pytest.raises(ValueError):
             run_sample_sweep(SweepConfig(N_grid=(100, 50), methods=("mcpca",)))
@@ -217,6 +172,24 @@ class TestSampleSweep:
 
 
 class TestRecordFiles:
+    def test_golden_text(self, tmp_path):
+        # The exact bytes of a record file: booleans, a 64-bit seed, a
+        # float whose repr needs 17 significant digits and N = 0.
+        records = [
+            TrialRecord("mcpca", 100, 50, 60, 1000, 0, 2**64 - 1,
+                        0.1 + 0.2, 1.5, True),
+            TrialRecord("external", 6, 3, 2, 0, 1, 7, 1.0, 2.5e-05, False),
+        ]
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        assert path.read_bytes() == (
+            b"method,p,k,r,N,trial,seed,ascore,runtime_seconds,converged\n"
+            b"mcpca,100,50,60,1000,0,18446744073709551615,"
+            b"0.30000000000000004,1.5,true\n"
+            b"external,6,3,2,0,1,7,1.0,2.5e-05,false\n"
+        )
+        assert read_records(path) == records
+
     def test_round_trip(self, tmp_path):
         cfg = BenchConfig(
             p=8, k=4, r=2, density=0.9, N=100, n_trials=1,

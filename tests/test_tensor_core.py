@@ -12,6 +12,7 @@ from mcpca import (
     tensor_from_factors,
 )
 from mcpca.decompose import _unfoldings
+from mcpca.tensor_core import fix_signs
 
 
 def _random_factors(p, k, r, seed):
@@ -20,6 +21,21 @@ def _random_factors(p, k, r, seed):
     A /= np.linalg.norm(A, axis=0)
     B = np.abs(rng.standard_normal((k, r)))
     return A, B
+
+
+def test_fix_signs_matches_column_loop():
+    # Oracle: the column loop; each tie is broken by the first entry of
+    # largest magnitude, and a flip negates the whole column.
+    A = np.array(
+        [[1.0, -2.0, 0.5, -0.0], [-1.0, 2.0, -3.0, 0.0], [0.5, 1.0, 3.0, -1.0]]
+    )
+    expected = A.copy()
+    for j in range(A.shape[1]):
+        if expected[np.argmax(np.abs(expected[:, j])), j] < 0:
+            expected[:, j] *= -1.0
+    flipped = fix_signs(A)
+    assert flipped.tolist() == [False, True, True, True]
+    assert A.tobytes() == expected.tobytes()
 
 
 class TestStackCovariances:
