@@ -2,27 +2,24 @@
 
 ``ingest`` sends an input of ``PARALLEL_MIN_BYTES`` or more here, and
 imports this module only then, so a CLI call on a small input pays
-neither its import nor that of the process pool.  The input is cut into
-contiguous chunks: the sorted files of a directory in groups, one file
-in byte ranges that each start after a ``\\n``.  Each worker opens its
-files or its range itself, parses it with the serial path's rules and
-``np.loadtxt``, and returns float64 blocks that the parent joins in file
-order.  A chunk with a ragged row, a cell numpy rejects or bytes that do
-not decode returns None, and so does the whole parse: the caller then
-parses the input serially, which raises every error with its one message.
+neither its import nor that of the process pool (``fork_pool``).  The
+input is cut into contiguous chunks: the sorted files of a directory in
+groups, one file in byte ranges that each start after a ``\\n``.  Each
+worker opens its files or its range itself, parses it with the serial
+path's rules and ``np.loadtxt``, and returns float64 blocks that the
+parent joins in file order.  A chunk with a ragged row, a cell numpy
+rejects or bytes that do not decode returns None, and so does the whole
+parse: the caller then parses the input serially, which raises every
+error with its one message.
 """
 
 from __future__ import annotations
 
 import io
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
+from . import fork_pool
 from .exceptions import DataFormatError
 from .ingest import (
     _context_column,
@@ -34,34 +31,6 @@ from .ingest import (
     _read_lines,
     parse_delimited,
 )
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _worker_count() -> int:
-    """Worker processes to start; below 2, parse serially.  ``fork``
-    copies only the calling thread, so a process running other threads
-    parses serially too."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return _cpu_count()
-
-
-def _map_in_workers(fn, tasks) -> list | None:
-    """``[fn(t) for t in tasks]``, one forked worker per task, or None if
-    a worker died.  Every worker is joined before this returns."""
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(tasks), mp_context=ctx) as pool:
-        try:
-            return list(pool.map(fn, tasks))
-        except BrokenProcessPool:
-            return None
 
 
 def _parse_files(paths) -> list | None:
@@ -134,7 +103,7 @@ def _range_starts(path, size: int, n: int) -> list[int]:
 def parse_file(path, size: int, long_table: bool):
     """(header, block, context ids or None) of a file of ``size`` bytes
     parsed in byte ranges, or None to parse it serially."""
-    n = _worker_count()
+    n = fork_pool.worker_count()
     if n < 2:
         return None
     try:
@@ -160,7 +129,7 @@ def parse_file(path, size: int, long_table: bool):
         (path, start, end, delim, width, columns, ctx_col, header is not None and start == 0)
         for start, end in zip(cuts, cuts[1:])
     ]
-    parts = _map_in_workers(_parse_range, tasks)
+    parts = fork_pool.map_in_workers(_parse_range, tasks, len(tasks))
     if parts is None or any(part is None for part in parts):
         return None
     block = np.concatenate([b for b, _ in parts])
@@ -173,11 +142,11 @@ def parse_file(path, size: int, long_table: bool):
 def parse_files(paths) -> list | None:
     """(header, block) of each file, the files split into contiguous groups
     parsed by workers, or None to parse them serially."""
-    n = min(_worker_count(), len(paths))
+    n = min(fork_pool.worker_count(), len(paths))
     if n < 2:
         return None
     groups = [paths[i * len(paths) // n : (i + 1) * len(paths) // n] for i in range(n)]
-    parts = _map_in_workers(_parse_files, groups)
+    parts = fork_pool.map_in_workers(_parse_files, groups, n)
     if parts is None or any(part is None for part in parts):
         return None
     return [parsed for part in parts for parsed in part]

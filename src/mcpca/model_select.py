@@ -9,7 +9,10 @@ same.
 
 Rank selection scores each candidate rank by the average match score
 over pairs of fits run from independent seeds, and picks the largest
-candidate whose average reaches the threshold.
+candidate whose average reaches the threshold.  The fits are independent
+and run in forked worker processes, one per CPU (``fork_pool``), with
+the same report as one after another (docs/decisions.md, "Rank
+selection in parallel").
 """
 
 from __future__ import annotations
@@ -120,6 +123,90 @@ class RankSelectionReport:
     scree: tuple[float, ...]
 
 
+# Tensors of this many entries (p * p * k) or more have their stability
+# fits run by the worker processes of ``fork_pool``, imported only then:
+# below it, the pool lost or broke even on 2 CPUs in nearly every measured
+# shape (docs/decisions.md, "Rank selection in parallel").
+PARALLEL_MIN_ENTRIES = 4_000
+
+# The tensor the forked fit workers read, so no task pickles it.  It is
+# set only while they run, and only in a process with no other threads.
+_worker_tensor = None
+
+
+def _components(t: CovarianceTensor, r: int, cfg: FitConfig):
+    """Components A of one stability fit, or None when the fit fails."""
+    try:
+        return fit_mcpca(t, r, cfg)[0].A
+    except (McpcaError, np.linalg.LinAlgError):
+        return None
+
+
+def _forked_components(task):
+    return _components(_worker_tensor, *task)
+
+
+def _fits_in_workers(t: CovarianceTensor, tasks) -> list | None:
+    """``_components`` of each (rank, config) task from forked workers, one
+    per CPU, or None to fit serially.  A rank's fits that have not started
+    are skipped once one of its fits fails."""
+    if t.slices.size < PARALLEL_MIN_ENTRIES:
+        return None
+    from .fork_pool import map_in_workers, worker_count
+
+    workers = min(worker_count(), len(tasks))
+    if workers < 2:
+        return None
+    global _worker_tensor
+    flatten(t)  # the workers inherit the cached SVD
+    _worker_tensor = t
+    try:
+        return map_in_workers(_forked_components, tasks, workers, group=lambda task: task[0])
+    finally:
+        _worker_tensor = None
+
+
+def _stability_fits(t: CovarianceTensor, candidates, n_seed_pairs: int, cfg: FitConfig) -> list:
+    """Per candidate, the components of its fits (run 0 then run 1 of
+    each pair, in pair order), or None when one of them fails.
+
+    The fits run in forked workers, one task per fit.  For a small
+    tensor, on one CPU, while other threads run, or when a worker dies,
+    they run here one after another, each candidate's only up to its
+    first failure.
+    """
+    if n_seed_pairs < 1:
+        raise ValueError("n_seed_pairs must be >= 1")
+    tasks = [
+        (r, replace(cfg, seed=mix_seed(cfg.seed, pair, run)))
+        for r in candidates
+        for pair in range(n_seed_pairs)
+        for run in range(2)
+    ]
+    fits = _fits_in_workers(t, tasks)
+    per = 2 * n_seed_pairs
+    out = []
+    for i in range(0, len(tasks), per):
+        if fits is None:
+            models = []
+            for task in tasks[i : i + per]:
+                models.append(_components(t, *task))
+                if models[-1] is None:
+                    break
+        else:
+            models = fits[i : i + per]
+        out.append(None if any(A is None for A in models) else models)
+    return out
+
+
+def _mean_match(models) -> float:
+    """Mean ``ascore`` over the pairs of ``models``; 0 when a fit failed."""
+    if models is None:
+        return 0.0
+    scores = [ascore(models[i], models[i + 1]).ascore for i in range(0, len(models), 2)]
+    return float(np.mean(scores))
+
+
 def stability_score(
     t: CovarianceTensor,
     r: int,
@@ -129,22 +216,11 @@ def stability_score(
     """Mean match score over pairs of fits from independent seeds.
 
     Pair seeds come from ``mix_seed(cfg.seed, pair, run)``.  Any fit
-    failure (for example a rank-deficient flattening) scores 0: rank
-    candidates near the numerical rank degrade instead of aborting.
+    failure (for example a rank-deficient flattening, or NNLS loadings
+    that do not converge) scores 0: rank candidates near the numerical
+    rank degrade instead of aborting.
     """
-    if n_seed_pairs < 1:
-        raise ValueError("n_seed_pairs must be >= 1")
-    scores = []
-    for pair in range(n_seed_pairs):
-        models = []
-        try:
-            for run in range(2):
-                run_cfg = replace(cfg, seed=mix_seed(cfg.seed, pair, run))
-                models.append(fit_mcpca(t, r, run_cfg)[0])
-        except McpcaError:
-            return 0.0
-        scores.append(ascore(models[0].A, models[1].A).ascore)
-    return float(np.mean(scores))
+    return _mean_match(_stability_fits(t, [r], n_seed_pairs, cfg)[0])
 
 
 def select_rank(
@@ -159,6 +235,14 @@ def select_rank(
     Absence of a qualifying rank is a valid outcome (``chosen`` is None).
     The scree (singular values of the flattening) is attached for
     shortlisting candidates; no elbow detection is attempted.
+
+    From ``PARALLEL_MIN_ENTRIES`` tensor entries on, every candidate's
+    fits run as one batch in forked workers, one per CPU, one fit per
+    task.  The report is ``==`` to the one the fits give one after
+    another, which is how they run for a smaller tensor, on one CPU,
+    without ``fork`` or while other threads run.  On that path a
+    candidate's fits stop at its first failure; in workers at most
+    ``workers - 1`` more of them run.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
@@ -169,8 +253,7 @@ def select_rank(
         if not 1 <= c <= t.p:
             raise ValueError(f"candidate rank {c} outside [1, p={t.p}]")
     stability = tuple(
-        stability_score(t, c, n_seed_pairs=n_seed_pairs, cfg=cfg)
-        for c in candidates
+        _mean_match(models) for models in _stability_fits(t, candidates, n_seed_pairs, cfg)
     )
     qualifying = [c for c, s in zip(candidates, stability) if s >= threshold]
     chosen = max(qualifying) if qualifying else None

@@ -218,7 +218,7 @@ def _trial_records(methods, tensor, pm, N, trial, seed) -> list[TrialRecord]:
             else:
                 components = load_external_components(external_path, pm.p, pm.r)
                 converged = True
-        except McpcaError:
+        except (McpcaError, np.linalg.LinAlgError):
             components = None
             converged = False
         runtime = time.perf_counter() - started

@@ -167,6 +167,26 @@ class TestSelectRankCommand:
         assert capsys.readouterr().err == "error: threshold must be finite, got nan\n"
         assert not out.exists()
 
+    def test_nnls_failure_scores_zero(self, planted_dir, tmp_path, monkeypatch):
+        # The NNLS cap raises LinAlgError: every candidate scores 0, and
+        # the command still writes its report.
+        import mcpca.decompose
+
+        def capped(*args):
+            raise np.linalg.LinAlgError("NNLS did not converge")
+
+        monkeypatch.setattr(mcpca.decompose, "_lawson_hanson", capped)
+        pm, data_dir = planted_dir
+        out = tmp_path / "rank.json"
+        code = main(
+            ["select-rank", "--input", str(data_dir), "--candidates", "2,3",
+             "--n-seed-pairs", "2", "--output", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["stability"] == [0.0, 0.0]
+        assert report["chosen"] is None
+
     def test_empty_candidates_usage_error(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
         code = main(
@@ -431,10 +451,11 @@ def test_import_loads_no_scipy(module):
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("module", ["mcpca", "mcpca.cli"])
+@pytest.mark.parametrize("module", ["mcpca", "mcpca.cli", "mcpca.model_select"])
 def test_import_loads_no_process_pool(module):
     # A fresh import of multiprocessing.pool costs about 27 ms; only a large
-    # input, parsed in worker processes, needs it.
+    # input, parsed in worker processes, and rank selection on a large
+    # tensor, fitted in worker processes, need it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys, {module}\n"

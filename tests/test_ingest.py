@@ -16,7 +16,7 @@ from mcpca import (
     load_contexts,
     sample_covariance,
 )
-from mcpca import ingest, ingest_workers
+from mcpca import fork_pool, ingest
 from mcpca.ingest import load_matrix, pooled_mean
 from mcpca.exceptions import McpcaError
 
@@ -341,10 +341,10 @@ def test_each_token_matches_cell_walk(token, delim, cell):
 def _forced_chunks():
     """Parse every input in worker processes, at most two, whatever its
     size; on one CPU the input is still parsed serially."""
-    cpus = min(ingest_workers._cpu_count(), 2)
+    cpus = min(fork_pool.cpu_count(), 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
-        mp.setattr(ingest_workers, "_cpu_count", lambda: cpus)
+        mp.setattr(fork_pool, "cpu_count", lambda: cpus)
         yield
 
 
@@ -363,14 +363,14 @@ def test_chunked_path_matches_cell_walk(text):
 def _counting_tasks():
     """Record how many chunks each parallel load was split into."""
     counts = []
-    real = ingest_workers._map_in_workers
+    real = fork_pool.map_in_workers
 
-    def counted(fn, tasks):
+    def counted(fn, tasks, workers, group=None):
         counts.append(len(tasks))
-        return real(fn, tasks)
+        return real(fn, tasks, workers, group)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest_workers, "_map_in_workers", counted)
+        mp.setattr(fork_pool, "map_in_workers", counted)
         yield counts
 
 
@@ -389,7 +389,7 @@ def _assert_same_as_serial(load, path, split=True):
     with _forced_chunks(), _counting_tasks() as counts:
         got, got_exc = _result(load, path)
     assert multiprocessing.active_children() == []
-    if split and ingest_workers._cpu_count() >= 2:
+    if split and fork_pool.cpu_count() >= 2:
         assert counts and min(counts) >= 2
     if want_exc is not None:
         assert type(got_exc) is type(want_exc)
@@ -418,7 +418,7 @@ _ROWS = [f"{i}.5,{-i}.25,{i * i}e-3" for i in range(12)]
 
 
 class TestChunkedPath:
-    @pytest.mark.skipif(ingest_workers._cpu_count() < 2, reason="one CPU parses serially")
+    @pytest.mark.skipif(fork_pool.cpu_count() < 2, reason="one CPU parses serially")
     def test_two_lines_are_split(self, tmp_path):
         f = tmp_path / "m.csv"
         # The middle byte lies in the last line: the cut goes before it.

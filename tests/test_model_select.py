@@ -1,16 +1,29 @@
+import multiprocessing
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import generate_identifiable
+from helpers import active_set_example, generate_identifiable
 
 from mcpca import (
+    CovarianceTensor,
     DimensionMismatchError,
     FitConfig,
+    GramSingularityError,
+    RankDeficiencyError,
     ascore,
+    build_tensor,
+    decompose,
     fit_mcpca,
+    fork_pool,
     mix_seed,
+    model_select,
+    sample_dataset,
     select_rank,
     stability_score,
     tensor_from_factors,
@@ -258,3 +271,220 @@ class TestOneFlatteningSvd:
         oracle = np.linalg.svd(np.hstack(list(t.slices)), compute_uv=False)
         assert len(report.scree) == t.p
         assert np.abs(np.array(report.scree) - oracle).max() <= 1e-12 * oracle[0]
+
+
+# --- the stability fits in forked worker processes ---------------------------
+
+
+@contextmanager
+def _serial():
+    """Every fit in this process, as on one CPU."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fork_pool, "cpu_count", lambda: 1)
+        yield
+
+
+@contextmanager
+def _pooled():
+    """The fits in two worker processes, whatever the tensor's size; record
+    the worker count of each pool started."""
+    pools = []
+    real = fork_pool.map_in_workers
+
+    def counted(fn, tasks, workers, group=None):
+        pools.append(workers)
+        return real(fn, tasks, workers, group)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_select, "PARALLEL_MIN_ENTRIES", 0)
+        mp.setattr(fork_pool, "cpu_count", lambda: 2)
+        mp.setattr(fork_pool, "map_in_workers", counted)
+        yield pools
+
+
+def _serial_and_pooled(t, candidates, n_seed_pairs=3, cfg=FitConfig(seed=0)):
+    """The report on the serial path, and the one from two workers, which
+    must have fitted, leaving no process behind."""
+    with _serial():
+        serial = select_rank(t, candidates, n_seed_pairs=n_seed_pairs, cfg=cfg)
+    with _pooled() as pools:
+        pooled = select_rank(t, candidates, n_seed_pairs=n_seed_pairs, cfg=cfg)
+    assert multiprocessing.active_children() == []
+    assert pools == [2]
+    return serial, pooled
+
+
+def _found_tensor():
+    """Off-model context whose rank-4 fits raise GramSingularityError."""
+    A, B, _ = active_set_example()
+    W = np.random.default_rng(334).standard_normal((10, 2))
+    return CovarianceTensor(
+        np.concatenate([tensor_from_factors(A, B).slices, (W @ W.T)[None]])
+    )
+
+
+def _fits_log(monkeypatch, log, fail):
+    """Append "rank seed" to ``log`` for every stability fit, from whichever
+    process runs it.  The fit ``fail`` == (rank, seed) raises; in a worker
+    it first pauses, so the other workers run on."""
+    real = model_select.fit_mcpca
+    parent = os.getpid()
+
+    def fit(t, r, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{r} {cfg.seed}\n")
+        if (r, cfg.seed) == fail:
+            if os.getpid() != parent:
+                threading.Event().wait(0.1)
+            raise RankDeficiencyError("planted failure")
+        return real(t, r, cfg)
+
+    monkeypatch.setattr(model_select, "fit_mcpca", fit)
+
+
+def _fits_per_rank(log):
+    counts = {}
+    for line in log.read_text().splitlines():
+        r = int(line.split()[0])
+        counts[r] = counts.get(r, 0) + 1
+    log.unlink()
+    return counts
+
+
+@pytest.mark.skipif(fork_pool.cpu_count() < 2, reason="one CPU fits serially")
+class TestFitsInWorkers:
+    def test_noiseless_and_above_the_numerical_rank(self):
+        pm = generate_identifiable(12, 6, 3, 0.7, seed=10)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with pytest.raises(RankDeficiencyError):
+            fit_mcpca(t, 4, FitConfig(seed=mix_seed(0, 0, 0)))
+        serial, pooled = _serial_and_pooled(t, [2, 3, 4, 5], n_seed_pairs=2)
+        assert pooled == serial
+        assert pooled.stability[2:] == (0.0, 0.0)
+
+    def test_sampled(self):
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = build_tensor(sample_dataset(pm, 200, seed=1))
+        serial, pooled = _serial_and_pooled(t, [2, 3, 4], cfg=FitConfig(seed=7))
+        assert pooled == serial
+        assert pooled.chosen == 3
+
+    def test_gram_singular_candidate(self):
+        t = _found_tensor()
+        with pytest.raises(GramSingularityError):
+            fit_mcpca(t, 4, FitConfig(seed=mix_seed(0, 0, 0)))
+        serial, pooled = _serial_and_pooled(t, [4], n_seed_pairs=1)
+        assert pooled == serial
+        assert pooled.stability == (0.0,)
+
+    def test_stability_score_matches_serial(self):
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with _serial():
+            want = stability_score(t, 3, n_seed_pairs=3, cfg=FitConfig(seed=2))
+        with _pooled() as pools:
+            got = stability_score(t, 3, n_seed_pairs=3, cfg=FitConfig(seed=2))
+        assert pools == [2]
+        assert got == want
+
+    def test_nnls_failure_scores_zero(self, monkeypatch):
+        # The solver's cap raises LinAlgError, not an McpcaError; patched
+        # before the pool forks, so the workers fail the same way.
+        def capped(*args):
+            raise np.linalg.LinAlgError("NNLS did not converge")
+
+        monkeypatch.setattr(decompose, "_lawson_hanson", capped)
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        serial, pooled = _serial_and_pooled(t, [2, 3])
+        assert pooled == serial
+        assert pooled.stability == (0.0, 0.0)
+        assert pooled.chosen is None
+
+    def test_killed_worker_falls_back_to_serial(self, monkeypatch):
+        pm = generate_identifiable(12, 6, 3, 0.7, seed=10)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with _serial():
+            want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        parent = os.getpid()
+        real = model_select._components
+        victim = mix_seed(0, 1, 0)
+
+        in_parent = []
+
+        def components(t, r, cfg):
+            if os.getpid() != parent and (r, cfg.seed) == (3, victim):
+                os.kill(os.getpid(), signal.SIGKILL)
+            if os.getpid() == parent:
+                in_parent.append((r, cfg.seed))
+            return real(t, r, cfg)
+
+        monkeypatch.setattr(model_select, "_components", components)
+        with _pooled() as pools:
+            got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert multiprocessing.active_children() == []
+        assert pools == [2]
+        assert len(in_parent) == 8  # the serial path refitted every task
+        assert got == want
+
+    def test_small_tensor_fits_serially(self):
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        assert t.slices.size < model_select.PARALLEL_MIN_ENTRIES
+        pools = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fork_pool, "map_in_workers", lambda *args: pools.append(args))
+            select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert pools == []
+
+    def test_other_thread_selects_serial_path(self):
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with _serial():
+            want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with _pooled() as pools:
+                got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pools == []
+        assert got == want
+
+    def test_worker_error_propagates_and_joins(self, monkeypatch):
+        def broken(t, r, cfg):
+            raise ValueError("not a fit failure")
+
+        monkeypatch.setattr(model_select, "fit_mcpca", broken)
+        pm = generate_identifiable(8, 5, 2, 0.8, seed=9)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with _pooled(), pytest.raises(ValueError, match="not a fit failure"):
+            select_rank(t, [1, 2], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert multiprocessing.active_children() == []
+
+    def test_failing_candidate_runs_at_most_one_extra_fit(self, monkeypatch, tmp_path):
+        # The third fit of rank 3 fails slowly while its later fits succeed
+        # fast: the serial loop runs three of them, and two workers may
+        # start only one more before the failure is seen.
+        pm = generate_identifiable(12, 6, 3, 0.7, seed=10)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        log = tmp_path / "fits"
+        _fits_log(monkeypatch, log, fail=(3, mix_seed(0, 1, 0)))
+        cfg = FitConfig(seed=0)
+        with _serial():
+            serial = select_rank(t, [3, 2], n_seed_pairs=5, cfg=cfg)
+        serial_fits = _fits_per_rank(log)
+        with _pooled() as pools:
+            pooled = select_rank(t, [3, 2], n_seed_pairs=5, cfg=cfg)
+        pooled_fits = _fits_per_rank(log)
+        assert multiprocessing.active_children() == []
+        assert pools == [2]
+        assert pooled == serial
+        assert pooled.stability[0] == 0.0
+        assert serial_fits == {3: 3, 2: 10}
+        assert pooled_fits[2] == 10
+        assert 3 <= pooled_fits[3] <= 3 + 1

@@ -103,6 +103,23 @@ class TestAccuracyTrials:
         assert record.N == 0  # noiseless records carry N = 0
         assert record.converged
 
+    def test_nnls_failure_scores_zero(self, monkeypatch):
+        # The NNLS cap raises LinAlgError, not an McpcaError: the fit's
+        # record scores 0 and the other methods still run.
+        import mcpca.decompose
+
+        def capped(*args):
+            raise np.linalg.LinAlgError("NNLS did not converge")
+
+        monkeypatch.setattr(mcpca.decompose, "_lawson_hanson", capped)
+        cfg = BenchConfig(
+            p=12, k=6, r=3, density=0.7, N=100, n_trials=1,
+            methods=("mcpca", "pca_stack"), seed=11, noiseless=True,
+        )
+        fit, stack = run_accuracy_trials(cfg)
+        assert (fit.method, fit.ascore, fit.converged) == ("mcpca", 0.0, False)
+        assert stack.method == "pca_stack" and stack.ascore > 0.0
+
     def test_empty_methods_empty_records(self):
         cfg = BenchConfig(
             p=6, k=3, r=2, density=1.0, N=50, n_trials=2, methods=(), seed=12
