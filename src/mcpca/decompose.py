@@ -16,9 +16,12 @@ The fit proceeds in three stages:
    working (deflated) subspace, in matrix-matrix products, until each
    passes the ``tol`` test.  Refinement (:func:`_refine`) takes the best
    restart alone, in matrix-vector products, on the original
-   (undeflated) subspace to its floating-point fixed point.  The refined
-   pair is then projected out of the working basis before the next
-   component is sought.  Refinement matters: with non-orthogonal
+   (undeflated) subspace to its floating-point fixed point, finishing
+   with safeguarded Riemannian Newton steps (:func:`_newton_step`) once
+   the power steps have settled and the Newton steps cost less.  A
+   refinement that lands on an earlier component keeps the discovered
+   point.  The component is then projected out of the working basis
+   before the next one is sought.  Refinement matters: with non-orthogonal
    components the deflated subspace no longer contains the remaining
    rank-one generators exactly, so maximizers drift by an amount that
    grows with the component correlations; re-running the iteration on
@@ -89,6 +92,11 @@ IDENTIFIABILITY_GAP_TOL = 1e-8
 # would leave an error of the same order as the last step.
 _FIXED_POINT_STEP = 16 * np.finfo(float).eps
 
+# A refined component whose rank-one element a (x) b has a cosine of at
+# least this with an earlier component's has landed on that component,
+# and keeps its discovered point instead (see docs/decisions.md).
+_COLLISION_COS = 0.99
+
 # Cap on the Lawson-Hanson solves of one NNLS row, per column of A
 # (scipy.optimize.nnls uses the same 3r).
 _NNLS_SOLVES_PER_COLUMN = 3
@@ -100,10 +108,11 @@ class FitConfig:
 
     ``tol`` (0 < tol < 1) bounds the successive cosine gap
     1 - |<x_new, x_old>| of both unit-vector iterates: a restart has
-    converged, and its discovery stops, once the gap falls below it.  Refinement continues past that
-    point to the floating-point fixed point, within ``max_iter``
-    iterations.  ``restarts_per_component`` random starts are drawn per
-    component from ``seed``.
+    converged, and its discovery stops, once the gap falls below it.
+    Refinement continues past that point to the floating-point fixed
+    point, within ``max_iter`` iterations, power and Newton steps alike.
+    ``restarts_per_component`` random starts are drawn per component
+    from ``seed``.
     """
 
     seed: int = 0
@@ -197,9 +206,13 @@ class FitReport:
     ``objective_trace[j]`` lists the objective value at every iteration
     of component j's best restart (discovery followed by refinement, in
     final column order); it is nondecreasing within floating-point slack.
-    ``iterations[j]`` counts every power step of that restart, discovery
-    and refinement; the trace holds one value per step plus the final
-    value of each stage, ``iterations[j] + 2`` in all.
+    ``iterations[j]`` counts every step of that restart, discovery and
+    refinement: a power step, or a Newton step refinement takes, is one
+    iteration (a Newton step it refuses is none), and adds the objective
+    at its start to the trace.  The trace holds one value per step plus
+    the final value of each stage, ``iterations[j] + 2`` in all.  When
+    refinement lands on an earlier component and the discovered point is
+    kept, both count discovery alone.
     ``non_identifiable_suspect`` is None unless the fit was asked to run
     the identifiability probe; it is then True when some component's
     loading direction is shared with a second component direction (see
@@ -352,30 +365,143 @@ def _aligned_step(x_new, x):
     return math.sqrt(np.dot(d, d))
 
 
+def _newton_step(unfold, a, b, m_a, c, trust):
+    """One Riemannian Newton step for F(a, b) = ||c||^2 on S^{p-1} x S^{k-1}.
+
+    ``c`` = T_A(a, b, *) and ``m_a`` = M = T_A(a, *, *) come from the loop.
+    With P = T_A(*, b, *), F/2 has the Euclidean gradient (P c, M c) and
+    Hessian blocks P P^T, M M^T and P M^T + T_A(*, *, c); on the spheres
+    the Hessian is shifted by -F.  Since a^T P = b^T M = c^T, projecting
+    onto the tangent spaces takes rank-one updates: P - a c^T, M - b c^T,
+    and T_A(*, *, c) less its parts along a and b.  Given the value F in
+    the normal directions, the Newton system -H xi = grad keeps xi
+    tangent.  Its a-block F I - P P^T (projected P) is -F I plus rank m,
+    so with u = -P^T xi_a / sqrt(F) the system reduces to one symmetric
+    (m + k)-square system K [u; xi_b] = r (the Woodbury identity), and
+    xi_a follows from u and xi_b.  K is positive definite exactly when -H
+    is on the tangent space (its Schur complement is that of -H), which
+    its Cholesky factor tests.  The step reads the unfolding three times:
+    for P, for T_A(*, *, c) and for M at the new a.
+
+    Returns (a, b, m_a, length), with the step's sign-aligned length, or
+    None when the step is not taken: H is not negative definite, the step
+    is longer than ``trust`` (then without the third read), or the new
+    point lowers F by more than rounding: a relative ``_FIXED_POINT_STEP``,
+    where F between power steps at the fixed point of the desk fit falls
+    by 4 eps at most.
+    """
+    p, k, m = a.shape[0], b.shape[0], m_a.shape[1]
+    f = np.dot(c, c)
+    root = math.sqrt(f)
+    pt = b @ unfold.reshape(p, k, m) - np.outer(a, c)
+    mt = m_a - np.outer(b, c)
+    grad_a, grad_b = pt @ c, mt @ c
+    tc = (unfold.reshape(p * k, m) @ c).reshape(p, k)
+    h_ab = pt @ mt.T + tc - np.outer(a, grad_b + f * b) - np.outer(grad_a, b)
+    # K = F I - W^T W - diag(0, M M^T) with W = [P, -H_ab / sqrt(F)].
+    w = np.concatenate([pt, h_ab / -root], axis=1)
+    system = -(w.T @ w)
+    system[m:, m:] -= mt @ mt.T
+    system.flat[:: m + k + 1] += f
+    try:
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        return None
+    u_xi = np.linalg.solve(system, np.concatenate([np.zeros(m), grad_b]) - w.T @ grad_a / root)
+    a_new = a + (grad_a - root * (w @ u_xi)) / f
+    b_new = b + u_xi[m:]
+    a_new /= math.sqrt(np.dot(a_new, a_new))
+    b_new /= math.sqrt(np.dot(b_new, b_new))
+    length = max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+    if length > trust:
+        return None
+    m_new = (a_new @ unfold).reshape(k, m)
+    c_new = b_new @ m_new
+    if np.dot(c_new, c_new) < f * (1.0 - _FIXED_POINT_STEP):
+        return None
+    return a_new, b_new, m_new, length
+
+
+def _newton_trust(step, rho, last_rho, p, k, m, budget):
+    """The longest Newton step to accept after a power step of length
+    ``step``, or 0 to go on with power steps.
+
+    ``rho`` and ``last_rho`` are the ratios of the last two pairs of
+    successive power steps.  The power iteration has settled in its basin
+    once rho < 1 and the ratios agree to within (1 - rho) / 2.  It then
+    predicts a distance d = step * rho / (1 - rho) to its fixed point and
+    log(_FIXED_POINT_STEP / step) / log(rho) further steps, capped by the
+    ``budget`` of steps left.  j Newton steps take a distance below
+    _FIXED_POINT_STEP ** 2**-j to the floor, and one power step confirms
+    the fixed point.  Of the plans "t more power steps, then Newton" and
+    "power steps only", the cheapest is chosen by floating-point
+    operations counted from the sizes: a power step reads the (p, k*m)
+    unfolding twice (4pkm); a Newton step reads it three times and forms,
+    factors and solves the (m + k)-square system of :func:`_newton_step`
+    (8pkm + p(m + k)^2 + k^2 m + (m + k)^3).  Newton steps start when the
+    cheapest plan has t = 0.  A step may be as long as
+    2 * step / (1 - rho): twice the distance to the fixed point from the
+    point before the last power step.
+    """
+    if not (rho < 1.0 and abs(rho - last_rho) <= 0.5 * (1.0 - rho)):
+        return 0.0
+    distance = step * rho / (1.0 - rho)
+    if not _FIXED_POINT_STEP < distance < 1.0:
+        return 0.0
+    power_cost = 4 * p * k * m
+    newton_cost = 8 * p * k * m + p * (m + k) ** 2 + k * k * m + (m + k) ** 3
+    newton_steps = max(1, math.ceil(math.log2(math.log(_FIXED_POINT_STEP) / math.log(distance))))
+    cost = power_cost + newton_steps * newton_cost
+    power_steps = min(math.log(_FIXED_POINT_STEP / step) / math.log(rho), budget)
+    if newton_steps + 1 > budget or cost >= power_steps * power_cost:
+        return 0.0
+    for j in range(1, newton_steps):
+        wait = math.ceil(math.log(_FIXED_POINT_STEP ** 0.5**j / distance) / math.log(rho))
+        if (wait + 1) * power_cost + j * newton_cost < cost:
+            return 0.0
+    return 2.0 * step / (1.0 - rho)
+
+
 def _refine(unfold, k, a, b, tol, max_iter):
-    """Refinement: the power iteration of one start to its fixed point.
+    """Refinement: one start to its power-iteration fixed point.
 
     ``unfold`` is the (p, k*m) unfolding of the original subspace, ``a``
-    (p,) and ``b`` (k,) a unit start.  The step is that of
+    (p,) and ``b`` (k,) a unit start.  The power step is that of
     :func:`_power_iterate` for one start: two reads of the unfolding per
     step plus one before the first, with T_A(a, *, *) carried from one
     step to the next.  The products are matrix-vector products, and the
     norms, sign-aligned steps and stop tests Python floats, so a step
     makes about 23 numpy calls where the block loop makes about 70.
-    ``converged`` is set once step^2 / 2 falls below ``tol``, but the loop
-    runs on until the step is at most ``_FIXED_POINT_STEP`` or ``max_iter``
-    steps are taken.
+
+    Once the power steps have settled and Newton steps pay for themselves
+    (:func:`_newton_trust`), Newton steps (:func:`_newton_step`) follow,
+    each no longer than the one before, until one is at most the square
+    root of ``_FIXED_POINT_STEP``; power steps take over again.  A Newton
+    step that fails a safeguard is not taken, and power steps go on as
+    before; after the j-th such refusal the next try waits 2^j power
+    steps, so at most log2(``max_iter``) refused steps are paid for.
+    Either kind of step counts as an iteration and adds its starting
+    objective to the trace.  ``converged`` is set once step^2 / 2 falls
+    below ``tol``, but the loop runs on until a power step is at most
+    ``_FIXED_POINT_STEP`` or ``max_iter`` steps are taken: the point it
+    returns is a fixed point of the power iteration, as before.
 
     Returns (a, b, objective, iterations, trace, converged) as
     :func:`_power_iterate` does for one row, or None, without a warning,
     when a contraction vanishes.
     """
-    m = unfold.shape[1] // k
+    p, m = a.shape[0], unfold.shape[1] // k
     m_a = (a @ unfold).reshape(k, m)
     trace = []
     converged = False
     steps = 0
-    step = math.inf
+    # The last power step and its ratio to the one before (NaN until two
+    # successive power steps give one); the longest Newton step to accept,
+    # 0 while power steps are taken; and the Newton steps refused so far,
+    # after the j-th of which 2^j power steps come before the next try.
+    step = rho = math.nan
+    trust = 0.0
+    refused = retry = 0
     while True:
         c = b @ m_a
         sigma = math.sqrt(np.dot(c, c))
@@ -384,6 +510,18 @@ def _refine(unfold, k, a, b, tol, max_iter):
             return a, b, trace[-1], steps, trace, converged
         if sigma <= _DEGENERATE_NORM:
             return None
+        if trust:
+            newton = _newton_step(unfold, a, b, m_a, c, trust)
+            if newton is not None:
+                a, b, m_a, length = newton
+                steps += 1
+                converged = converged or 0.5 * length * length < tol
+                trust = length if length * length > _FIXED_POINT_STEP else 0.0
+                step = rho = math.nan
+                continue
+            refused += 1
+            retry = steps + 2**refused
+            trust = 0.0
         c = c / sigma
         a_new = unfold @ (b[:, None] * c).ravel()
         norm = math.sqrt(np.dot(a_new, a_new))
@@ -396,10 +534,20 @@ def _refine(unfold, k, a, b, tol, max_iter):
         if norm <= _DEGENERATE_NORM:
             return None
         b_new = b_new / norm
-        step = max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+        new_step = max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+        last_rho, rho, step = rho, new_step / step, new_step
         a, b = a_new, b_new
         steps += 1
         converged = converged or 0.5 * step * step < tol
+        if steps >= retry:
+            trust = _newton_trust(step, rho, last_rho, p, k, m, max_iter - steps)
+
+
+def _overlap(a, b, found):
+    """Largest |<a, a'> <b, b'>| over the rows [a', b'] of ``found``, the
+    cosine between the rank-one elements a (x) b and a' (x) b'; 0 if none."""
+    p = a.shape[0]
+    return float(np.max(np.abs(found[:, :p] @ a) * np.abs(found[:, p:] @ b), initial=0.0))
 
 
 def _householder_complement(u):
@@ -637,6 +785,7 @@ def fit_mcpca(
     work = _unfoldings(work_flat, p, k)
     orig_unfold = work[0]
     components = []
+    found = np.empty((r, p + k))
     for j in range(r):
         a0, b0 = _draw_starts(rng, cfg.restarts_per_component, p, k)
         results = _power_iterate(*work, k, a0, b0, cfg.tol, cfg.max_iter)
@@ -655,11 +804,14 @@ def fit_mcpca(
             )
         a, b, _, iters, trace, conv = best
         refined = _refine(orig_unfold, k, a, b, cfg.tol, cfg.max_iter)
-        if refined is not None:
+        # A refinement that climbs onto an earlier component is dropped:
+        # the discovered point is kept.
+        if refined is not None and _overlap(refined[0], refined[1], found[:j]) < _COLLISION_COS:
             a, b, _, ref_iters, ref_trace, ref_conv = refined
             trace = trace + ref_trace
             iters += ref_iters
             conv = conv and ref_conv
+        found[j] = np.concatenate([a, b])
         components.append((a, b, trace, iters, conv, used))
         if j < r - 1:
             work_flat = _deflate(work_flat, np.outer(b, a).ravel())

@@ -10,14 +10,15 @@ same.
 Rank selection scores each candidate rank by the average match score
 over pairs of fits run from independent seeds, and picks the largest
 candidate whose average reaches the threshold.  The fits are independent
-and run in forked worker processes, one per CPU (``fork_pool``), with
-the same report as one after another (docs/decisions.md, "Rank
-selection in parallel").
+and run in forked worker processes (``fork_pool``), as many as the CPUs
+hold at the BLAS thread count, with the same report as one after another
+(docs/decisions.md, "Rank selection in parallel").
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,15 +147,30 @@ def _forked_components(task):
     return _components(_worker_tensor, *task)
 
 
+def _blas_threads(cpus: int) -> int:
+    """Threads each BLAS call may run on: ``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, else OpenBLAS's default of one per CPU.  A value
+    that is not a positive integer counts as unset."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
 def _fits_in_workers(t: CovarianceTensor, tasks) -> list | None:
-    """``_components`` of each (rank, config) task from forked workers, one
-    per CPU, or None to fit serially.  A rank's fits that have not started
-    are skipped once one of its fits fails."""
+    """``_components`` of each (rank, config) task from forked workers, or
+    None to fit serially.  Each worker's BLAS runs its own threads, so
+    there are as many workers as those threads fit on the CPUs.  A rank's
+    fits that have not started are skipped once one of its fits fails."""
     if t.slices.size < PARALLEL_MIN_ENTRIES:
         return None
-    from .fork_pool import map_in_workers, worker_count
+    from .fork_pool import cpu_count, map_in_workers, worker_count
 
-    workers = min(worker_count(), len(tasks))
+    workers = min(worker_count() // _blas_threads(cpu_count()), len(tasks))
     if workers < 2:
         return None
     global _worker_tensor
@@ -237,10 +253,11 @@ def select_rank(
     shortlisting candidates; no elbow detection is attempted.
 
     From ``PARALLEL_MIN_ENTRIES`` tensor entries on, every candidate's
-    fits run as one batch in forked workers, one per CPU, one fit per
-    task.  The report is ``==`` to the one the fits give one after
-    another, which is how they run for a smaller tensor, on one CPU,
-    without ``fork`` or while other threads run.  On that path a
+    fits run as one batch in forked workers, CPUs // BLAS threads of
+    them, one fit per task.  The report is ``==`` to the one the fits give
+    one after another, which is how they run for a smaller tensor, when
+    fewer than two workers fit (one CPU, or BLAS not pinned to fewer
+    threads than the CPUs), without ``fork`` or while other threads run.  On that path a
     candidate's fits stop at its first failure; in workers at most
     ``workers - 1`` more of them run.
     """

@@ -1,9 +1,10 @@
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -16,11 +17,13 @@ from mcpca import (
     GramSingularityError,
     RankDeficiencyError,
     ascore,
+    build_tensor,
     extract_subspace,
     fit_mcpca,
     flatten,
     jennrich,
     reconstruction_error,
+    sample_dataset,
     solve_nnls,
     tensor_from_factors,
 )
@@ -85,6 +88,51 @@ def _serial_power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=
     final = float(np.linalg.norm(b @ m_a)) ** 2
     trace.append(final)
     return a, b, final, iterations, trace, converged
+
+
+def _next_step(unfold, k, a, b):
+    """Length of one more power step from (a, b)."""
+    again = _refine(unfold, k, a, b, 1e-10, 1)
+    return max(np.linalg.norm(again[0] - a), np.linalg.norm(again[1] - b))
+
+
+def _refines_to_fixed_point(unfold, k, r, a0, b0):
+    """False if the power-only loop from (a0, b0), capped at 20,000 steps,
+    takes 5,000 or more to reach its fixed point: it contracts by a ratio
+    rho so near 1 that it stops up to _FIXED_POINT_STEP / (1 - rho), over
+    1e-12, from the exact fixed point.  Else asserts the refinement
+    oracles: _refine ends within 1e-12 of that loop's point; one more
+    power step from its point moves at most _FIXED_POINT_STEP, or as much
+    as from the loop's (whose stop test bounds the step into its point,
+    not the one out); and it converges wherever the loop does."""
+    a, b, obj, iterations, trace, converged = _serial_power_iterate(
+        unfold, k, r, a0, b0, 1e-10, 20_000, to_fixed_point=True
+    )
+    if iterations >= 5_000:
+        return False
+    row = _refine(unfold, k, a0, b0, 1e-10, 20_000)
+    assert np.abs(row[0] - a).max() <= 1e-12
+    assert np.abs(row[1] - b).max() <= 1e-12
+    assert len(row[4]) == row[3] + 1
+    assert row[5] or not converged
+    limit = max(_FIXED_POINT_STEP, _next_step(unfold, k, a, b))
+    assert _next_step(unfold, k, row[0], row[1]) <= limit
+    return True
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """Counts of the Newton steps _refine takes and refuses."""
+    counts = {"taken": 0, "rejected": 0}
+    real = decompose._newton_step
+
+    def counted(*args):
+        out = real(*args)
+        counts["taken" if out is not None else "rejected"] += 1
+        return out
+
+    monkeypatch.setattr(decompose, "_newton_step", counted)
+    return counts
 
 
 class _ReadCounter(np.ndarray):
@@ -243,7 +291,11 @@ class TestPowerIterate:
     def test_block_rows_match_serial_loop(self, to_fixed_point, max_iter):
         # Each row of a lockstep block follows the one-start loop from the
         # same start; only the summation order of the products differs.
-        # Runs to the fixed point are refinements: one _refine per start.
+        # Runs to the fixed point are refinements, one _refine per start:
+        # they reach the loop's fixed point, in fewer steps (Newton
+        # steps replace power steps), and converge wherever it does.  In
+        # three steps no Newton step fits, so those runs match step for
+        # step.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         unfold, unfold_t = _unfoldings(extract_subspace(t, 5), 12, 6)
         rng = np.random.default_rng(42)
@@ -264,25 +316,54 @@ class TestPowerIterate:
             assert np.abs(row[0] - a).max() <= 1e-13
             assert np.abs(row[1] - b).max() <= 1e-13
             assert abs(row[2] - obj) <= 1e-13
+            assert len(row[4]) == row[3] + 1
+            if to_fixed_point and max_iter > 3:
+                assert row[3] < iterations
+                assert row[5] or not converged
+                continue
             assert row[3] == iterations
             assert row[5] == converged
-            assert len(row[4]) == len(trace) == iterations + 1
+            assert len(trace) == iterations + 1
             assert np.abs(np.asarray(row[4]) - trace).max() <= 1e-12
 
-    def test_single_start_refinement_matches_serial_loop(self):
-        # The same vector products in the same order: the same bits.
-        pm, t = _planted_tensor(20, 10, 8, 0.5, seed=43)
-        unfold = _unfold(t, 8)
+    def test_single_start_refinement_matches_serial_loop(self, newton_steps):
+        # Oracles for refinement from random starts on a noiseless and a
+        # sampled tensor: (1) it ends within 1e-12 of the power-only loop's
+        # fixed point at a 20,000-step cap; (2) one more power step from
+        # there moves at most _FIXED_POINT_STEP; (3) it converges wherever
+        # that loop does.  Newton steps must have been taken.
+        pm = generate_identifiable(20, 10, 8, 0.5, seed=43)
+        noiseless = tensor_from_factors(pm.A_true, pm.B_true)
+        sampled = build_tensor(sample_dataset(pm, 500, seed=44))
         rng = np.random.default_rng(44)
-        for _ in range(5):
-            a0, b0 = _unit(rng, 20), _unit(rng, 10)
-            row = _refine(unfold, 10, a0, b0, 1e-10, 500)
-            a, b, obj, iterations, trace, converged = _serial_power_iterate(
-                unfold, 10, 8, a0, b0, 1e-10, 500, to_fixed_point=True
-            )
-            assert np.array_equal(row[0], a)
-            assert np.array_equal(row[1], b)
-            assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
+        for t in (noiseless, sampled):
+            unfold = _unfold(t, 8)
+            for _ in range(5):
+                assert _refines_to_fixed_point(unfold, 10, 8, _unit(rng, 20), _unit(rng, 10))
+        assert newton_steps["taken"] > 0
+
+    # Fixed examples keep the suite deterministic; docs/decisions.md reports
+    # a wider sweep of random starts over the same shapes.
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(3, 16), st.integers(2, 8), st.integers(1, 6)),
+        seed=st.integers(0, 2**16),
+        sampled=st.booleans(),
+    )
+    def test_refinement_reaches_the_power_fixed_point(self, shape, seed, sampled):
+        p, k, r = shape
+        r = min(r, p)
+        pm = generate_identifiable(p, k, r, 0.6, seed)
+        if sampled:
+            t = build_tensor(sample_dataset(pm, 200, seed=seed))
+        else:
+            t = tensor_from_factors(pm.A_true, pm.B_true)
+        try:
+            unfold = _unfold(t, r)
+        except RankDeficiencyError:
+            return
+        rng = np.random.default_rng(seed)
+        assume(_refines_to_fixed_point(unfold, k, r, _unit(rng, p), _unit(rng, k)))
 
     @pytest.mark.parametrize("starts", [1, 10])
     def test_two_unfolding_reads_per_step(self, starts):
@@ -309,19 +390,48 @@ class TestPowerIterate:
             assert np.array_equal(row[0], expected[0])
             assert row[3:] == expected[3:]
 
-    def test_refinement_reads_unfolding_twice_per_step(self):
-        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
-        unfold = _unfold(t, 5)
+    def test_refinement_reads_unfolding_twice_per_step(self, newton_steps):
+        # A power step reads the unfolding twice, a Newton step taken three
+        # times (for P, T_A(*, *, c) and M at the new point), plus one read
+        # before the first step; the counting view changes no result.
+        pm, t = _planted_tensor(20, 10, 8, 0.5, seed=43)
+        unfold = _unfold(t, 8)
         rng = np.random.default_rng(48)
-        a0, b0 = _unit(rng, 12), _unit(rng, 6)
-        plain = _refine(unfold, 6, a0, b0, 1e-10, 300)
-        _ReadCounter.reads = 0
-        counted = _refine(unfold.view(_ReadCounter), 6, a0, b0, 1e-10, 300)
-        steps = counted[3]
-        assert steps > 1
-        assert _ReadCounter.reads == 2 * steps + 1
-        assert np.array_equal(counted[0], plain[0])
-        assert counted[3:] == plain[3:]
+        for _ in range(3):
+            a0, b0 = _unit(rng, 20), _unit(rng, 10)
+            plain = _refine(unfold, 10, a0, b0, 1e-10, 500)
+            newton_steps.update(taken=0, rejected=0)
+            _ReadCounter.reads = 0
+            counted = _refine(unfold.view(_ReadCounter), 10, a0, b0, 1e-10, 500)
+            newton = newton_steps["taken"]
+            power = counted[3] - newton
+            assert power > 1 and newton_steps["rejected"] == 0
+            assert _ReadCounter.reads == 2 * power + 3 * newton + 1
+            assert np.array_equal(counted[0], plain[0])
+            assert counted[3:] == plain[3:]
+        assert newton_steps["taken"] > 0
+
+    def test_duplicated_column_falls_back_to_power_steps(self, newton_steps):
+        # On the degenerate plane of a duplicated loading column the
+        # Hessian is singular: its Newton steps are refused, at most
+        # log2(max_iter) times with the waits between tries, and those
+        # refinements are the power-only loop's, bit for bit.
+        pm = duplicated_column_model(20, 10, 3, 0.8, seed=700)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        unfold = _unfold(t, 3)
+        for j in (0, 1):
+            a0 = pm.A_true[:, j] + 0.05 * pm.A_true[:, 2]
+            b0 = pm.B_true[:, 0] + 0.05 * pm.B_true[:, 2]
+            a0, b0 = a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0)
+            newton_steps.update(taken=0, rejected=0)
+            row = _refine(unfold, 10, a0, b0, 1e-10, 500)
+            assert newton_steps["taken"] == 0
+            assert 1 <= newton_steps["rejected"] <= math.log2(500)
+            a, b, obj, iterations, trace, converged = _serial_power_iterate(
+                unfold, 10, 3, a0, b0, 1e-10, 500, to_fixed_point=True
+            )
+            assert np.array_equal(row[0], a) and np.array_equal(row[1], b)
+            assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
 
     def test_degenerate_refinement_start_returns_none(self):
         # The basis of test_degenerate_start_masked_from_block: a = e_2
@@ -652,7 +762,7 @@ class TestFitMcpca:
     def test_refinement_stops_at_fixed_point(self):
         # The default tolerance stops discovery near a step angle of 1e-5;
         # refinement must still reach the floating-point fixed point, and
-        # the report must count every power step it takes.
+        # the report must count every power and Newton step it takes.
         pm, t = _planted_tensor(20, 10, 8, 0.5, seed=5)
         model, report = fit_mcpca(t, 8, FitConfig())
         match = ascore(pm.A_true, model.A)
@@ -805,15 +915,55 @@ class TestFitMcpca:
         np.testing.assert_array_equal(refinement_start, discovery[0][0])
 
 
-@pytest.mark.xfail(strict=True, raises=GramSingularityError)
 @pytest.mark.parametrize("seed", range(6))
 def test_off_model_context_gives_distinct_components(seed):
-    # Known defect: two deflated discoveries refine to the same maximizer,
-    # so the loadings fail with "components 1 and 3 are near-duplicates".
+    # Without the collision guard two deflated discoveries refine to the
+    # same maximizer, and the loadings fail with "components 1 and 3 are
+    # near-duplicates".  A refinement that lands on an earlier component
+    # keeps its discovered point instead.
     A, B, _ = active_set_example()
     W = np.random.default_rng(334).standard_normal((10, 2))
     slices = np.concatenate([tensor_from_factors(A, B).slices, (W @ W.T)[None]])
-    fit_mcpca(CovarianceTensor(slices), 4, FitConfig(seed=seed))
+    model, _ = fit_mcpca(CovarianceTensor(slices), 4, FitConfig(seed=seed))
+    cross = np.abs(model.A.T @ model.A) - np.eye(4)
+    assert cross.max() < 0.99
+
+
+def _with_extra_context(seed):
+    """Noiseless p=20, k=10, r=8 planted model plus one off-model context
+    W W^T (W is 20 x 2) scaled to the mean slice norm."""
+    pm = generate_identifiable(20, 10, 8, 0.5, seed)
+    slices = tensor_from_factors(pm.A_true, pm.B_true).slices
+    W = np.random.default_rng(1000 + seed).standard_normal((20, 2))
+    extra = W @ W.T
+    extra *= np.linalg.norm(slices, axis=(1, 2)).mean() / np.linalg.norm(extra)
+    return pm, CovarianceTensor(np.concatenate([slices, extra[None]]))
+
+
+def test_off_model_family_fits_without_collisions():
+    # Before the guard 17 of these 30 fits raised GramSingularityError.
+    # The Ascores (median 0.78, minimum 0.55) are of a model the data do
+    # not follow; only the failures are removed.
+    scores = []
+    for seed in range(30):
+        pm, t = _with_extra_context(seed)
+        model, _ = fit_mcpca(t, 8, FitConfig(seed=0))
+        scores.append(ascore(pm.A_true, model.A).ascore)
+    assert np.median(scores) >= 0.75 and min(scores) >= 0.5
+
+
+def test_collision_guard_changes_only_colliding_fits(monkeypatch):
+    # Without the guard the seed-3 fit raises and the seed-6 fit does not;
+    # the guard leaves the seed-6 fit unchanged, bit for bit.
+    _, colliding = _with_extra_context(3)
+    _, clean = _with_extra_context(6)
+    guarded, _ = fit_mcpca(clean, 8, FitConfig(seed=0))
+    monkeypatch.setattr(decompose, "_COLLISION_COS", 2.0)
+    with pytest.raises(GramSingularityError):
+        fit_mcpca(colliding, 8, FitConfig(seed=0))
+    unguarded, _ = fit_mcpca(clean, 8, FitConfig(seed=0))
+    np.testing.assert_array_equal(guarded.A, unguarded.A)
+    np.testing.assert_array_equal(guarded.B, unguarded.B)
 
 
 class TestModelInvariants:

@@ -299,6 +299,7 @@ def _pooled():
         mp.setattr(model_select, "PARALLEL_MIN_ENTRIES", 0)
         mp.setattr(fork_pool, "cpu_count", lambda: 2)
         mp.setattr(fork_pool, "map_in_workers", counted)
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
         yield pools
 
 
@@ -315,7 +316,8 @@ def _serial_and_pooled(t, candidates, n_seed_pairs=3, cfg=FitConfig(seed=0)):
 
 
 def _found_tensor():
-    """Off-model context whose rank-4 fits raise GramSingularityError."""
+    """Off-model context whose rank-4 fits raise GramSingularityError
+    without the collision guard."""
     A, B, _ = active_set_example()
     W = np.random.default_rng(334).standard_normal((10, 2))
     return CovarianceTensor(
@@ -369,7 +371,10 @@ class TestFitsInWorkers:
         assert pooled == serial
         assert pooled.chosen == 3
 
-    def test_gram_singular_candidate(self):
+    def test_gram_singular_candidate(self, monkeypatch):
+        # Without the collision guard (patched before the pool forks) the
+        # rank-4 fits of the off-model tensor raise GramSingularityError.
+        monkeypatch.setattr(decompose, "_COLLISION_COS", 2.0)
         t = _found_tensor()
         with pytest.raises(GramSingularityError):
             fit_mcpca(t, 4, FitConfig(seed=mix_seed(0, 0, 0)))
@@ -488,3 +493,40 @@ class TestFitsInWorkers:
         assert serial_fits == {3: 3, 2: 10}
         assert pooled_fits[2] == 10
         assert 3 <= pooled_fits[3] <= 3 + 1
+
+
+@pytest.mark.parametrize(
+    "env, cpus, workers",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, None),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "one"}, 2, None),
+        ({}, 2, None),
+        ({}, 1, None),
+    ],
+)
+def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
+    # CPUs // BLAS threads workers, BLAS threads read as OpenBLAS reads
+    # them; unset (one per CPU) or below two workers, the fits run here.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+    t = tensor_from_factors(pm.A_true, pm.B_true)
+    with _serial():
+        want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+    pools = []
+
+    def in_process(fn, tasks, count, group=None):
+        pools.append(count)
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(model_select, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(fork_pool, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(fork_pool, "map_in_workers", in_process)
+    got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+    assert pools == ([workers] if workers else [])
+    assert got == want
