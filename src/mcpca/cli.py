@@ -40,7 +40,7 @@ from .ingest import (
     pooled_mean,
 )
 from .model_io import Preprocessing, load_model, save_model, save_report
-from .model_select import select_rank
+from .model_select import DEFAULT_SEED_PAIRS, DEFAULT_THRESHOLD, select_rank
 from .synth_bench import (
     BenchConfig,
     SweepConfig,
@@ -259,14 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mcpca {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    defaults = FitConfig()
 
     fit = commands.add_parser("fit", help="fit a model and write model/report files")
     _add_dataset_arguments(fit)
     fit.add_argument("--rank", type=int, required=True)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--restarts", type=int, default=10)
-    fit.add_argument("--tol", type=float, default=1e-10)
-    fit.add_argument("--max-iter", type=int, default=500)
+    fit.add_argument("--seed", type=int, default=defaults.seed)
+    fit.add_argument("--restarts", type=int, default=defaults.restarts_per_component)
+    fit.add_argument("--tol", type=float, default=defaults.tol)
+    fit.add_argument("--max-iter", type=int, default=defaults.max_iter)
     fit.add_argument(
         "--pca-components",
         type=int,
@@ -280,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     select = commands.add_parser("select-rank", help="stability-based rank selection")
     _add_dataset_arguments(select)
     select.add_argument("--candidates", required=True, help="comma-separated ranks")
-    select.add_argument("--threshold", type=float, default=0.8)
-    select.add_argument("--n-seed-pairs", type=int, default=5)
-    select.add_argument("--seed", type=int, default=0)
+    select.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    select.add_argument("--n-seed-pairs", type=int, default=DEFAULT_SEED_PAIRS)
+    select.add_argument("--seed", type=int, default=defaults.seed)
     select.add_argument("--output", required=True)
     select.set_defaults(func=cmd_select_rank)
 

@@ -8,24 +8,25 @@ The fit proceeds in three stages:
    fit of it, whatever the rank or seed;
 2. find component directions one at a time: power iterations maximize
    F(a, b) = ||T_A(a, b, *)||^2, the squared norm of the projection of
-   the unit rank-one matrix a (x) b onto the working subspace.  Each step
-   reads the subspace's unfolding twice: the contraction behind one
-   step's b-update is carried into the next step's c-update.  The two
-   stages of a component have one loop each.  Discovery
-   (:func:`_power_iterate`) advances all restarts as one block on the
-   working (deflated) subspace, in matrix-matrix products, until each
-   passes the ``tol`` test.  Refinement (:func:`_refine`) takes the best
-   restart alone, in matrix-vector products, on the original
-   (undeflated) subspace to its floating-point fixed point, finishing
-   with safeguarded Riemannian Newton steps (:func:`_newton_step`) once
-   the power steps have settled and the Newton steps cost less.  A
-   refinement that lands on an earlier component keeps the discovered
-   point.  The component is then projected out of the working basis
-   before the next one is sought.  Refinement matters: with non-orthogonal
-   components the deflated subspace no longer contains the remaining
-   rank-one generators exactly, so maximizers drift by an amount that
-   grows with the component correlations; re-running the iteration on
-   the original subspace from the discovered point removes that bias.
+   the unit rank-one matrix a (x) b onto the working subspace.  Each
+   power step (:func:`_power_step`) reads the subspace's unfolding
+   twice: the contraction behind one step's b-update is carried into the
+   next step's c-update.  Every step of both stages runs on the one
+   unfolding of the original subspace, from one start at a time.
+   Discovery (:func:`_discover`) works on the deflated subspace: the
+   coefficient directions U of the components found so far are projected
+   out of c, c <- (I - U U^T) c, until the ``tol`` test passes.
+   Refinement (:func:`_refine`) takes the best restart, unprojected, to
+   its floating-point fixed point, finishing with safeguarded Riemannian
+   Newton steps (:func:`_newton_step`) once the power steps have settled
+   and the Newton steps cost less.  A refinement that lands on an earlier
+   component keeps the discovered point.  The kept point's projected
+   coefficients, normalized, then become U's next column.  Refinement
+   matters: with non-orthogonal components the deflated subspace no
+   longer contains the remaining rank-one generators exactly, so
+   maximizers drift by an amount that grows with the component
+   correlations; re-running the iteration on the original subspace from
+   the discovered point removes that bias.
 3. recompute all loadings globally by non-negative least squares against
    the original tensor, discarding the loadings implied by the power
    iterations.  Each context's problem is solved on its r x r normal
@@ -37,11 +38,11 @@ The fit proceeds in three stages:
 Vectorization convention: a p x k matrix D and a vector in R^{p*k} are
 identified by vec(D)[i*p + alpha] = D[alpha, i] (variable index fastest,
 context index slowest), the column order of the flattening.  The working
-subspace is held as r orthonormal rows in that order; :func:`_unfoldings`
+subspace is held as r orthonormal rows in that order; :func:`_unfolding`
 gives the unfolding the power iterations contract.
 
 Fits are deterministic given (tensor, rank, config) at a fixed BLAS
-thread count: restart points are drawn up front from a seeded generator,
+thread count: restart points are drawn in order from a seeded generator,
 and ties between restarts are broken by the earliest restart index.
 """
 
@@ -112,11 +113,14 @@ class FitConfig:
     Refinement continues past that point to the floating-point fixed
     point, within ``max_iter`` iterations, power and Newton steps alike.
     ``restarts_per_component`` random starts are drawn per component
-    from ``seed``.
+    from ``seed`` and discovered one after another; the best goes on to
+    refinement.  One start is the default: refinement takes it to a
+    component of the original subspace, so further starts only choose
+    the basin it starts from (see docs/decisions.md).
     """
 
     seed: int = 0
-    restarts_per_component: int = 10
+    restarts_per_component: int = 1
     tol: float = 1e-10
     max_iter: int = 500
 
@@ -257,112 +261,88 @@ def extract_subspace(t: CovarianceTensor, r: int) -> np.ndarray:
     return vt[:r]
 
 
-def _row_dots(x, y):
-    """Dot products of matching rows, each the one-vector product x_i @ y_i."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+def _unfolding(flat, p, k):
+    """Contiguous (p, k*m) unfolding of an (m, p*k) basis.
 
-
-def _unit_rows(x, ok):
-    """Rows of ``x`` over their norms, the norms, and the mask of usable rows.
-
-    ``ok`` is None while every row is usable.  Rows whose norm is at most
-    ``_DEGENERATE_NORM`` are cleared in the mask, which is built only then,
-    and divided by one instead, so a vanished contraction raises no
-    floating-point warning.
+    ``unfold[alpha, i*m + j] == flat[j, i*p + alpha]``: the one conversion
+    between the two layouts of a subspace.
     """
-    norms = np.sqrt(_row_dots(x, x))
-    if norms.min() > _DEGENERATE_NORM:
-        return x / norms[:, None], norms, ok
-    usable = norms > _DEGENERATE_NORM
-    ok = usable if ok is None else ok & usable
-    return x / np.where(ok, norms, 1.0)[:, None], norms, ok
-
-
-def _power_iterate(unfold, unfold_t, k, a0, b0, tol, max_iter):
-    """Discovery: alternating normalized contractions of a block of starts.
-
-    ``unfold`` is the (p, k*m) unfolding of an m-dimensional subspace and
-    ``unfold_t`` its (k*m, p) transpose, a contiguous copy that speeds up
-    the block products.  ``a0`` (R, p) and ``b0`` (R, k) hold R unit
-    starts.  Every row repeats c <- normalize(T_A(a, b, *)),
-    a <- normalize(T_A(*, b, c)), b <- normalize(T_A(a, *, c)), and the
-    rows advance in lockstep.  The contraction T_A(a, *, *) that gives the
-    new b is also the one the next step's c comes from, so it is carried
-    over: a step reads the unfolding twice, once through ``unfold_t`` for
-    a and once through ``unfold`` for T_A(a, *, *), with two matrix
-    products over the block rather than 2R vector products, plus one read
-    before the first step.  Each row measures the larger sign-aligned step
-    ||x_new - sign(x_new . x) x|| of its two iterates (step^2 / 2 is
-    1 - |cos|, computed without cancellation), and leaves the block, its
-    ``converged`` flag set, once step^2 / 2 falls below ``tol``.  Rows
-    still live after ``max_iter`` steps leave then, converged only if that
-    last step passed the test.
-
-    Returns one entry per start: None if one of its contractions vanished
-    (a degenerate start, masked out of the block without a warning), else
-    (a, b, objective, iterations, trace, converged).  The trace holds the
-    objective at the start of every iteration plus the final value.
-    """
-    n = a0.shape[0]
-    m = unfold.shape[1] // k
-    # The live rows' state, compact: row j belongs to start live[j].  All
-    # live rows have taken ``steps`` steps.
-    live = np.arange(n)
-    x = np.array(a0, dtype=float)
-    y = np.array(b0, dtype=float)
-    m_a = (x @ unfold).reshape(n, k, m)
-    converged = np.zeros(n, dtype=bool)
-    steps = 0
-    lives, objectives = [], []
-    results = [None] * n
-    while live.size:
-        c, sigma, ok = _unit_rows((y[:, None, :] @ m_a)[:, 0], None)
-        lives.append(live)
-        objectives.append(sigma * sigma)
-        # A row whose stop test passed leaves once the carried contraction
-        # has given its final objective.
-        stop = converged if steps < max_iter else np.ones(live.size, dtype=bool)
-        if stop.any():
-            for j in np.flatnonzero(stop):
-                results[live[j]] = (x[j], y[j], steps, bool(converged[j]))
-            going = ~stop
-            if not going.any():
-                break
-            live, x, y, m_a, c = (v[going] for v in (live, x, y, m_a, c))
-            if ok is not None:
-                ok = ok[going]
-        outer_bc = (y[:, :, None] * c[:, None, :]).reshape(-1, k * m)
-        x_new, _, ok = _unit_rows(outer_bc @ unfold_t, ok)
-        m_a = (x_new @ unfold).reshape(-1, k, m)
-        y_new, _, ok = _unit_rows((m_a @ c[:, :, None])[:, :, 0], ok)
-        # Sign-aligned steps of both iterates.
-        dx = x_new - np.copysign(1.0, _row_dots(x_new, x))[:, None] * x
-        dy = y_new - np.copysign(1.0, _row_dots(y_new, y))[:, None] * y
-        step = np.sqrt(np.maximum(_row_dots(dx, dx), _row_dots(dy, dy)))
-        x, y = x_new, y_new
-        steps += 1
-        # Rows converged earlier have left, so the flag is this step's test.
-        converged = 0.5 * step * step < tol
-        if ok is not None:
-            live, x, y, m_a, converged = (v[ok] for v in (live, x, y, m_a, converged))
-    # Row t of ``objectives`` holds the objectives of the rows live at step t.
-    trace_table = np.empty((len(lives), n))
-    trace_table[
-        np.repeat(np.arange(len(lives)), [rows.size for rows in lives]),
-        np.concatenate(lives),
-    ] = np.concatenate(objectives)
-    for i, row in enumerate(results):
-        if row is not None:
-            a, b, row_steps, row_converged = row
-            trace = trace_table[: row_steps + 1, i].tolist()
-            results[i] = (a, b, trace[-1], row_steps, trace, row_converged)
-    return results
+    m = flat.shape[0]
+    return np.ascontiguousarray(flat.reshape(m, k, p).transpose(2, 1, 0).reshape(p, k * m))
 
 
 def _aligned_step(x_new, x):
     """||x_new - sign(x_new . x) x|| between unit vectors, as a float."""
     d = x_new - math.copysign(1.0, np.dot(x_new, x)) * x
     return math.sqrt(np.dot(d, d))
+
+
+def _power_step(unfold, a, b, c):
+    """One power step from the unit point (a, b) along unit coefficients c.
+
+    a <- normalize(T_A(*, b, c)), then b <- normalize(T_A(a, *, c)) at the
+    new a.  The contraction M = T_A(a, *, *) behind the new b is returned
+    with it, since the next step's coefficients b M come from it too: a
+    step reads the (p, k*m) unfolding twice.  Returns (a, b, M, step), with
+    the larger sign-aligned step ||x_new - sign(x_new . x) x|| of the two
+    iterates (step^2 / 2 is 1 - |cos|, computed without cancellation), or
+    None, without a warning, when a contraction vanishes.
+    """
+    k, m = b.shape[0], c.shape[0]
+    a_new = unfold @ (b[:, None] * c).ravel()
+    norm = math.sqrt(np.dot(a_new, a_new))
+    if norm <= _DEGENERATE_NORM:
+        return None
+    a_new = a_new / norm
+    m_a = (a_new @ unfold).reshape(k, m)
+    b_new = m_a @ c
+    norm = math.sqrt(np.dot(b_new, b_new))
+    if norm <= _DEGENERATE_NORM:
+        return None
+    b_new = b_new / norm
+    return a_new, b_new, m_a, max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+
+
+def _discover(unfold, taken, k, a, b, tol, max_iter):
+    """Discovery: one start, by power steps, on the working subspace.
+
+    ``unfold`` is the (p, k*m) unfolding of the original subspace and the
+    rows of ``taken`` (j, m) are orthonormal: the coefficient directions
+    the components found so far take up.  The working subspace is the rest
+    of the original one, so each step's coefficients c = T_A(a, b, *) are
+    projected onto it, c <- (I - U U^T) c with U = taken^T, and the
+    objective is ||(I - U U^T) c||^2.  That is the iteration on a deflated
+    basis without building one: if the rows of Q are an orthonormal basis
+    of the working subspace's coefficients, the deflated subspace
+    contracts to Q c, and Q^T Q = I - U U^T.  Power steps
+    (:func:`_power_step`) follow until step^2 / 2 falls below ``tol``, or
+    for ``max_iter`` steps, converged only if that last step passed the
+    test: two reads of the unfolding per step plus one before the first.
+
+    Returns (a, b, objective, iterations, trace, converged), the trace
+    holding the objective at the start of every step plus the final
+    value, or None, without a warning, when a contraction vanishes.
+    """
+    m = unfold.shape[1] // k
+    m_a = (a @ unfold).reshape(k, m)
+    trace = []
+    converged = False
+    steps = 0
+    while True:
+        c = b @ m_a
+        c = c - (taken @ c) @ taken
+        sigma = math.sqrt(np.dot(c, c))
+        trace.append(sigma * sigma)
+        if converged or steps >= max_iter:
+            return a, b, trace[-1], steps, trace, converged
+        if sigma <= _DEGENERATE_NORM:
+            return None
+        power = _power_step(unfold, a, b, c / sigma)
+        if power is None:
+            return None
+        a, b, m_a, step = power
+        steps += 1
+        converged = 0.5 * step * step < tol
 
 
 def _newton_step(unfold, a, b, m_a, c, trust):
@@ -466,12 +446,9 @@ def _refine(unfold, k, a, b, tol, max_iter):
     """Refinement: one start to its power-iteration fixed point.
 
     ``unfold`` is the (p, k*m) unfolding of the original subspace, ``a``
-    (p,) and ``b`` (k,) a unit start.  The power step is that of
-    :func:`_power_iterate` for one start: two reads of the unfolding per
-    step plus one before the first, with T_A(a, *, *) carried from one
-    step to the next.  The products are matrix-vector products, and the
-    norms, sign-aligned steps and stop tests Python floats, so a step
-    makes about 23 numpy calls where the block loop makes about 70.
+    (p,) and ``b`` (k,) a unit start.  The power step is discovery's
+    (:func:`_power_step`) on the unprojected coefficients: two reads of the
+    unfolding per step plus one before the first.
 
     Once the power steps have settled and Newton steps pay for themselves
     (:func:`_newton_trust`), Newton steps (:func:`_newton_step`) follow,
@@ -487,8 +464,8 @@ def _refine(unfold, k, a, b, tol, max_iter):
     returns is a fixed point of the power iteration, as before.
 
     Returns (a, b, objective, iterations, trace, converged) as
-    :func:`_power_iterate` does for one row, or None, without a warning,
-    when a contraction vanishes.
+    :func:`_discover` does, or None, without a warning, when a contraction
+    vanishes.
     """
     p, m = a.shape[0], unfold.shape[1] // k
     m_a = (a @ unfold).reshape(k, m)
@@ -522,21 +499,11 @@ def _refine(unfold, k, a, b, tol, max_iter):
             refused += 1
             retry = steps + 2**refused
             trust = 0.0
-        c = c / sigma
-        a_new = unfold @ (b[:, None] * c).ravel()
-        norm = math.sqrt(np.dot(a_new, a_new))
-        if norm <= _DEGENERATE_NORM:
+        power = _power_step(unfold, a, b, c / sigma)
+        if power is None:
             return None
-        a_new = a_new / norm
-        m_a = (a_new @ unfold).reshape(k, m)
-        b_new = m_a @ c
-        norm = math.sqrt(np.dot(b_new, b_new))
-        if norm <= _DEGENERATE_NORM:
-            return None
-        b_new = b_new / norm
-        new_step = max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+        a, b, m_a, new_step = power
         last_rho, rho, step = rho, new_step / step, new_step
-        a, b = a_new, b_new
         steps += 1
         converged = converged or 0.5 * step * step < tol
         if steps >= retry:
@@ -550,58 +517,16 @@ def _overlap(a, b, found):
     return float(np.max(np.abs(found[:, :p] @ a) * np.abs(found[:, p:] @ b), initial=0.0))
 
 
-def _householder_complement(u):
-    """Rows form an orthonormal basis of the hyperplane orthogonal to u."""
-    m = u.shape[0]
-    sign = 1.0 if u[0] >= 0 else -1.0
-    w = u.copy()
-    w[0] += sign
-    w /= np.linalg.norm(w)
-    q = -2.0 * np.outer(w[1:], w)
-    q[np.arange(m - 1), np.arange(1, m)] += 1.0
-    return q
+def _draw_start(rng, p, k):
+    """A unit start (a, b) from one draw of p + k normals.
 
-
-def _deflate(flat, direction):
-    """Remove one vectorized rank-one direction from an orthonormal basis.
-
-    ``flat`` is (m, p*k) with orthonormal rows; the projection of
-    ``direction`` onto the span is removed and the remaining (m-1)-dim
-    basis returned.
+    The a-start comes first, then the b-start, the order of two separate
+    draws.  Each part is scaled by the square root of its own dot product,
+    as ``np.linalg.norm`` would.
     """
-    coeffs = flat @ direction
-    norm = float(np.linalg.norm(coeffs))
-    if norm <= _DEGENERATE_NORM:
-        # Direction has no presence in the span; drop the trailing basis
-        # vector so the dimension bookkeeping stays correct.
-        return flat[:-1]
-    return _householder_complement(coeffs / norm) @ flat
-
-
-def _unfoldings(flat, p, k):
-    """Contiguous (p, k*m) unfolding of an (m, p*k) basis and its transpose.
-
-    ``unfold[alpha, i*m + j] == flat[j, i*p + alpha]``: the one conversion
-    between the two layouts of a subspace.
-    """
-    m = flat.shape[0]
-    unfold_t = flat.reshape(m, k, p).transpose(1, 0, 2).reshape(k * m, p)
-    return np.ascontiguousarray(unfold_t.T), unfold_t
-
-
-def _draw_starts(rng, n, p, k):
-    """n unit starts (a, b) from one draw of n rows of p + k normals.
-
-    Row i holds restart i's a-start then its b-start, the order of 2n
-    separate draws.  Each part is scaled by the square root of its own
-    dot product, as ``np.linalg.norm`` would.
-    """
-    block = rng.standard_normal((n, p + k))
-    a0, b0 = block[:, :p], block[:, p:]
-    return (
-        a0 / np.sqrt(_row_dots(a0, a0))[:, None],
-        b0 / np.sqrt(_row_dots(b0, b0))[:, None],
-    )
+    v = rng.standard_normal(p + k)
+    a, b = v[:p], v[p:]
+    return a / math.sqrt(np.dot(a, a)), b / math.sqrt(np.dot(b, b))
 
 
 def _lawson_hanson(G, h, x, passive, tol, max_iter):
@@ -777,21 +702,21 @@ def fit_mcpca(
     The model is the same with or without the probe.
     """
     started = time.perf_counter()
-    work_flat = extract_subspace(t, r)
-    rng = np.random.default_rng(cfg.seed)
     p, k = t.p, t.k
+    unfold = _unfolding(extract_subspace(t, r), p, k)
+    rng = np.random.default_rng(cfg.seed)
 
-    # _deflate returns a new basis, so the read-only rows need no copy.
-    work = _unfoldings(work_flat, p, k)
-    orig_unfold = work[0]
     components = []
     found = np.empty((r, p + k))
+    # Row j: the unit coefficient direction component j adds to the span
+    # of those before it, the normalized (I - U U^T) T_A(a, b, *).
+    taken = np.empty((r, r))
     for j in range(r):
-        a0, b0 = _draw_starts(rng, cfg.restarts_per_component, p, k)
-        results = _power_iterate(*work, k, a0, b0, cfg.tol, cfg.max_iter)
         best = None
         used = 0
-        for result in results:
+        for _ in range(cfg.restarts_per_component):
+            a, b = _draw_start(rng, p, k)
+            result = _discover(unfold, taken[:j], k, a, b, cfg.tol, cfg.max_iter)
             if result is None:
                 continue
             used += 1
@@ -803,7 +728,7 @@ def fit_mcpca(
                 f"for component {j}"
             )
         a, b, _, iters, trace, conv = best
-        refined = _refine(orig_unfold, k, a, b, cfg.tol, cfg.max_iter)
+        refined = _refine(unfold, k, a, b, cfg.tol, cfg.max_iter)
         # A refinement that climbs onto an earlier component is dropped:
         # the discovered point is kept.
         if refined is not None and _overlap(refined[0], refined[1], found[:j]) < _COLLISION_COS:
@@ -813,9 +738,13 @@ def fit_mcpca(
             conv = conv and ref_conv
         found[j] = np.concatenate([a, b])
         components.append((a, b, trace, iters, conv, used))
-        if j < r - 1:
-            work_flat = _deflate(work_flat, np.outer(b, a).ravel())
-            work = _unfoldings(work_flat, p, k)
+        # No zero-norm case: a discovered point's projected coefficients
+        # end its loop above _DEGENERATE_NORM, and no input is known to put
+        # a kept refined point's in the span of U (docs/decisions.md,
+        # "Deflation as a projection").
+        c = b @ (a @ unfold).reshape(k, r)
+        c = c - (taken[:j] @ c) @ taken[:j]
+        taken[j] = c / math.sqrt(np.dot(c, c))
 
     A = np.column_stack([c[0] for c in components])
     B = solve_nnls(t, A)
@@ -843,7 +772,7 @@ def fit_mcpca(
     suspect = None
     if identifiability_probe:
         suspect = any(
-            _identifiability_gap(orig_unfold, k, r, c[1]) <= IDENTIFIABILITY_GAP_TOL
+            _identifiability_gap(unfold, k, r, c[1]) <= IDENTIFIABILITY_GAP_TOL
             for c in components
         )
 

@@ -356,16 +356,24 @@ def load_matrix(path) -> np.ndarray:
 
 
 def sample_covariance(X) -> np.ndarray:
-    """Unbiased sample covariance of the rows of X, centered per column."""
+    """Unbiased sample covariance of the rows of X, centered per column.
+
+    Finite cells near the float limit can give a covariance past it; that
+    raises ``DataFormatError``, without a floating-point warning.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError("X must be an n x p matrix")
     n = X.shape[0]
     if n < 2:
         raise DataFormatError(f"need n >= 2 samples, got {n}")
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    return 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = X - X.mean(axis=0)
+        cov = centered.T @ centered / (n - 1)
+        cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise DataFormatError("sample covariance overflows the floating-point range")
+    return cov
 
 
 def global_pca_reduce(d: ContextDataset, n_components: int):
@@ -403,8 +411,15 @@ def pooled_mean(d: ContextDataset) -> np.ndarray:
 
 
 def build_tensor(d: ContextDataset) -> CovarianceTensor:
-    """Per-context sample covariances stacked in context order."""
-    return stack_covariances(
-        [sample_covariance(x) for _, x in d.contexts],
-        context_ids=d.context_ids,
-    )
+    """Per-context sample covariances stacked in context order.
+
+    Raises ``DataFormatError`` naming the first context whose covariance
+    overflows.
+    """
+    covariances = []
+    for cid, x in d.contexts:
+        try:
+            covariances.append(sample_covariance(x))
+        except DataFormatError as exc:
+            raise DataFormatError(f"context {cid!r}: {exc}") from None
+    return stack_covariances(covariances, context_ids=d.context_ids)

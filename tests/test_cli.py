@@ -21,7 +21,8 @@ from mcpca import (
     tensor_from_factors,
 )
 from mcpca.cli import main
-from mcpca.ingest import load_matrix, pooled_mean
+from mcpca import model_select
+from mcpca.ingest import load_contexts, load_matrix, pooled_mean
 from mcpca.model_io import Preprocessing, save_model, serialize_model
 
 
@@ -77,6 +78,32 @@ class TestFitCommand:
             "covariance": "unbiased",
             "centering": "per-context",
         }
+
+    def test_default_flags_are_the_library_defaults(self, planted_dir, tmp_path):
+        # With no fit knobs on the command line, the model is the library
+        # fit at FitConfig's defaults, bit for bit; select-rank reports
+        # rank selection's default threshold and seed pairs.
+        pm, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        code = main(
+            ["fit", "--input", str(data_dir), "--rank", "3", "--seed", "5",
+             "--output", str(model_path)]
+        )
+        assert code == 0
+        model, _ = load_model(model_path)
+        expected, _ = fit_mcpca(build_tensor(load_contexts(data_dir, "per-context-files")), 3, FitConfig(seed=5))
+        np.testing.assert_array_equal(model.A, expected.A)
+        np.testing.assert_array_equal(model.B, expected.B)
+        select_path = tmp_path / "select.json"
+        code = main(
+            ["select-rank", "--input", str(data_dir), "--candidates", "2,3",
+             "--output", str(select_path)]
+        )
+        assert code == 0
+        report = json.loads(select_path.read_text())
+        assert (report["threshold"], report["n_seed_pairs"]) == (
+            model_select.DEFAULT_THRESHOLD, model_select.DEFAULT_SEED_PAIRS,
+        )
 
     def test_rank_zero_is_usage_error(self, planted_dir, tmp_path, capsys):
         pm, data_dir = planted_dir
@@ -300,6 +327,22 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {data}: non-finite cell 'nan' at row 2, column 2\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "select-rank"])
+    def test_covariance_overflow_is_input_error(self, command, tmp_path, capsys):
+        # Every cell is finite, but context a's covariance passes the float
+        # limit: an input error naming the context, with no warning (the
+        # suite turns RuntimeWarnings into errors).
+        data = tmp_path / "long.csv"
+        data.write_text("context,x,y\na,1e308,1\na,-1e308,2\na,0,3\nb,1,2\nb,3,1\nb,2,2\n")
+        out = tmp_path / "out.json"
+        flags = ["--rank", "1"] if command == "fit" else ["--candidates", "1"]
+        code = main([command, "--input", str(data), *flags, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: context 'a': sample covariance overflows the floating-point range\n"
         )
         assert not out.exists()
 

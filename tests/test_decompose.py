@@ -28,7 +28,7 @@ from mcpca import (
     tensor_from_factors,
 )
 from mcpca import decompose
-from mcpca.decompose import _FIXED_POINT_STEP, _power_iterate, _refine, _unfoldings
+from mcpca.decompose import _FIXED_POINT_STEP, _discover, _refine, _unfolding
 
 TIGHT = FitConfig(seed=0, tol=1e-14, max_iter=2000)
 
@@ -40,19 +40,42 @@ def _unit(rng, n):
 
 def _unfold(t, r):
     """The (p, k*r) unfolding of the rank-r working subspace of ``t``."""
-    unfold, _ = _unfoldings(extract_subspace(t, r), t.p, t.k)
-    return unfold
+    return _unfolding(extract_subspace(t, r), t.p, t.k)
 
 
-def _iterate(unfold, a0, b0, tol=1e-10, max_iter=500):
-    """(a, b, objective, iterations, trace, converged) of the power
-    iteration from one start on the unfolding ``unfold``."""
-    (result,) = _power_iterate(
-        unfold, unfold.T, b0.shape[0], a0[None], b0[None], tol, max_iter
-    )
+def _iterate(unfold, a0, b0, tol=1e-10, max_iter=500, taken=None):
+    """(a, b, objective, iterations, trace, converged) of discovery from
+    one start on the unfolding ``unfold``, with the coefficient directions
+    in the rows of ``taken`` projected out (none by default)."""
+    k = b0.shape[0]
+    if taken is None:
+        taken = np.empty((0, unfold.shape[1] // k))
+    result = _discover(unfold, taken, k, a0, b0, tol, max_iter)
     if result is None:
         raise DegenerateStartError("contraction vanished")
     return result
+
+
+def _deflate(flat, direction):
+    """Reference: the rows of ``flat`` (m, p*k), orthonormal, turned into an
+    orthonormal basis (m-1, p*k) of the rest of their span once the
+    projection of ``direction`` is removed, by the Householder reflection
+    that maps the normalized coefficients u of ``direction`` to -sign(u_0)
+    e_0 (rows 1..m-1 of the reflection span the complement of u)."""
+    coeffs = flat @ direction
+    u = coeffs / np.linalg.norm(coeffs)
+    m = u.shape[0]
+    w = u.copy()
+    w[0] += 1.0 if u[0] >= 0 else -1.0
+    w /= np.linalg.norm(w)
+    q = -2.0 * np.outer(w[1:], w)
+    q[np.arange(m - 1), np.arange(1, m)] += 1.0
+    return q @ flat
+
+
+def _vec(a, b):
+    """vec(a (x) b) in the flattening's order: entry i*p + alpha is a_alpha b_i."""
+    return np.outer(b, a).ravel()
 
 
 def _serial_unit(v):
@@ -67,7 +90,7 @@ def _serial_step(x_new, x):
 
 
 def _serial_power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=False):
-    """Reference: the one-start loop the lockstep kernel replaced."""
+    """Reference: the one-start power loop, written out step by step."""
     a = a0
     b = b0
     trace = []
@@ -133,6 +156,22 @@ def newton_steps(monkeypatch):
 
     monkeypatch.setattr(decompose, "_newton_step", counted)
     return counts
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The (args, result) of every _discover and _refine call of a fit."""
+    calls = {"_discover": [], "_refine": []}
+    for name, log in calls.items():
+        real = getattr(decompose, name)
+
+        def record(*args, real=real, log=log):
+            result = real(*args)
+            log.append((args, result))
+            return result
+
+        monkeypatch.setattr(decompose, name, record)
+    return calls
 
 
 class _ReadCounter(np.ndarray):
@@ -211,13 +250,13 @@ class TestExtractSubspace:
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
-        unfold, unfold_t = _unfoldings(rows, p, k)
-        for alpha in range(p):
-            for i in range(k):
-                for j in range(r):
-                    assert unfold[alpha, i * r + j] == rows[j, i * p + alpha]
-        np.testing.assert_array_equal(unfold_t, unfold.T)
-        assert unfold.flags.c_contiguous and unfold_t.flags.c_contiguous
+        for m in (r, 1):
+            unfold = _unfolding(rows[:m], p, k)
+            for alpha in range(p):
+                for i in range(k):
+                    for j in range(m):
+                        assert unfold[alpha, i * m + j] == rows[j, i * p + alpha]
+            assert unfold.flags.c_contiguous
 
 
 class TestPowerIterate:
@@ -283,33 +322,29 @@ class TestPowerIterate:
         [
             pytest.param(False, 300, id="False"),
             pytest.param(True, 300, id="True"),
-            # Every row leaves at the step cap, unconverged.
+            # Every start stops at the step cap, unconverged.
             pytest.param(False, 3, id="False-max_iter3"),
             pytest.param(True, 3, id="True-max_iter3"),
         ],
     )
-    def test_block_rows_match_serial_loop(self, to_fixed_point, max_iter):
-        # Each row of a lockstep block follows the one-start loop from the
-        # same start; only the summation order of the products differs.
-        # Runs to the fixed point are refinements, one _refine per start:
-        # they reach the loop's fixed point, in fewer steps (Newton
-        # steps replace power steps), and converge wherever it does.  In
-        # three steps no Newton step fits, so those runs match step for
-        # step.
+    def test_discovery_and_refinement_match_serial_loop(self, to_fixed_point, max_iter):
+        # Discovery with nothing projected out is the one-start loop from
+        # the same start.  Refinement reaches the loop's fixed point, in
+        # fewer steps (Newton steps replace power steps), and converges
+        # wherever it does.  In three steps no Newton step fits, so those
+        # refinements match step for step.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
-        unfold, unfold_t = _unfoldings(extract_subspace(t, 5), 12, 6)
+        unfold = _unfold(t, 5)
         rng = np.random.default_rng(42)
         a0 = np.array([_unit(rng, 12) for _ in range(10)])
         b0 = np.array([_unit(rng, 6) for _ in range(10)])
-        if to_fixed_point:
-            block = [
-                _refine(unfold, 6, a0[i], b0[i], 1e-10, max_iter) for i in range(10)
-            ]
-        else:
-            block = _power_iterate(unfold, unfold_t, 6, a0, b0, 1e-10, max_iter)
+        stage = (lambda a, b: _refine(unfold, 6, a, b, 1e-10, max_iter)) if to_fixed_point else (
+            lambda a, b: _iterate(unfold, a, b, 1e-10, max_iter)
+        )
+        rows = [stage(a0[i], b0[i]) for i in range(10)]
         if max_iter == 3:
-            assert all(row[3] == 3 and not row[5] for row in block)
-        for i, row in enumerate(block):
+            assert all(row[3] == 3 and not row[5] for row in rows)
+        for i, row in enumerate(rows):
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
                 unfold, 6, 5, a0[i], b0[i], 1e-10, max_iter, to_fixed_point
             )
@@ -325,6 +360,34 @@ class TestPowerIterate:
             assert row[5] == converged
             assert len(trace) == iterations + 1
             assert np.abs(np.asarray(row[4]) - trace).max() <= 1e-12
+
+    def test_projected_discovery_matches_deflated_serial_loop(self):
+        # Projecting the coefficient directions of two pairs out of c is
+        # the one-start loop on the basis with both pairs deflated by
+        # Householder reflections: same points, objectives and steps.
+        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
+        flat = extract_subspace(t, 5)
+        unfold = _unfolding(flat, 12, 6)
+        taken = np.empty((2, 5))
+        deflated = flat
+        for j in range(2):
+            a, b = pm.A_true[:, j], pm.B_true[:, j] / np.linalg.norm(pm.B_true[:, j])
+            c = flat @ _vec(a, b)
+            c -= (taken[:j] @ c) @ taken[:j]
+            taken[j] = c / np.linalg.norm(c)
+            deflated = _deflate(deflated, _vec(a, b))
+        deflated_unfold = _unfolding(deflated, 12, 6)
+        rng = np.random.default_rng(46)
+        for _ in range(10):
+            a0, b0 = _unit(rng, 12), _unit(rng, 6)
+            row = _iterate(unfold, a0, b0, taken=taken)
+            a, b, obj, iterations, trace, converged = _serial_power_iterate(
+                deflated_unfold, 6, 3, a0, b0, 1e-10, 500
+            )
+            assert np.abs(row[0] - a).max() <= 1e-12
+            assert np.abs(row[1] - b).max() <= 1e-12
+            assert np.abs(np.asarray(row[4]) - trace).max() <= 1e-12
+            assert (row[3], row[5]) == (iterations, converged)
 
     def test_single_start_refinement_matches_serial_loop(self, newton_steps):
         # Oracles for refinement from random starts on a noiseless and a
@@ -369,26 +432,27 @@ class TestPowerIterate:
     def test_two_unfolding_reads_per_step(self, starts):
         # The T_A(a, *, *) that gives a step its new b also gives the next
         # step its c, so the unfolding is read twice per step plus once
-        # before the first step.
+        # before the first step.  Starts run one after another, as a fit's
+        # restarts do, each with 0, 1 or 2 directions projected out.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
-        unfold, unfold_t = _unfoldings(extract_subspace(t, 5), 12, 6)
-        if starts == 1:
-            unfold_t = unfold.T
+        unfold = _unfold(t, 5)
+        basis = np.linalg.qr(np.random.default_rng(48).standard_normal((5, 5)))[0]
         rng = np.random.default_rng(47)
-        a0 = np.array([_unit(rng, 12) for _ in range(starts)])
-        b0 = np.array([_unit(rng, 6) for _ in range(starts)])
-        plain = _power_iterate(unfold, unfold_t, 6, a0, b0, 1e-10, 300)
+        plain, expected = [], 0
+        runs = [(_unit(rng, 12), _unit(rng, 6), basis[: i % 3]) for i in range(starts)]
+        for a0, b0, taken in runs:
+            plain.append(_discover(unfold, taken, 6, a0, b0, 1e-10, 300))
+            expected += 2 * plain[-1][3] + 1
         _ReadCounter.reads = 0
-        counted = _power_iterate(
-            unfold.view(_ReadCounter), unfold_t.view(_ReadCounter),
-            6, a0, b0, 1e-10, 300,
-        )
-        steps = max(row[3] for row in counted)
-        assert steps > 1
-        assert _ReadCounter.reads == 2 * steps + 1
-        for row, expected in zip(counted, plain):
-            assert np.array_equal(row[0], expected[0])
-            assert row[3:] == expected[3:]
+        counted = [
+            _discover(unfold.view(_ReadCounter), taken, 6, a0, b0, 1e-10, 300)
+            for a0, b0, taken in runs
+        ]
+        assert max(row[3] for row in counted) > 1
+        assert _ReadCounter.reads == expected
+        for row, same in zip(counted, plain):
+            assert np.array_equal(row[0], same[0])
+            assert row[3:] == same[3:]
 
     def test_refinement_reads_unfolding_twice_per_step(self, newton_steps):
         # A power step reads the unfolding twice, a Newton step taken three
@@ -434,34 +498,30 @@ class TestPowerIterate:
             assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
 
     def test_degenerate_refinement_start_returns_none(self):
-        # The basis of test_degenerate_start_masked_from_block: a = e_2
+        # The basis of test_degenerate_discovery_start_returns_none: a = e_2
         # contracts to an exact zero.
         flat = np.zeros((2, 12))
         flat[0, 0] = flat[1, 5] = 1.0
-        unfold, _ = _unfoldings(flat, 4, 3)
+        unfold = _unfolding(flat, 4, 3)
         rng = np.random.default_rng(45)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _refine(unfold, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
             assert _refine(unfold, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
 
-    def test_degenerate_start_masked_from_block(self):
+    def test_degenerate_discovery_start_returns_none(self):
         # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
-        # exact zero.  That row is dropped; the others are unaffected.
+        # exact zero, which returns None without a warning, with or
+        # without a direction projected out.
         flat = np.zeros((2, 12))
         flat[0, 0] = flat[1, 5] = 1.0
-        unfold, _ = _unfoldings(flat, 4, 3)
+        unfold = _unfolding(flat, 4, 3)
         rng = np.random.default_rng(45)
-        a0 = np.array([_unit(rng, 4), np.eye(4)[2], _unit(rng, 4)])
-        b0 = np.array([_unit(rng, 3) for _ in range(3)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            block = _power_iterate(unfold, unfold.T, 3, a0, b0, 1e-10, 100)
-        assert block[1] is None
-        for i in (0, 2):
-            alone = _iterate(unfold, a0[i], b0[i])
-            assert np.abs(block[i][0] - alone[0]).max() <= 1e-13
-            assert block[i][3] == alone[3]
+        for taken in (np.empty((0, 2)), np.array([[0.6, 0.8]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _discover(unfold, taken, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
+                assert _discover(unfold, taken, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
 
 
 class TestSolveNnls:
@@ -842,26 +902,27 @@ class TestFitMcpca:
         which contract to nothing: a degenerate start.  Restarts are
         counted over the whole fit, so indices below restarts_per_component
         belong to the first component."""
-        real = decompose._draw_starts
+        real = decompose._draw_start
         drawn = [0]
 
-        def draw_starts(rng, n, p, k):
-            a0, b0 = real(rng, n, p, k)
-            a0[[i - drawn[0] for i in restarts if 0 <= i - drawn[0] < n]] = 0.0
-            drawn[0] += n
-            return a0, b0
+        def draw_start(rng, p, k):
+            a, b = real(rng, p, k)
+            if drawn[0] in restarts:
+                a = np.zeros_like(a)
+            drawn[0] += 1
+            return a, b
 
-        monkeypatch.setattr(decompose, "_draw_starts", draw_starts)
+        monkeypatch.setattr(decompose, "_draw_start", draw_start)
 
     @pytest.mark.parametrize("restarts", [1, 10])
     def test_starts_match_separate_draws(self, restarts):
-        # One draw of restarts x (p + k) normals continues the generator
-        # stream as 2 * restarts separate draws would, with the same bits.
-        a0, b0 = decompose._draw_starts(np.random.default_rng(5), restarts, 20, 10)
-        rng = np.random.default_rng(5)
-        for i in range(restarts):
-            np.testing.assert_array_equal(a0[i], _unit(rng, 20))
-            np.testing.assert_array_equal(b0[i], _unit(rng, 10))
+        # Each start's one draw of p + k normals continues the generator
+        # stream as two separate draws would, with the same bits.
+        drawn, rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(restarts):
+            a, b = decompose._draw_start(drawn, 20, 10)
+            np.testing.assert_array_equal(a, _unit(rng, 20))
+            np.testing.assert_array_equal(b, _unit(rng, 10))
 
     def test_degenerate_restart_masked(self, monkeypatch):
         pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
@@ -881,29 +942,35 @@ class TestFitMcpca:
         with pytest.raises(DegenerateStartError, match="all 4 restarts degenerate"):
             fit_mcpca(t, 2, FitConfig(seed=3, restarts_per_component=4))
 
-    def test_ties_go_to_earliest_restart(self, monkeypatch):
+    def test_projection_matches_householder_deflation(self, recorded):
+        # The coefficient directions a fit projects out after two
+        # components give, at random points, the objective of the basis
+        # with both kept components deflated by Householder reflections.
+        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
+        fit_mcpca(t, 5, FitConfig(seed=2))
+        unfold, taken = recorded["_discover"][2][0][:2]
+        assert taken.shape == (2, 5)
+        np.testing.assert_allclose(taken @ taken.T, np.eye(2), rtol=0, atol=1e-14)
+        deflated = extract_subspace(t, 5)
+        for _, kept in recorded["_refine"][:2]:
+            deflated = _deflate(deflated, _vec(kept[0], kept[1]))
+        rng = np.random.default_rng(49)
+        for _ in range(20):
+            a, b = _unit(rng, 12), _unit(rng, 6)
+            projected = _discover(unfold, taken, 6, a, b, 1e-10, 1)[4][0]
+            assert abs(projected - np.sum((deflated @ _vec(a, b)) ** 2)) <= 1e-13
+
+    def test_ties_go_to_earliest_restart(self, recorded):
         # Two orthogonal components with orthogonal loadings of equal
         # weight both maximize the objective at 1.  At seed 0 the first
-        # restart reaches one, the objective's argmax the other; the
-        # refinement must start from the first.
+        # of the first component's restarts, discovered one after another,
+        # reaches one, the objective's argmax the other; the refinement
+        # must start from the first.
         A = np.linalg.qr(np.random.default_rng(41).standard_normal((6, 2)))[0]
         t = tensor_from_factors(A, np.eye(2))
-        calls = {"_power_iterate": [], "_refine": []}
-
-        def recorder(name):
-            real = getattr(decompose, name)
-
-            def record(*args, **kwargs):
-                results = real(*args, **kwargs)
-                calls[name].append((args, results))
-                return results
-
-            return record
-
-        for name in calls:
-            monkeypatch.setattr(decompose, name, recorder(name))
         fit_mcpca(t, 2, FitConfig(seed=0, restarts_per_component=8, tol=1e-12))
-        discovery = calls["_power_iterate"][0][1]
+        assert len(recorded["_discover"]) == 16
+        discovery = [results for _, results in recorded["_discover"][:8]]
         objectives = [res[2] for res in discovery]
         assert max(objectives) - min(objectives) <= 1e-9
 
@@ -911,7 +978,7 @@ class TestFitMcpca:
             return int(np.argmax(np.abs(A.T @ discovery[i][0])))
 
         assert direction(0) != direction(int(np.argmax(objectives)))
-        refinement_start = calls["_refine"][0][0][2]
+        refinement_start = recorded["_refine"][0][0][2]
         np.testing.assert_array_equal(refinement_start, discovery[0][0])
 
 

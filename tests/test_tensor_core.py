@@ -11,7 +11,7 @@ from mcpca import (
     stack_covariances,
     tensor_from_factors,
 )
-from mcpca.decompose import _unfoldings
+from mcpca.decompose import _unfolding
 from mcpca.tensor_core import fix_signs
 
 
@@ -155,7 +155,7 @@ def _subspace_from_pairs(pairs, p, k):
     A = np.column_stack([a for a, _ in pairs])
     B = np.column_stack([b for _, b in pairs])
     rows = extract_subspace(tensor_from_factors(A, B), len(pairs))
-    unfold, _ = _unfoldings(rows, p, k)
+    unfold = _unfolding(rows, p, k)
     return rows, unfold
 
 
