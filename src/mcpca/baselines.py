@@ -49,28 +49,15 @@ class BaselineResult:
         object.__setattr__(self, "notes", tuple(self.notes))
 
 
-def pca_stack(t: CovarianceTensor, weights=None, r: int | None = None) -> BaselineResult:
-    """Top-r eigenvectors of the weighted average covariance matrix.
+def pca_stack(t: CovarianceTensor, r: int) -> BaselineResult:
+    """Top-r eigenvectors of the average covariance matrix.
 
-    ``weights`` must be positive and sum to 1 (uniform when omitted).  A
-    tie between the r-th and (r+1)-th eigenvalue makes the returned basis
+    A tie between the r-th and (r+1)-th eigenvalue makes the returned basis
     non-unique; this is flagged in ``notes`` rather than raised.
     """
-    if r is None:
-        raise ValueError("rank r is required")
     if not 1 <= r <= t.p:
         raise ValueError(f"rank must be in [1, p={t.p}], got {r}")
-    if weights is None:
-        w = np.full(t.k, 1.0 / t.k)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (t.k,):
-            raise DimensionMismatchError(f"need {t.k} weights, got shape {w.shape}")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise ValueError("weights must sum to 1")
-    combined = contract_mode3(t, w)
+    combined = contract_mode3(t, np.full(t.k, 1.0 / t.k))
     eigvals, eigvecs = np.linalg.eigh(combined)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]

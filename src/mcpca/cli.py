@@ -37,7 +37,6 @@ from .ingest import (
     global_pca_reduce,
     load_contexts,
     load_matrix,
-    pooled_mean,
 )
 from .model_io import Preprocessing, load_model, save_model, save_report
 from .model_select import DEFAULT_SEED_PAIRS, DEFAULT_THRESHOLD, select_rank
@@ -80,6 +79,11 @@ def _apply_stored_projection(X, preprocessing: Preprocessing):
     if preprocessing.projection is None:
         return X
     proj = preprocessing.projection
+    if proj.shape[0] == proj.shape[1]:
+        raise DimensionMismatchError(
+            f"the model's projection keeps all {proj.shape[1]} variables, so raw "
+            "and reduced data cannot be told apart; refit with fewer --pca-components"
+        )
     if X.shape[1] == proj.shape[0]:
         # Data are already in the reduced coordinates.
         return X
@@ -105,8 +109,11 @@ def cmd_fit(args) -> int:
     preprocessing = Preprocessing()
     metadata = [("covariance", "unbiased"), ("centering", "per-context")]
     if args.pca_components is not None:
-        mean = pooled_mean(dataset)
-        dataset, projection = global_pca_reduce(dataset, args.pca_components)
+        if args.pca_components >= dataset.p:
+            raise ValueError(
+                f"usage: --pca-components must be below the {dataset.p} variables"
+            )
+        dataset, projection, mean = global_pca_reduce(dataset, args.pca_components)
         preprocessing = Preprocessing(projection=projection, pca_mean=mean)
         metadata.append(("pca_components", str(args.pca_components)))
         metadata.append(("pca_whitened", "false"))
@@ -168,7 +175,7 @@ def cmd_score(args) -> int:
 def cmd_diag(args) -> int:
     model, preprocessing = load_model(args.model)
     dataset = _load_dataset(args)
-    if preprocessing.projection is not None and dataset.p != model.p:
+    if preprocessing.projection is not None:
         contexts = tuple(
             (cid, _apply_stored_projection(x, preprocessing))
             for cid, x in dataset.contexts

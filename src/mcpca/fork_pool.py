@@ -1,9 +1,9 @@
 """Independent tasks in forked worker processes.
 
-``ingest_workers`` (the chunks of a large input) and ``model_select``
-(the fits of rank selection) import this module only when they have work
-for it, and it imports ``multiprocessing`` and ``concurrent.futures`` only
-when it starts a pool: about 27 ms that no small CLI call should pay.
+``ingest`` (the byte ranges of a large input) and ``model_select`` (the
+fits of rank selection) start a pool here.  This module imports
+``multiprocessing`` and ``concurrent.futures`` only when it starts one:
+about 27 ms that no small CLI call should pay.
 
 The start method is ``fork``: a worker inherits the parent's memory, so
 a large read-only input reaches it without being pickled, and it imports

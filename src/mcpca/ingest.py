@@ -13,28 +13,32 @@ Covariances use each context's own mean and the unbiased 1/(n-1)
 normalization.  Missing, non-numeric and non-finite values are rejected,
 not imputed.
 
-The numeric cells of a file are parsed by ``np.loadtxt`` in C.  An input
-of ``PARALLEL_MIN_BYTES`` or more is parsed in contiguous chunks by one
-forked worker process per available CPU (``ingest_workers``), with the
-same float64 bits as one pass.  Any chunk that fails sends the whole
-input to the serial path, which raises every error.
+Every file is parsed from byte ranges, each by ``np.loadtxt`` in C.  A
+single file of ``PARALLEL_MIN_BYTES`` or more is cut into one range per
+worker process; the files of a directory are whole ranges.  Forked
+workers (``fork_pool``) parse contiguous groups of the ranges when two
+or more can start, this process otherwise, and the blocks are joined in
+file order with the float64 bits of one pass.
 
-On that path, when numpy rejects a cell, the per-cell walk with Python's
-``float`` runs instead: it accepts the cells ``float`` accepts (``1_0``,
-non-ASCII digits) and otherwise raises the error naming the first bad
-cell by its data row in the file and its column.  The walk covers every
-data line in file order, in a long table before the rows are grouped by
-context.  Both paths give the same float64 bits, and every error message
-is the one the cell walk gives.
+A file with a range that fails (a ragged row, a cell numpy rejects,
+bytes that do not decode), or with no data row, is read again by
+``parse_delimited`` and the per-cell walk with Python's ``float``: it
+accepts the cells ``float`` accepts (``1_0``, non-ASCII digits) and
+otherwise raises the error naming the first bad cell by its data row in
+the file and its column.  The walk covers every data line in file order,
+in a long table before the rows are grouped by context.  Both paths give
+the same float64 bits, and every error message is the one the walk gives.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fork_pool
 from .exceptions import DataFormatError, DimensionMismatchError
 from .tensor_core import CovarianceTensor, fix_signs, stack_covariances
 
@@ -210,17 +214,6 @@ def _numeric_matrix(path, rows, columns) -> np.ndarray:
     return out
 
 
-def _numeric_lines(path, lines, delim, columns=None) -> np.ndarray:
-    """``columns`` (default: all) of every data line, in file order, so a
-    bad cell is named by its data row in the file."""
-    block = _parse_block(lines, delim, columns)
-    if block is None:
-        if columns is None:
-            columns = range(lines[0].count(delim) + 1)
-        block = _numeric_matrix(path, [_split(ln, delim) for ln in lines], columns)
-    return block
-
-
 def _context_column(header) -> int:
     """Index of the context-id column: the one a header names
     ``context``, else the first."""
@@ -228,20 +221,139 @@ def _context_column(header) -> int:
     return lowered.index("context") if "context" in lowered else 0
 
 
-def _context_ids(lines, delim, ctx_col) -> list[str]:
-    return [ln.split(delim, ctx_col + 1)[ctx_col].strip() for ln in lines]
+def _walk(path, long_table: bool) -> tuple:
+    """(header, block, context ids or None) of a file from
+    ``parse_delimited`` and the cell walk, which raises every error."""
+    header, lines, delim = parse_delimited(path)
+    rows = [_split(ln, delim) for ln in lines]
+    columns = range(len(rows[0]))
+    ids = None
+    if long_table:
+        ctx_col = _context_column(header)
+        columns = [j for j in columns if j != ctx_col]
+        if not columns:
+            raise DataFormatError(f"{path}: no value columns besides the context id")
+        ids = [row[ctx_col] for row in rows]
+    return header, _numeric_matrix(path, rows, columns), ids
 
 
-# Inputs of this many bytes or more go to the worker processes of
-# ``ingest_workers``, imported only then: below it, starting the workers
-# costs about as much as they save on 2 CPUs (docs/decisions.md, "Parsing
-# in parallel"), and every CLI call would pay the module's import.
+def _parse_range(path, start, end, first, long_table) -> tuple | None:
+    """(header, block, context ids or None) of the lines in bytes
+    [``start``, ``end``) of a file, or None when a row is ragged, numpy
+    rejects a cell or the bytes do not decode.
+
+    ``end`` None reads to the end of the file.  A range at byte 0 takes
+    the delimiter, width and header from its own first line, and gives
+    None without one; a later range takes them from ``first``, the
+    file's first line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            raw = fh if end is None else io.BytesIO(fh.read(end - start))
+            # Only a range at byte 0 can begin with the byte-order mark.
+            lines = _read_lines(
+                io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig")
+            )
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not start:
+        if not lines:
+            return None
+        first = lines[0]
+    delim = _detect_delimiter(first)
+    width = first.count(delim) + 1
+    header = _header(first, delim)
+    if not start and header is not None:
+        del lines[0]
+    if _ragged_row(lines, delim, width) is not None:
+        return None
+    columns = ids = None
+    if long_table:
+        ctx_col = _context_column(header)
+        columns = [j for j in range(width) if j != ctx_col]
+        if not columns:
+            return None
+        ids = [ln.split(delim, ctx_col + 1)[ctx_col].strip() for ln in lines]
+    if not lines:
+        return header, np.empty((0, len(columns or range(width)))), ids
+    block = _parse_block(lines, delim, columns)
+    return None if block is None else (header, block, ids)
+
+
+def _parse_ranges(ranges) -> list:
+    """Worker: ``_parse_range`` of each range of a group."""
+    return [_parse_range(*r) for r in ranges]
+
+
+def _file_ranges(path, size: int, n: int, long_table: bool) -> list[tuple]:
+    """``_parse_range`` arguments of at most ``n`` byte ranges cutting a
+    file of ``size`` bytes, each starting after a "\\n"; one range when
+    the first line does not decode."""
+    cuts = [0]
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            first = next((ln.rstrip("\r\n") for ln in fh if ln.strip()), None)
+        with open(path, "rb") as fh:
+            for i in range(1, n if first is not None else 1):
+                target = max(i * size // n, cuts[-1])
+                fh.seek(target)
+                fh.readline()
+                if fh.tell() < size:
+                    cuts.append(fh.tell())
+                    continue
+                # The target lies in the last line: cut before that line.
+                fh.seek(cuts[-1])
+                cut = cuts[-1] + fh.read(target - cuts[-1]).rfind(b"\n") + 1
+                if cut > cuts[-1]:
+                    cuts.append(cut)
+                break
+    except (OSError, UnicodeDecodeError):
+        return [(path, 0, None, None, long_table)]
+    ends = cuts[1:] + [None]
+    return [(path, start, end, first, long_table) for start, end in zip(cuts, ends)]
+
+
+# A single file of this many bytes or more is cut into one byte range per
+# worker process, and a directory of this many bytes in all has its files
+# parsed by the workers: below it, starting them costs about as much as
+# they save on 2 CPUs (docs/decisions.md, "Parsing in parallel").
 PARALLEL_MIN_BYTES = 4_000_000
 
 
-def _parse_file(path) -> tuple:
-    header, lines, delim = parse_delimited(path)
-    return header, _numeric_lines(path, lines, delim)
+def _read(paths, long_table: bool) -> list[tuple]:
+    """(header, block, context ids or None) of each file.
+
+    The files are cut into byte ranges, contiguous groups of which forked
+    workers parse, one group each, when two or more can start; this
+    process parses them otherwise, and also when a worker dies.  A file
+    with a failed range or without data rows goes to the cell walk.
+    """
+    sizes = [os.path.getsize(p) for p in paths]
+    workers = fork_pool.worker_count() if sum(sizes) >= PARALLEL_MIN_BYTES else 1
+    per_file = [[(p, 0, None, None, long_table)] for p in paths]
+    if len(paths) == 1 and workers > 1:
+        per_file = [_file_ranges(paths[0], sizes[0], workers, long_table)]
+    ranges = [r for file_ranges in per_file for r in file_ranges]
+    n = min(workers, len(ranges))
+    parts = None
+    if n > 1:
+        groups = [ranges[i * len(ranges) // n : (i + 1) * len(ranges) // n] for i in range(n)]
+        parts = fork_pool.map_in_workers(_parse_ranges, groups, n)
+    if parts is None:
+        parts = [_parse_ranges(ranges)]
+    parsed = iter([p for part in parts for p in part])
+    out = []
+    for path, file_ranges in zip(paths, per_file):
+        pieces = [next(parsed) for _ in file_ranges]
+        if any(p is None for p in pieces) or not sum(len(p[1]) for p in pieces):
+            out.append(_walk(path, long_table))
+        elif len(pieces) == 1:
+            out.append(pieces[0])
+        else:
+            ids = [cid for p in pieces for cid in p[2]] if long_table else None
+            out.append((pieces[0][0], np.concatenate([p[1] for p in pieces]), ids))
+    return out
 
 
 def _load_directory(path) -> ContextDataset:
@@ -250,17 +362,10 @@ def _load_directory(path) -> ContextDataset:
     )
     if not names:
         raise DataFormatError(f"{path}: directory contains no files")
-    paths = [os.path.join(path, f) for f in names]
-    parsed = None
-    if sum(os.path.getsize(p) for p in paths) >= PARALLEL_MIN_BYTES:
-        from .ingest_workers import parse_files
-
-        parsed = parse_files(paths)
-    if parsed is None:
-        parsed = [_parse_file(p) for p in paths]
+    parsed = _read([os.path.join(path, f) for f in names], long_table=False)
     contexts = []
     variable_names = None
-    for fname, (header, matrix) in zip(names, parsed):
+    for fname, (header, matrix, _) in zip(names, parsed):
         matrix.setflags(write=False)
         contexts.append((os.path.splitext(fname)[0], matrix))
         if header is not None and variable_names is None:
@@ -268,35 +373,9 @@ def _load_directory(path) -> ContextDataset:
     return ContextDataset(tuple(contexts), variable_names=variable_names)
 
 
-def _parse_large_file(path, long_table: bool):
-    """(header, block, context ids or None) of a file of at least
-    ``PARALLEL_MIN_BYTES``, parsed by worker processes; None otherwise,
-    or to parse it serially."""
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        return None
-    if size < PARALLEL_MIN_BYTES:
-        return None
-    from .ingest_workers import parse_file
-
-    return parse_file(path, size, long_table)
-
-
 def _load_long_table(path) -> ContextDataset:
-    parsed = _parse_large_file(path, long_table=True)
-    if parsed is not None:
-        header, block, ids = parsed
-        ctx_col = _context_column(header)
-    else:
-        header, lines, delim = parse_delimited(path)
-        ctx_col = _context_column(header)
-        width = lines[0].count(delim) + 1
-        value_cols = [j for j in range(width) if j != ctx_col]
-        if not value_cols:
-            raise DataFormatError(f"{path}: no value columns besides the context id")
-        ids = _context_ids(lines, delim, ctx_col)
-        block = _numeric_lines(path, lines, delim, value_cols)
+    ((header, block, ids),) = _read([path], long_table=True)
+    ctx_col = _context_column(header)
     variable_names = None
     if header is not None:
         variable_names = tuple(h for j, h in enumerate(header) if j != ctx_col)
@@ -340,14 +419,11 @@ def load_matrix(path) -> np.ndarray:
     as ``1e400``) are rejected, naming the first one by data row and
     column.
     """
-    parsed = _parse_large_file(path, long_table=False)
-    if parsed is not None and np.isfinite(parsed[1]).all():
-        return parsed[1]
-    _, lines, delim = parse_delimited(path)
-    out = _numeric_lines(path, lines, delim)
+    ((_, out, _),) = _read([path], long_table=False)
     finite = np.isfinite(out)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
+        _, lines, delim = parse_delimited(path)
         cell = _split(lines[i], delim)[j]
         raise DataFormatError(
             f"{path}: non-finite cell {cell!r} at row {i + 1}, column {j + 1}"
@@ -381,8 +457,9 @@ def global_pca_reduce(d: ContextDataset, n_components: int):
 
     The pooled data (all contexts stacked) is mean-centered and its top
     ``n_components`` eigenvectors are computed; each context's scores on
-    those axes form the returned dataset.  Returns the reduced dataset
-    and the projection matrix with orthonormal rows.  Row signs are fixed
+    those axes form the returned dataset.  Returns the reduced dataset,
+    the projection matrix with orthonormal rows and the pooled mean the
+    data were centered with.  Row signs are fixed
     as component signs are, by :func:`~mcpca.tensor_core.fix_signs`: the
     entry of largest magnitude in each row is positive.
     """
@@ -402,12 +479,7 @@ def global_pca_reduce(d: ContextDataset, n_components: int):
         (cid, (x - mean) @ projection.T) for cid, x in d.contexts
     )
     names = tuple(f"pc{j + 1}" for j in range(n_components))
-    return ContextDataset(reduced, variable_names=names), projection
-
-
-def pooled_mean(d: ContextDataset) -> np.ndarray:
-    """Mean of the pooled data; the offset used by global_pca_reduce."""
-    return d.pooled().mean(axis=0)
+    return ContextDataset(reduced, variable_names=names), projection, mean
 
 
 def build_tensor(d: ContextDataset) -> CovarianceTensor:

@@ -208,7 +208,7 @@ def _trial_records(methods, tensor, pm, N, trial, seed) -> list[TrialRecord]:
                 components = model.A
                 converged = all(model.converged)
             elif name == "pca_stack":
-                result = pca_stack(tensor, None, pm.r)
+                result = pca_stack(tensor, pm.r)
                 components = result.A
                 converged = not result.notes
             elif name == "jennrich":

@@ -332,7 +332,7 @@ def test_criterion_8_pca_stack_contrast():
         pm = generate_identifiable(20, 10, 5, 0.5, seed=8100 + 31 * rep)
         t = tensor_from_factors(pm.A_true, pm.B_true)
         model, _ = fit_mcpca(t, 5, FitConfig(seed=rep))
-        stacked = pca_stack(t, None, 5)
+        stacked = pca_stack(t, 5)
         wins += (
             ascore(pm.A_true, stacked.A).ascore
             < ascore(pm.A_true, model.A).ascore
@@ -369,7 +369,7 @@ def test_criterion_9_file_format_round_trip(tmp_path):
         )
         if score_code == 0:
             written = load_matrix(out)
-            reduced, _ = global_pca_reduce(ContextDataset(contexts), 5)
+            reduced, _, _ = global_pca_reduce(ContextDataset(contexts), 5)
             manual = score_samples(model, reduced.contexts[0][1])
             two_path_ok = bool(np.abs(written - manual).max() <= 1e-10)
     ok = round_trip_ok and two_path_ok

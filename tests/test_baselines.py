@@ -18,13 +18,13 @@ from mcpca import (
 class TestPcaStack:
     def test_diagonal_average(self):
         t = stack_covariances([np.diag([4.0, 1.0]), np.diag([2.0, 1.0])])
-        result = pca_stack(t, None, 1)
+        result = pca_stack(t, 1)
         np.testing.assert_allclose(np.abs(result.A[:, 0]), [1.0, 0.0], atol=1e-12)
         assert result.notes == ()
 
     def test_repeated_eigenvalue_flagged(self):
         t = stack_covariances([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])])
-        result = pca_stack(t, None, 1)
+        result = pca_stack(t, 1)
         assert "eigenvalue-tie" in result.notes
 
     def test_single_context_is_ordinary_pca(self):
@@ -32,24 +32,10 @@ class TestPcaStack:
         m = rng.standard_normal((5, 5))
         cov = m @ m.T
         t = stack_covariances([cov])
-        result = pca_stack(t, None, 3)
+        result = pca_stack(t, 3)
         eigvals, eigvecs = np.linalg.eigh(cov)
         top = eigvecs[:, np.argsort(eigvals)[::-1][:3]]
         assert ascore(top, result.A).ascore >= 1 - 1e-10
-
-    def test_weights_validated(self):
-        t = stack_covariances([np.eye(2), np.eye(2)])
-        with pytest.raises(ValueError):
-            pca_stack(t, [0.9, 0.3], 1)
-        with pytest.raises(ValueError):
-            pca_stack(t, [1.5, -0.5], 1)
-
-    def test_explicit_weights_used(self):
-        t = stack_covariances([np.diag([4.0, 1.0]), np.diag([1.0, 8.0])])
-        heavy_second = pca_stack(t, [0.1, 0.9], 1)
-        np.testing.assert_allclose(
-            np.abs(heavy_second.A[:, 0]), [0.0, 1.0], atol=1e-12
-        )
 
 
 class TestJennrich:
@@ -110,7 +96,7 @@ class TestBaselineAgreement:
             pm = generate_identifiable(10, 6, 4, 1.0, seed=seed, orthonormal=True)
             t = tensor_from_factors(pm.A_true, pm.B_true)
             model, _ = fit_mcpca(t, 4, FitConfig(seed=0))
-            stacked = pca_stack(t, None, 4)
+            stacked = pca_stack(t, 4)
             assert ascore(stacked.A, model.A).ascore >= 0.999
             assert ascore(pm.A_true, model.A).ascore >= 0.999
 
@@ -119,6 +105,6 @@ class TestBaselineAgreement:
             pm = generate_identifiable(10, 6, 4, 0.6, seed=seed)
             t = tensor_from_factors(pm.A_true, pm.B_true)
             model, _ = fit_mcpca(t, 4, FitConfig(seed=0))
-            stacked = pca_stack(t, None, 4)
+            stacked = pca_stack(t, 4)
             assert ascore(pm.A_true, stacked.A).ascore < 0.95
             assert ascore(pm.A_true, model.A).ascore >= 0.999

@@ -22,7 +22,7 @@ from mcpca import (
 )
 from mcpca.cli import main
 from mcpca import model_select
-from mcpca.ingest import load_contexts, load_matrix, pooled_mean
+from mcpca.ingest import load_contexts, load_matrix
 from mcpca.model_io import Preprocessing, save_model, serialize_model
 
 
@@ -292,13 +292,58 @@ class TestScoreCommand:
 
         # Manual two-step pipeline: reduce with the library, then score.
         dataset = ContextDataset(contexts)
-        reduced, projection = global_pca_reduce(dataset, 4)
+        reduced, projection, _ = global_pca_reduce(dataset, 4)
         model, preprocessing = load_model(model_path)
         np.testing.assert_allclose(preprocessing.projection, projection, atol=1e-10)
         from mcpca import score_samples
 
         expected = score_samples(model, reduced.contexts[0][1])
         np.testing.assert_allclose(written, expected, atol=1e-10)
+
+
+class TestSquareProjection:
+    """A projection onto all p variables leaves raw and reduced data with
+    the same column count, so score and diag cannot tell them apart."""
+
+    @pytest.mark.parametrize("components", ["10", "11"])
+    def test_fit_rejects_components_at_or_above_p(
+        self, planted_dir, tmp_path, capsys, components
+    ):
+        _, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        code = main(
+            ["fit", "--input", str(data_dir), "--rank", "3",
+             "--pca-components", components, "--output", str(model_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: usage: --pca-components must be below the 10 variables\n"
+        )
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("command", ["score", "diag"])
+    def test_square_projection_is_input_error(
+        self, planted_dir, tmp_path, capsys, command
+    ):
+        # The library keeps n = p: such a model reaches the CLI only from
+        # a file written outside it.
+        _, data_dir = planted_dir
+        dataset = load_contexts(data_dir, "per-context-files")
+        reduced, projection, mean = global_pca_reduce(dataset, dataset.p)
+        model, _ = fit_mcpca(build_tensor(reduced), 3, FitConfig(seed=5))
+        model_path = tmp_path / "model.json"
+        save_model(model_path, model, Preprocessing(projection=projection, pca_mean=mean))
+        out = tmp_path / "out.csv"
+        data = ["--data", str(data_dir / "c00.csv")]
+        if command == "diag":
+            data = ["--input", str(data_dir)]
+        code = main([command, "--model", str(model_path), *data, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the model's projection keeps all 10 variables, so raw and "
+            "reduced data cannot be told apart; refit with fewer --pca-components\n"
+        )
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -17,7 +18,7 @@ from mcpca import (
     sample_covariance,
 )
 from mcpca import fork_pool, ingest
-from mcpca.ingest import load_matrix, pooled_mean
+from mcpca.ingest import load_matrix
 from mcpca.exceptions import McpcaError
 
 
@@ -334,7 +335,7 @@ def test_each_token_matches_cell_walk(token, delim, cell):
     _assert_matches_cell_walk("".join(delim.join(r[1:]) + "\n" for r in rows))
 
 
-# --- the chunked path: byte ranges and file groups parsed by workers ----------
+# --- the chunked path: byte ranges parsed by workers ------------------------
 
 
 @contextmanager
@@ -517,6 +518,62 @@ class TestChunkedPath:
         exc = _assert_same_as_serial(_load_dir, tmp_path)
         assert (exc is None) == (bad is None or defect == "1_0")
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_cell_walk_reads_only_the_file_that_needs_it(self, tmp_path, forced):
+        for i in range(6):
+            rows = _ROWS[i:i + 3]
+            if i == 3:
+                rows[1] = "1,1_0,3"
+            _write(tmp_path / f"c{i}.csv", "".join(r + "\n" for r in rows))
+        walked = []
+        real = ingest.parse_delimited
+
+        def recorded(path):
+            walked.append(Path(path).name)
+            return real(path)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "parse_delimited", recorded)
+            if forced:
+                mp.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
+            ds = _load_dir(tmp_path)
+        assert walked == ["c3.csv"]
+        np.testing.assert_array_equal(ds.contexts[3][1][1], [1, 10, 3])
+
+    @pytest.mark.skipif(fork_pool.cpu_count() < 2, reason="one CPU starts no pool")
+    @pytest.mark.parametrize("layout", ["matrix", "long", "directory"])
+    def test_dead_worker_gives_the_same_bits(self, tmp_path, monkeypatch, layout):
+        # Every worker exits at its first range; the parent parses them all.
+        if layout == "directory":
+            for i in range(6):
+                _write(tmp_path / f"c{i}.csv", "".join(r + "\n" for r in _ROWS[i:i + 3]))
+            path, load = tmp_path, _load_dir
+        else:
+            path = tmp_path / "m.csv"
+            lines = [f"{'ab'[i % 2]},{r}" if layout == "long" else r for i, r in enumerate(_ROWS)]
+            _write(path, "".join(ln + "\n" for ln in lines))
+            load = load_matrix if layout == "matrix" else _load_long
+        want, _ = _result(load, path)
+        parent = os.getpid()
+        real = ingest._parse_range
+
+        def exit_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(ingest, "_parse_range", exit_in_child)
+        with _forced_chunks(), _counting_tasks() as counts:
+            got, exc = _result(load, path)
+        assert exc is None and counts == [2]
+        assert multiprocessing.active_children() == []
+        if layout == "matrix":
+            assert _same_bits(got, want)
+        else:
+            assert got.context_ids == want.context_ids
+            for (_, x), (_, y) in zip(got.contexts, want.contexts):
+                assert _same_bits(x, y)
+
 
 class TestSampleCovariance:
     def test_two_point_case(self):
@@ -565,7 +622,7 @@ class TestGlobalPcaReduce:
         ds = ContextDataset(
             (("a", rng.standard_normal((30, 4))), ("b", rng.standard_normal((25, 4))))
         )
-        reduced, projection = global_pca_reduce(ds, 4)
+        reduced, projection, _ = global_pca_reduce(ds, 4)
         pooled = reduced.pooled()
         cov = sample_covariance(pooled)
         off = cov - np.diag(np.diag(cov))
@@ -578,8 +635,7 @@ class TestGlobalPcaReduce:
         scores = rng.standard_normal((40, 2))
         X = scores @ basis.T
         ds = ContextDataset((("a", X[:20]), ("b", X[20:])))
-        reduced, projection = global_pca_reduce(ds, 2)
-        mean = pooled_mean(ds)
+        reduced, projection, mean = global_pca_reduce(ds, 2)
         rebuilt = reduced.pooled() @ projection + mean
         np.testing.assert_allclose(rebuilt, ds.pooled(), atol=1e-9)
 
@@ -591,7 +647,7 @@ class TestGlobalPcaReduce:
         latent = rng.standard_normal((200, 3)) * np.array([3.0, 2.0, 1.5])
         X = latent @ basis.T + 1e-3 * rng.standard_normal((200, 8))
         ds = ContextDataset((("a", X[:100]), ("b", X[100:])))
-        _, projection = global_pca_reduce(ds, 3)
+        _, projection, _ = global_pca_reduce(ds, 3)
         angles = np.arccos(np.clip(np.linalg.svd(projection @ basis)[1], 0, 1))
         assert angles.max() < 0.05
         pooled = ds.pooled() - ds.pooled().mean(axis=0)
@@ -632,7 +688,7 @@ class TestBuildTensor:
         ds = ContextDataset(
             (("a", rng.standard_normal((30, 5))), ("b", rng.standard_normal((40, 5))))
         )
-        reduced, projection = global_pca_reduce(ds, 3)
+        reduced, projection, _ = global_pca_reduce(ds, 3)
         t_reduced = build_tensor(reduced)
         t_raw = build_tensor(ds)
         for i in range(2):

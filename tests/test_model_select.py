@@ -432,6 +432,27 @@ class TestFitsInWorkers:
         assert len(in_parent) == 8  # the serial path refitted every task
         assert got == want
 
+    def test_exiting_worker_falls_back_to_serial(self, monkeypatch):
+        # Every worker exits at its first fit, as os._exit leaves a process.
+        pm = generate_identifiable(12, 6, 3, 0.7, seed=10)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        with _serial():
+            want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        parent = os.getpid()
+        real = model_select._components
+
+        def components(t, r, cfg):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(t, r, cfg)
+
+        monkeypatch.setattr(model_select, "_components", components)
+        with _pooled() as pools:
+            got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert multiprocessing.active_children() == []
+        assert pools == [2]
+        assert got == want
+
     def test_small_tensor_fits_serially(self):
         pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
         t = tensor_from_factors(pm.A_true, pm.B_true)
