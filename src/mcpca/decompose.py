@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -207,6 +208,14 @@ class McpcaModel:
 class FitReport:
     """Per-fit diagnostics.
 
+    ``reconstruction_error`` (the Frobenius distance between the tensor
+    and the model) and ``per_context_error`` (one residual per context)
+    are computed by :func:`reconstruction_error` on first read, not by
+    the fit, so a caller that discards the report never pays for them.
+    To compute them the report holds the tensor and model it was fitted
+    from for as long as it lives, and ``elapsed_seconds`` times the fit
+    without them.  ``dataclasses.replace`` carries the pair over, and the
+    copy computes the same values on its own first read.
     ``objective_trace[j]`` lists the objective value at every iteration
     of component j's best restart (discovery followed by refinement, in
     final column order); it is nondecreasing within floating-point slack.
@@ -225,15 +234,27 @@ class FitReport:
     components.
     """
 
-    reconstruction_error: float
-    per_context_error: np.ndarray
     objective_trace: tuple[tuple[float, ...], ...]
     restarts_used: tuple[int, ...]
     iterations: tuple[int, ...]
     elapsed_seconds: float
     seed: int
+    # The (tensor, model) the residuals are computed from.
+    _fit: tuple[CovarianceTensor, McpcaModel] = field(repr=False, compare=False)
     non_identifiable_suspect: bool | None = None
     metadata: tuple[tuple[str, str], ...] = ()
+
+    @cached_property
+    def _residuals(self) -> tuple[float, np.ndarray]:
+        return reconstruction_error(*self._fit)
+
+    @property
+    def reconstruction_error(self) -> float:
+        return self._residuals[0]
+
+    @property
+    def per_context_error(self) -> np.ndarray:
+        return self._residuals[1]
 
 
 def extract_subspace(t: CovarianceTensor, r: int) -> np.ndarray:
@@ -767,8 +788,6 @@ def fit_mcpca(
         seed=cfg.seed,
         converged=tuple(c[4] for c in components),
     )
-    total, per_context = reconstruction_error(t, model)
-
     suspect = None
     if identifiability_probe:
         suspect = any(
@@ -777,13 +796,12 @@ def fit_mcpca(
         )
 
     report = FitReport(
-        reconstruction_error=total,
-        per_context_error=per_context,
         objective_trace=tuple(tuple(c[2]) for c in components),
         restarts_used=tuple(c[5] for c in components),
         iterations=tuple(c[3] for c in components),
         elapsed_seconds=time.perf_counter() - started,
         seed=cfg.seed,
+        _fit=(t, model),
         non_identifiable_suspect=suspect,
     )
     return model, report

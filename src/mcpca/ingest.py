@@ -252,9 +252,8 @@ def _parse_range(path, start, end, first, long_table) -> tuple | None:
             fh.seek(start)
             raw = fh if end is None else io.BytesIO(fh.read(end - start))
             # Only a range at byte 0 can begin with the byte-order mark.
-            lines = _read_lines(
-                io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig")
-            )
+            with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig") as text:
+                lines = _read_lines(text)
     except (OSError, UnicodeDecodeError):
         return None
     if not start:

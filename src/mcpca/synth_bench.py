@@ -158,7 +158,10 @@ def sample_dataset(pm: PlantedModel, N: int, seed: int = 0) -> ContextDataset:
     scale = np.sqrt(pm.B_true)
     for i in range(pm.k):
         z = rng.standard_normal((N, pm.r))
-        contexts.append((f"c{i:04d}", (z * scale[i]) @ pm.A_true.T))
+        x = (z * scale[i]) @ pm.A_true.T
+        # Read-only, so ContextDataset keeps it instead of copying it.
+        x.setflags(write=False)
+        contexts.append((f"c{i:04d}", x))
     return ContextDataset(tuple(contexts))
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import active_set_example, exact_sample_matrix, generate_identifiable
 
@@ -168,6 +174,40 @@ class TestFitCommand:
         assert serialize_model(model, preprocessing).encode() == original
 
 
+# Cells a long table may hold besides moderate numbers: overflowing,
+# non-finite, empty, non-numeric and subnormal.
+_ODD_CELLS = ("1e308", "-1e308", "nan", "inf", "", "x", "1e-320")
+
+
+@st.composite
+def _long_tables(draw):
+    """A long table of 1-4 value columns and 1-3 contexts of 0-6 rows
+    each; about one cell in ten is odd or any float."""
+    odd = st.one_of(st.sampled_from(_ODD_CELLS), st.floats().map(repr))
+    moderate = st.floats(-100, 100).map(repr)
+    cell = st.integers(0, 19).flatmap(lambda i: odd if i < 2 else moderate)
+    p = draw(st.integers(1, 4))
+    lines = ["context," + ",".join(f"x{j}" for j in range(p))]
+    for cid in "abc"[: draw(st.integers(1, 3))]:
+        for _ in range(draw(st.integers(0, 6))):
+            lines.append(",".join([cid, *draw(st.lists(cell, min_size=p, max_size=p))]))
+    return "\n".join(lines) + "\n"
+
+
+def _run_cli(argv, output):
+    """(exit code, stdout, stderr, warnings, output file bytes or None) of
+    one ``main(argv)``, the output file then removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    written = output.read_bytes() if output.exists() else None
+    if written is not None:
+        output.unlink()
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught], written
+
+
 class TestSelectRankCommand:
     def test_chooses_planted_rank(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
@@ -213,6 +253,35 @@ class TestSelectRankCommand:
         report = json.loads(out.read_text())
         assert report["stability"] == [0.0, 0.0]
         assert report["chosen"] is None
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        table=_long_tables(),
+        candidates=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        pairs=st.integers(1, 2),
+        seed=st.integers(0, 3),
+    )
+    def test_generated_tables_keep_the_cli_contract(self, table, candidates, pairs, seed):
+        with tempfile.TemporaryDirectory() as work:
+            data = Path(work) / "long.csv"
+            data.write_text(table, encoding="utf-8")
+            output = Path(work) / "rank.json"
+            argv = ["select-rank", "--input", str(data),
+                    "--candidates", ",".join(map(str, candidates)),
+                    "--n-seed-pairs", str(pairs), "--seed", str(seed),
+                    "--output", str(output)]
+            first = _run_cli(argv, output)
+            second = _run_cli(argv, output)
+        code, _, err, caught, written = first
+        assert caught == []
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == "" and written is not None
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith(("error: ", "numerical failure: "))
+            assert written is None
+        assert second == first
 
     def test_empty_candidates_usage_error(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir

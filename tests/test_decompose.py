@@ -804,6 +804,27 @@ class TestReconstructionError:
         model, report = fit_mcpca(t, 1, TIGHT)
         assert abs(report.reconstruction_error - w2) <= 1e-8
 
+    def test_report_computes_residuals_once_on_first_read(self, monkeypatch):
+        pm = generate_identifiable(8, 5, 3, 0.7, seed=20)
+        t = build_tensor(sample_dataset(pm, 50, seed=21))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reconstruction_error(*args)
+
+        monkeypatch.setattr(decompose, "reconstruction_error", counted)
+        model, report = fit_mcpca(t, 3)
+        assert calls == []
+        total, per_context = reconstruction_error(t, model)
+        assert total > 0
+        copy = replace(report, metadata=(("key", "value"),))
+        for expected_calls, r in ((1, report), (2, copy)):
+            for _ in range(2):
+                assert r.reconstruction_error == total
+                np.testing.assert_array_equal(r.per_context_error, per_context)
+            assert len(calls) == expected_calls
+
 
 class TestFitMcpca:
     def test_noiseless_planted_recovery(self):

@@ -392,6 +392,27 @@ class TestFitsInWorkers:
         assert pools == [2]
         assert got == want
 
+    def test_stability_fits_compute_no_residuals(self, monkeypatch):
+        # Patched before the pool forks, so a worker that read a fit's
+        # residuals would raise too.
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = build_tensor(sample_dataset(pm, 200, seed=1))
+        cfg = FitConfig(seed=7)
+        with _serial():
+            report = select_rank(t, [2, 3, 4], n_seed_pairs=3, cfg=cfg)
+            score = stability_score(t, 3, n_seed_pairs=3, cfg=cfg)
+
+        def unread(*args):
+            raise AssertionError("a stability fit computed its residuals")
+
+        monkeypatch.setattr(decompose, "reconstruction_error", unread)
+        assert _serial_and_pooled(t, [2, 3, 4], cfg=cfg) == (report, report)
+        with _serial():
+            assert stability_score(t, 3, n_seed_pairs=3, cfg=cfg) == score
+        with _pooled() as pools:
+            assert stability_score(t, 3, n_seed_pairs=3, cfg=cfg) == score
+        assert pools == [2]
+
     def test_nnls_failure_scores_zero(self, monkeypatch):
         # The solver's cap raises LinAlgError, not an McpcaError; patched
         # before the pool forks, so the workers fail the same way.

@@ -5,6 +5,7 @@ import pytest
 
 from mcpca import (
     BenchConfig,
+    ContextDataset,
     SweepConfig,
     TrialRecord,
     ascore,
@@ -86,6 +87,25 @@ class TestSampleDataset:
             err = np.linalg.norm(t.slices[i] - exact.slices[i])
             assert err <= 0.05 * np.linalg.norm(exact.slices[i])
 
+    def test_contexts_are_kept_not_copied(self, monkeypatch):
+        import mcpca.synth_bench
+
+        pm = generate_planted(6, 3, 2, density=1.0, seed=11)
+        rng = np.random.default_rng(12)
+        scale = np.sqrt(pm.B_true)
+        expected = [(rng.standard_normal((20, 2)) * scale[i]) @ pm.A_true.T for i in range(3)]
+        given = []
+
+        def recorded(contexts):
+            given.extend(x for _, x in contexts)
+            return ContextDataset(contexts)
+
+        monkeypatch.setattr(mcpca.synth_bench, "ContextDataset", recorded)
+        ds = sample_dataset(pm, 20, seed=12)
+        for (_, x), sampled, want in zip(ds.contexts, given, expected, strict=True):
+            assert x is sampled and not x.flags.writeable
+            np.testing.assert_array_equal(x, want)
+
     def test_sample_count_validated(self):
         pm = generate_planted(4, 2, 2, density=1.0, seed=10)
         with pytest.raises(ValueError):
@@ -138,12 +158,19 @@ class TestAccuracyTrials:
         for scores in by_trial.values():
             assert scores["mcpca"] > scores["pca_stack"]
 
-    def test_determinism_excluding_runtime(self):
+    def test_determinism_excluding_runtime(self, monkeypatch):
+        # The second run also shows that no trial reads a fit's residuals.
+        import mcpca.decompose
+
+        def unread(*args):
+            raise AssertionError("a trial fit computed its residuals")
+
         cfg = BenchConfig(
             p=10, k=5, r=3, density=0.6, N=200, n_trials=2,
             methods=("mcpca", "jennrich"), seed=14,
         )
         first = run_accuracy_trials(cfg)
+        monkeypatch.setattr(mcpca.decompose, "reconstruction_error", unread)
         second = run_accuracy_trials(cfg)
         strip = lambda rec: dataclasses.replace(rec, runtime_seconds=0.0)
         assert [strip(r) for r in first] == [strip(r) for r in second]
