@@ -61,7 +61,7 @@ from .exceptions import (
     GramSingularityError,
     RankDeficiencyError,
 )
-from .tensor_core import CovarianceTensor, fix_signs, flatten
+from .tensor_core import CovarianceTensor, binary_scale, fix_signs, flatten, frobenius
 
 # Singular values below RANK_RTOL * sigma_1 do not count toward the
 # numerical rank of the flattening.
@@ -697,8 +697,8 @@ def reconstruction_error(t: CovarianceTensor, m: McpcaModel):
         )
     fitted = np.einsum("pj,qj,ij->ipq", m.A, m.A, m.B, optimize=True)
     residual = t.slices - fitted
-    per_context = np.linalg.norm(residual, axis=(1, 2))
-    total = float(np.linalg.norm(per_context))
+    per_context = frobenius(residual, axis=(1, 2))
+    total = float(frobenius(per_context))
     return total, per_context
 
 
@@ -771,7 +771,8 @@ def fit_mcpca(
     B = solve_nnls(t, A)
 
     fix_signs(A)
-    colsums = B.sum(axis=0)
+    # Exactly scaled, as the sums of B itself can overflow.
+    colsums = (B / binary_scale(B)).sum(axis=0)
     order = sorted(
         range(r),
         key=lambda j: (-colsums[j], int(np.argmax(np.abs(A[:, j]))), j),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .decompose import McpcaModel
 from .exceptions import DimensionMismatchError, RankDeficiencyError
-from .tensor_core import CovarianceTensor
+from .tensor_core import CovarianceTensor, binary_scale
 
 # Condition-number ceiling for treating A as full column rank.
 CONDITION_LIMIT = 1e12
@@ -78,23 +78,28 @@ def score_samples(m: McpcaModel, X) -> np.ndarray:
     return X @ projection_matrix(m).T
 
 
-def _projected_slices(t: CovarianceTensor, m: McpcaModel) -> np.ndarray:
+def _projected_slices(t: CovarianceTensor, m: McpcaModel):
+    """A^+ S_i (A^+)^T of each context, divided by the binary scale of S_i
+    (exact, and in range for slices near the float limit), and the (k,)
+    scales."""
     if m.p != t.p or m.k != t.k:
         raise DimensionMismatchError(
             f"model is ({m.p}, {m.k}), tensor is ({t.p}, {t.k})"
         )
     pinv = projection_matrix(m)
-    projected = np.einsum("rp,ipq,sq->irs", pinv, t.slices, pinv, optimize=True)
-    return 0.5 * (projected + projected.transpose(0, 2, 1))
+    scale = binary_scale(t.slices, axis=(1, 2))
+    projected = np.einsum("rp,ipq,sq->irs", pinv, t.slices / scale, pinv, optimize=True)
+    return 0.5 * (projected + projected.transpose(0, 2, 1)), scale[:, 0, 0]
 
 
 def uncorrelatedness_score(t: CovarianceTensor, m: McpcaModel) -> np.ndarray:
-    """Frobenius norm of the off-diagonal of A^+ S_i (A^+)^T, per context."""
-    projected = _projected_slices(t, m)
-    off = projected.copy()
+    """Frobenius norm of the off-diagonal of A^+ S_i (A^+)^T, per context;
+    inf past the float limit."""
+    off, scale = _projected_slices(t, m)
     idx = np.arange(m.r)
     off[:, idx, idx] = 0.0
-    return np.linalg.norm(off, axis=(1, 2))
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(off, axis=(1, 2)) * scale
 
 
 def kl_loss(t: CovarianceTensor, m: McpcaModel) -> tuple[float | None, ...]:
@@ -108,7 +113,7 @@ def kl_loss(t: CovarianceTensor, m: McpcaModel) -> tuple[float | None, ...]:
     trace) report None instead of a value; log-dets use the symmetric
     eigendecomposition for stability near singularity.
     """
-    projected = _projected_slices(t, m)
+    projected, _ = _projected_slices(t, m)  # the gap is scale-free
     out: list[float | None] = []
     for s in projected:
         trace = float(np.trace(s))
@@ -127,11 +132,19 @@ def variance_explained(t: CovarianceTensor, m: McpcaModel) -> VarianceExplained:
             f"model is ({m.p}, {m.k}), tensor is ({t.p}, {t.k})"
         )
     gram = (m.A.T @ m.A) ** 2
-    explained = np.einsum("ij,jl,il->i", m.B, gram, m.B, optimize=True)
-    totals = np.einsum("ipq,ipq->i", t.slices, t.slices)
+    # Both masses of context i are computed with S_i and B_i divided by
+    # the binary scale of S_i: the ratio keeps its bits, and stays finite
+    # for entries near the float limit, where ``explained`` overflows to inf.
+    scale = binary_scale(t.slices, axis=(1, 2))[:, 0, 0]
+    s = t.slices / scale[:, None, None]
+    b = m.B / scale[:, None]
+    explained = np.einsum("ij,jl,il->i", b, gram, b, optimize=True)
+    totals = np.einsum("ipq,ipq->i", s, s)
     ratio = np.divide(
         explained, totals, out=np.zeros_like(explained), where=totals > 0
     )
+    with np.errstate(over="ignore"):
+        explained = explained * scale * scale
     return VarianceExplained(explained=explained, ratio=ratio)
 
 

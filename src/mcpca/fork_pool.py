@@ -1,16 +1,16 @@
 """Independent tasks in forked worker processes.
 
-``ingest`` (the byte ranges of a large input) and ``model_select`` (the
-fits of rank selection) start a pool here.  This module imports
-``multiprocessing`` and ``concurrent.futures`` only when it starts one:
-about 27 ms that no small CLI call should pay.
+``ingest`` (the byte ranges of its inputs) and ``model_select`` (the fits
+of rank selection) map their tasks here.  This module imports
+``multiprocessing`` and ``concurrent.futures`` only when it starts a
+pool: about 27 ms that no small CLI call should pay.
 
 The start method is ``fork``: a worker inherits the parent's memory, so
-a large read-only input reaches it without being pickled, and it imports
-nothing.  ``fork`` copies only the calling thread, so a process running
-other Python threads, or one without ``fork``, runs its tasks serially.
-If a worker dies, the map returns None and the caller runs its serial
-path.  See docs/decisions.md, "Work in forked processes".
+the function and its tasks reach it without being pickled, and it
+imports nothing.  ``fork`` copies only the calling thread, so a process
+running other Python threads, or one without ``fork``, runs its tasks
+itself, as it does when a worker dies.  See docs/decisions.md, "Work in
+forked processes".
 """
 
 from __future__ import annotations
@@ -27,44 +27,40 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count() -> int:
-    """Worker processes to start; below 2, run serially.  ``fork``
-    copies only the calling thread, so a process running other threads
-    runs serially too."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return cpu_count()
+# The function and tasks of the map that is running, inherited by its
+# workers: a task reaches a worker as its index.
+_fn = None
+_tasks = None
 
 
-def map_in_workers(fn, tasks, workers: int, group=None) -> list | None:
-    """``[fn(t) for t in tasks]`` in ``workers`` forked processes, or None
-    if a worker died.
+def _run(i: int):
+    return _fn(_tasks[i])
 
-    Tasks start in order, task i only once task i - ``workers`` has
-    finished.  With ``group``, a task that returns None skips the tasks
-    of its group (equal ``group(task)``) that have not started; each gives
-    None.  So at most ``workers`` - 1 tasks of a group run after its first
-    failing one.  Every worker is joined before this returns.
+
+def map_in_workers(fn, tasks, workers: int) -> list:
+    """``[fn(t) for t in tasks]`` from at most ``workers`` forked processes.
+
+    Every task is queued at once, a free worker takes the next, and the
+    results come back in task order.  The tasks run in this process
+    when fewer than two workers can start: ``workers`` or the number of
+    tasks is below 2, there is no ``fork``, or other threads run.  They
+    run here again, all of them, if a worker dies.  An exception a task
+    raises propagates.  Every worker is joined before this returns.
     """
+    global _fn, _tasks
+    workers = min(workers, len(tasks))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(t) for t in tasks]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    results = [None] * len(tasks)
-    running = {}
-    failed = set()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            for i, task in enumerate(tasks):
-                wait([f for j, f in running.items() if j <= i - workers])
-                for j in [j for j, f in running.items() if f.done()]:
-                    results[j] = running.pop(j).result()
-                    if group is not None and results[j] is None:
-                        failed.add(group(tasks[j]))
-                if group is None or group(task) not in failed:
-                    running[i] = pool.submit(fn, task)
-            for j, f in running.items():
-                results[j] = f.result()
-        except BrokenProcessPool:
-            return None
-    return results
+    _fn, _tasks = fn, tasks
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run, range(len(tasks))))
+    except BrokenProcessPool:
+        pass
+    finally:
+        _fn = _tasks = None
+    return [fn(t) for t in tasks]

@@ -16,9 +16,8 @@ not imputed.
 Every file is parsed from byte ranges, each by ``np.loadtxt`` in C.  A
 single file of ``PARALLEL_MIN_BYTES`` or more is cut into one range per
 worker process; the files of a directory are whole ranges.  Forked
-workers (``fork_pool``) parse contiguous groups of the ranges when two
-or more can start, this process otherwise, and the blocks are joined in
-file order with the float64 bits of one pass.
+workers (``fork_pool``) parse the ranges, one task each, and the blocks
+are joined in file order with the float64 bits of one pass.
 
 A file with a range that fails (a ragged row, a cell numpy rejects,
 bytes that do not decode), or with no data row, is read again by
@@ -280,11 +279,6 @@ def _parse_range(path, start, end, first, long_table) -> tuple | None:
     return None if block is None else (header, block, ids)
 
 
-def _parse_ranges(ranges) -> list:
-    """Worker: ``_parse_range`` of each range of a group."""
-    return [_parse_range(*r) for r in ranges]
-
-
 def _file_ranges(path, size: int, n: int, long_table: bool) -> list[tuple]:
     """``_parse_range`` arguments of at most ``n`` byte ranges cutting a
     file of ``size`` bytes, each starting after a "\\n"; one range when
@@ -323,25 +317,18 @@ PARALLEL_MIN_BYTES = 4_000_000
 def _read(paths, long_table: bool) -> list[tuple]:
     """(header, block, context ids or None) of each file.
 
-    The files are cut into byte ranges, contiguous groups of which forked
-    workers parse, one group each, when two or more can start; this
-    process parses them otherwise, and also when a worker dies.  A file
-    with a failed range or without data rows goes to the cell walk.
+    The files are cut into byte ranges, each one task of
+    ``fork_pool.map_in_workers``: forked workers parse them from
+    ``PARALLEL_MIN_BYTES`` on, this process below it.  A file with a
+    failed range or without data rows goes to the cell walk.
     """
     sizes = [os.path.getsize(p) for p in paths]
-    workers = fork_pool.worker_count() if sum(sizes) >= PARALLEL_MIN_BYTES else 1
+    workers = fork_pool.cpu_count() if sum(sizes) >= PARALLEL_MIN_BYTES else 1
     per_file = [[(p, 0, None, None, long_table)] for p in paths]
     if len(paths) == 1 and workers > 1:
         per_file = [_file_ranges(paths[0], sizes[0], workers, long_table)]
     ranges = [r for file_ranges in per_file for r in file_ranges]
-    n = min(workers, len(ranges))
-    parts = None
-    if n > 1:
-        groups = [ranges[i * len(ranges) // n : (i + 1) * len(ranges) // n] for i in range(n)]
-        parts = fork_pool.map_in_workers(_parse_ranges, groups, n)
-    if parts is None:
-        parts = [_parse_ranges(ranges)]
-    parsed = iter([p for part in parts for p in part])
+    parsed = iter(fork_pool.map_in_workers(lambda r: _parse_range(*r), ranges, workers))
     out = []
     for path, file_ranges in zip(paths, per_file):
         pieces = [next(parsed) for _ in file_ranges]
@@ -433,8 +420,10 @@ def load_matrix(path) -> np.ndarray:
 def sample_covariance(X) -> np.ndarray:
     """Unbiased sample covariance of the rows of X, centered per column.
 
-    Finite cells near the float limit can give a covariance past it; that
-    raises ``DataFormatError``, without a floating-point warning.
+    Finite cells near the float limit can give a covariance past it, and
+    cells of tiny magnitude one that underflows to all zeros although
+    the data vary; either raises ``DataFormatError``, without a
+    floating-point warning.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -448,6 +437,8 @@ def sample_covariance(X) -> np.ndarray:
         cov = 0.5 * (cov + cov.T)
     if not np.isfinite(cov).all():
         raise DataFormatError("sample covariance overflows the floating-point range")
+    if not cov.any() and centered.any():
+        raise DataFormatError("sample covariance underflows the floating-point range")
     return cov
 
 
@@ -485,7 +476,7 @@ def build_tensor(d: ContextDataset) -> CovarianceTensor:
     """Per-context sample covariances stacked in context order.
 
     Raises ``DataFormatError`` naming the first context whose covariance
-    overflows.
+    overflows or underflows.
     """
     covariances = []
     for cid, x in d.contexts:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fork_pool
 from .decompose import FitConfig, fit_mcpca
 from .exceptions import DimensionMismatchError, McpcaError
 from .tensor_core import CovarianceTensor, flatten
@@ -125,14 +126,10 @@ class RankSelectionReport:
 
 
 # Tensors of this many entries (p * p * k) or more have their stability
-# fits run by the worker processes of ``fork_pool``, imported only then:
-# below it, the pool lost or broke even on 2 CPUs in nearly every measured
-# shape (docs/decisions.md, "Rank selection in parallel").
+# fits run by the worker processes of ``fork_pool``: below it, the pool
+# lost or broke even on 2 CPUs in nearly every measured shape
+# (docs/decisions.md, "Rank selection in parallel").
 PARALLEL_MIN_ENTRIES = 4_000
-
-# The tensor the forked fit workers read, so no task pickles it.  It is
-# set only while they run, and only in a process with no other threads.
-_worker_tensor = None
 
 
 def _components(t: CovarianceTensor, r: int, cfg: FitConfig):
@@ -141,10 +138,6 @@ def _components(t: CovarianceTensor, r: int, cfg: FitConfig):
         return fit_mcpca(t, r, cfg)[0].A
     except (McpcaError, np.linalg.LinAlgError):
         return None
-
-
-def _forked_components(task):
-    return _components(_worker_tensor, *task)
 
 
 def _blas_threads(cpus: int) -> int:
@@ -161,35 +154,15 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def _fits_in_workers(t: CovarianceTensor, tasks) -> list | None:
-    """``_components`` of each (rank, config) task from forked workers, or
-    None to fit serially.  Each worker's BLAS runs its own threads, so
-    there are as many workers as those threads fit on the CPUs.  A rank's
-    fits that have not started are skipped once one of its fits fails."""
-    if t.slices.size < PARALLEL_MIN_ENTRIES:
-        return None
-    from .fork_pool import cpu_count, map_in_workers, worker_count
-
-    workers = min(worker_count() // _blas_threads(cpu_count()), len(tasks))
-    if workers < 2:
-        return None
-    global _worker_tensor
-    flatten(t)  # the workers inherit the cached SVD
-    _worker_tensor = t
-    try:
-        return map_in_workers(_forked_components, tasks, workers, group=lambda task: task[0])
-    finally:
-        _worker_tensor = None
-
-
 def _stability_fits(t: CovarianceTensor, candidates, n_seed_pairs: int, cfg: FitConfig) -> list:
-    """Per candidate, the components of its fits (run 0 then run 1 of
-    each pair, in pair order), or None when one of them fails.
+    """Per candidate, the components of its fits, run 0 then run 1 of each
+    pair in pair order; None for a fit that failed.
 
-    The fits run in forked workers, one task per fit.  For a small
-    tensor, on one CPU, while other threads run, or when a worker dies,
-    they run here one after another, each candidate's only up to its
-    first failure.
+    Every fit of every candidate runs, each one task of
+    ``fork_pool.map_in_workers``.  From ``PARALLEL_MIN_ENTRIES`` tensor
+    entries on there are as many workers as the CPUs hold at the BLAS
+    thread count, since each worker's BLAS runs its own threads; below
+    it, one, so the fits run in this process.
     """
     if n_seed_pairs < 1:
         raise ValueError("n_seed_pairs must be >= 1")
@@ -199,25 +172,17 @@ def _stability_fits(t: CovarianceTensor, candidates, n_seed_pairs: int, cfg: Fit
         for pair in range(n_seed_pairs)
         for run in range(2)
     ]
-    fits = _fits_in_workers(t, tasks)
+    cpus = fork_pool.cpu_count()
+    workers = cpus // _blas_threads(cpus) if t.slices.size >= PARALLEL_MIN_ENTRIES else 1
+    flatten(t)  # forked workers inherit the cached SVD
+    fits = fork_pool.map_in_workers(lambda task: _components(t, *task), tasks, workers)
     per = 2 * n_seed_pairs
-    out = []
-    for i in range(0, len(tasks), per):
-        if fits is None:
-            models = []
-            for task in tasks[i : i + per]:
-                models.append(_components(t, *task))
-                if models[-1] is None:
-                    break
-        else:
-            models = fits[i : i + per]
-        out.append(None if any(A is None for A in models) else models)
-    return out
+    return [fits[i : i + per] for i in range(0, len(fits), per)]
 
 
 def _mean_match(models) -> float:
     """Mean ``ascore`` over the pairs of ``models``; 0 when a fit failed."""
-    if models is None:
+    if any(A is None for A in models):
         return 0.0
     scores = [ascore(models[i], models[i + 1]).ascore for i in range(0, len(models), 2)]
     return float(np.mean(scores))
@@ -252,14 +217,13 @@ def select_rank(
     The scree (singular values of the flattening) is attached for
     shortlisting candidates; no elbow detection is attempted.
 
-    From ``PARALLEL_MIN_ENTRIES`` tensor entries on, every candidate's
-    fits run as one batch in forked workers, CPUs // BLAS threads of
-    them, one fit per task.  The report is ``==`` to the one the fits give
-    one after another, which is how they run for a smaller tensor, when
-    fewer than two workers fit (one CPU, or BLAS not pinned to fewer
-    threads than the CPUs), without ``fork`` or while other threads run.  On that path a
-    candidate's fits stop at its first failure; in workers at most
-    ``workers - 1`` more of them run.
+    All 2 * ``n_seed_pairs`` fits of every candidate run, as one batch:
+    in forked workers from ``PARALLEL_MIN_ENTRIES`` tensor entries on,
+    CPUs // BLAS threads of them, one fit per task.  The report is ``==``
+    to the one the fits give one after another in this process, which is
+    how they run for a smaller tensor, when fewer than two workers fit
+    (one CPU, or BLAS not pinned to fewer threads than the CPUs), without
+    ``fork``, while other threads run or when a worker dies.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")

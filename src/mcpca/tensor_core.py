@@ -156,6 +156,27 @@ def fix_signs(A) -> np.ndarray:
     return flip
 
 
+def binary_scale(x, axis=None) -> np.ndarray:
+    """The largest power of two at most the largest |entry| of ``x`` along
+    ``axis`` (1/2 where they are all 0), with the reduced axes kept.
+
+    Dividing by it is exact, and it brings the entries below 2, so their
+    squares and sums stay in range: the norms and masses of data near the
+    float limit need it.
+    """
+    top = np.abs(x).max(axis=axis, keepdims=True, initial=0.0)
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
+def frobenius(x, axis=None) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` computed on ``x`` divided by its
+    :func:`binary_scale`: the same bits where numpy's squares stay in
+    range, and inf, without a warning, for a norm past the float limit."""
+    scale = binary_scale(x, axis)
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x / scale, axis=axis) * np.squeeze(scale, axis)
+
+
 def contract_mode3(t: CovarianceTensor, v) -> np.ndarray:
     """Weighted sum of slices: sum_i v[i] * S_i.  Symmetric by construction."""
     v = _as_float_array(v, "v")

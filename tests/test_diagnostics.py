@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from mcpca import (
     uncorrelatedness_score,
     variance_explained,
 )
-from mcpca.decompose import McpcaModel
+from mcpca.decompose import McpcaModel, reconstruction_error
 
 
 def _model_from(A, B, ids=None):
@@ -191,6 +193,29 @@ class TestVarianceExplained:
         )
         np.testing.assert_allclose(ve.explained, (model.B**2).sum(axis=1), atol=1e-10)
         np.testing.assert_allclose(ve.explained, direct, atol=1e-10)
+
+
+def test_scaling_to_the_float_limit_is_exact():
+    # Tensor and loadings scaled by 2^520: their squares pass the float
+    # limit, but the norms scale exactly, the ratios and KL gaps keep their
+    # bits, only the explained mass overflows (to inf), and nothing warns
+    # (the suite makes RuntimeWarnings errors).
+    pm = generate_identifiable(6, 4, 2, 0.7, seed=3)
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal((4, 6, 6)) * 0.05
+    t = stack_covariances(tensor_from_factors(pm.A_true, pm.B_true).slices + noise @ noise.transpose(0, 2, 1))
+    m = fit_mcpca(t, 2, FitConfig(seed=0))[0]
+    big_t = stack_covariances(t.slices * 2.0**520)
+    big_m = replace(m, B=m.B * 2.0**520)
+    d, big = compute_diagnostics(t, m), compute_diagnostics(big_t, big_m)
+    assert np.array_equal(big.variance.ratio, d.variance.ratio)
+    assert np.isinf(big.variance.explained).all()
+    assert np.array_equal(big.uncorrelatedness, d.uncorrelatedness * 2.0**520)
+    assert big.kl_loss == d.kl_loss
+    total, per_context = reconstruction_error(t, m)
+    big_total, big_per_context = reconstruction_error(big_t, big_m)
+    assert big_total == total * 2.0**520
+    assert np.array_equal(big_per_context, per_context * 2.0**520)
 
 
 class TestModelDimension:

@@ -362,13 +362,15 @@ def test_chunked_path_matches_cell_walk(text):
 
 @contextmanager
 def _counting_tasks():
-    """Record how many chunks each parallel load was split into."""
+    """Record the workers each load that maps its ranges to two or more
+    workers asks for, at most one per range."""
     counts = []
     real = fork_pool.map_in_workers
 
-    def counted(fn, tasks, workers, group=None):
-        counts.append(len(tasks))
-        return real(fn, tasks, workers, group)
+    def counted(fn, tasks, workers):
+        if min(workers, len(tasks)) >= 2:
+            counts.append(min(workers, len(tasks)))
+        return real(fn, tasks, workers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fork_pool, "map_in_workers", counted)
@@ -585,6 +587,13 @@ class TestSampleCovariance:
     def test_constant_rows_give_zero(self):
         X = np.full((3, 2), 5.0)
         np.testing.assert_array_equal(sample_covariance(X), np.zeros((2, 2)))
+
+    def test_underflow_is_rejected(self):
+        # The centred data vary, but every product underflows to zero.
+        X = np.array([[1.0, -2.0], [-1.0, 0.5], [0.5, 1.0]]) * 1e-165
+        with pytest.raises(DataFormatError, match="underflows"):
+            sample_covariance(X)
+        assert sample_covariance(X * 1e5).any()
 
     def test_monte_carlo_diagonal(self):
         # Oracle: 1000 draws from N(0, diag(4, 1)) concentrate the sample

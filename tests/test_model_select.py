@@ -291,9 +291,9 @@ def _pooled():
     pools = []
     real = fork_pool.map_in_workers
 
-    def counted(fn, tasks, workers, group=None):
+    def counted(fn, tasks, workers):
         pools.append(workers)
-        return real(fn, tasks, workers, group)
+        return real(fn, tasks, workers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_select, "PARALLEL_MIN_ENTRIES", 0)
@@ -327,17 +327,13 @@ def _found_tensor():
 
 def _fits_log(monkeypatch, log, fail):
     """Append "rank seed" to ``log`` for every stability fit, from whichever
-    process runs it.  The fit ``fail`` == (rank, seed) raises; in a worker
-    it first pauses, so the other workers run on."""
+    process runs it.  The fit ``fail`` == (rank, seed) raises."""
     real = model_select.fit_mcpca
-    parent = os.getpid()
 
     def fit(t, r, cfg):
         with open(log, "a") as fh:
             fh.write(f"{r} {cfg.seed}\n")
         if (r, cfg.seed) == fail:
-            if os.getpid() != parent:
-                threading.Event().wait(0.1)
             raise RankDeficiencyError("planted failure")
         return real(t, r, cfg)
 
@@ -475,20 +471,39 @@ class TestFitsInWorkers:
         assert got == want
 
     def test_small_tensor_fits_serially(self):
+        # Below the threshold the map gets one worker, so it starts none.
         pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
         t = tensor_from_factors(pm.A_true, pm.B_true)
         assert t.slices.size < model_select.PARALLEL_MIN_ENTRIES
         pools = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fork_pool, "map_in_workers", lambda *args: pools.append(args))
-            select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
-        assert pools == []
+        real = fork_pool.map_in_workers
 
-    def test_other_thread_selects_serial_path(self):
+        def counted(fn, tasks, workers):
+            pools.append(workers)
+            return real(fn, tasks, workers)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fork_pool, "cpu_count", lambda: 2)
+            mp.setattr(fork_pool, "map_in_workers", counted)
+            mp.setenv("OPENBLAS_NUM_THREADS", "1")
+            select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert pools == [1]
+
+    def test_other_thread_selects_serial_path(self, monkeypatch):
+        # Two workers are asked for, but every fit runs in this process.
         pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
         t = tensor_from_factors(pm.A_true, pm.B_true)
         with _serial():
             want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        parent = os.getpid()
+        real = model_select._components
+        fitted_in = []
+
+        def components(t, r, cfg):
+            fitted_in.append(os.getpid())
+            return real(t, r, cfg)
+
+        monkeypatch.setattr(model_select, "_components", components)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -499,7 +514,9 @@ class TestFitsInWorkers:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert pools == []
+        assert pools == [2]
+        assert fitted_in == [parent] * 8
+        assert multiprocessing.active_children() == []
         assert got == want
 
     def test_worker_error_propagates_and_joins(self, monkeypatch):
@@ -513,10 +530,9 @@ class TestFitsInWorkers:
             select_rank(t, [1, 2], n_seed_pairs=2, cfg=FitConfig(seed=0))
         assert multiprocessing.active_children() == []
 
-    def test_failing_candidate_runs_at_most_one_extra_fit(self, monkeypatch, tmp_path):
-        # The third fit of rank 3 fails slowly while its later fits succeed
-        # fast: the serial loop runs three of them, and two workers may
-        # start only one more before the failure is seen.
+    def test_failing_candidate_runs_every_fit(self, monkeypatch, tmp_path):
+        # The third fit of rank 3 fails: both paths still run all ten fits
+        # of each rank, and rank 3 scores 0.
         pm = generate_identifiable(12, 6, 3, 0.7, seed=10)
         t = tensor_from_factors(pm.A_true, pm.B_true)
         log = tmp_path / "fits"
@@ -532,9 +548,8 @@ class TestFitsInWorkers:
         assert pools == [2]
         assert pooled == serial
         assert pooled.stability[0] == 0.0
-        assert serial_fits == {3: 3, 2: 10}
-        assert pooled_fits[2] == 10
-        assert 3 <= pooled_fits[3] <= 3 + 1
+        assert serial_fits == {3: 10, 2: 10}
+        assert pooled_fits == {3: 10, 2: 10}
 
 
 @pytest.mark.parametrize(
@@ -551,7 +566,8 @@ class TestFitsInWorkers:
 )
 def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
     # CPUs // BLAS threads workers, BLAS threads read as OpenBLAS reads
-    # them; unset (one per CPU) or below two workers, the fits run here.
+    # them; unset (one per CPU) or below two workers (None), the map gets
+    # one worker and the fits run here.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -562,7 +578,7 @@ def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
         want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
     pools = []
 
-    def in_process(fn, tasks, count, group=None):
+    def in_process(fn, tasks, count):
         pools.append(count)
         return [fn(task) for task in tasks]
 
@@ -570,5 +586,5 @@ def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
     monkeypatch.setattr(fork_pool, "cpu_count", lambda: cpus)
     monkeypatch.setattr(fork_pool, "map_in_workers", in_process)
     got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
-    assert pools == ([workers] if workers else [])
+    assert pools == [workers or 1]
     assert got == want
