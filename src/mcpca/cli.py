@@ -5,8 +5,9 @@ that cannot be read or written), 3 on numerical failures (rank
 deficiency, degenerate restarts, singular Gram matrix, a linear-algebra
 routine that does not converge).
 All output tables are UTF-8, comma-delimited with a header row and LF
-line endings.  Benchmark trials run serially, so each recorded runtime
-is the fit alone.
+line endings.  Benchmark trials run in forked workers, one trial at a
+time in each and no more workers than the CPUs hold at the BLAS thread
+count, so each recorded runtime is still the fit alone.
 """
 
 from __future__ import annotations

@@ -421,9 +421,9 @@ def sample_covariance(X) -> np.ndarray:
     """Unbiased sample covariance of the rows of X, centered per column.
 
     Finite cells near the float limit can give a covariance past it, and
-    cells of tiny magnitude one that underflows to all zeros although
-    the data vary; either raises ``DataFormatError``, without a
-    floating-point warning.
+    cells of tiny magnitude one whose entries are all subnormal or zero
+    although the data vary, which loses relative precision; either
+    raises ``DataFormatError``, without a floating-point warning.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -437,7 +437,7 @@ def sample_covariance(X) -> np.ndarray:
         cov = 0.5 * (cov + cov.T)
     if not np.isfinite(cov).all():
         raise DataFormatError("sample covariance overflows the floating-point range")
-    if not cov.any() and centered.any():
+    if not (np.abs(cov) >= np.finfo(float).tiny).any() and centered.any():
         raise DataFormatError("sample covariance underflows the floating-point range")
     return cov
 

@@ -18,7 +18,6 @@ hold at the BLAS thread count, with the same report as one after another
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,13 +124,6 @@ class RankSelectionReport:
     scree: tuple[float, ...]
 
 
-# Tensors of this many entries (p * p * k) or more have their stability
-# fits run by the worker processes of ``fork_pool``: below it, the pool
-# lost or broke even on 2 CPUs in nearly every measured shape
-# (docs/decisions.md, "Rank selection in parallel").
-PARALLEL_MIN_ENTRIES = 4_000
-
-
 def _components(t: CovarianceTensor, r: int, cfg: FitConfig):
     """Components A of one stability fit, or None when the fit fails."""
     try:
@@ -140,29 +132,12 @@ def _components(t: CovarianceTensor, r: int, cfg: FitConfig):
         return None
 
 
-def _blas_threads(cpus: int) -> int:
-    """Threads each BLAS call may run on: ``OPENBLAS_NUM_THREADS``, else
-    ``OMP_NUM_THREADS``, else OpenBLAS's default of one per CPU.  A value
-    that is not a positive integer counts as unset."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return cpus
-
-
 def _stability_fits(t: CovarianceTensor, candidates, n_seed_pairs: int, cfg: FitConfig) -> list:
     """Per candidate, the components of its fits, run 0 then run 1 of each
     pair in pair order; None for a fit that failed.
 
     Every fit of every candidate runs, each one task of
-    ``fork_pool.map_in_workers``.  From ``PARALLEL_MIN_ENTRIES`` tensor
-    entries on there are as many workers as the CPUs hold at the BLAS
-    thread count, since each worker's BLAS runs its own threads; below
-    it, one, so the fits run in this process.
+    ``fork_pool.map_in_workers`` on ``fork_pool.fit_workers`` workers.
     """
     if n_seed_pairs < 1:
         raise ValueError("n_seed_pairs must be >= 1")
@@ -172,10 +147,10 @@ def _stability_fits(t: CovarianceTensor, candidates, n_seed_pairs: int, cfg: Fit
         for pair in range(n_seed_pairs)
         for run in range(2)
     ]
-    cpus = fork_pool.cpu_count()
-    workers = cpus // _blas_threads(cpus) if t.slices.size >= PARALLEL_MIN_ENTRIES else 1
     flatten(t)  # forked workers inherit the cached SVD
-    fits = fork_pool.map_in_workers(lambda task: _components(t, *task), tasks, workers)
+    fits = fork_pool.map_in_workers(
+        lambda task: _components(t, *task), tasks, fork_pool.fit_workers(t.slices.size)
+    )
     per = 2 * n_seed_pairs
     return [fits[i : i + per] for i in range(0, len(fits), per)]
 
@@ -218,12 +193,13 @@ def select_rank(
     shortlisting candidates; no elbow detection is attempted.
 
     All 2 * ``n_seed_pairs`` fits of every candidate run, as one batch:
-    in forked workers from ``PARALLEL_MIN_ENTRIES`` tensor entries on,
-    CPUs // BLAS threads of them, one fit per task.  The report is ``==``
-    to the one the fits give one after another in this process, which is
-    how they run for a smaller tensor, when fewer than two workers fit
-    (one CPU, or BLAS not pinned to fewer threads than the CPUs), without
-    ``fork``, while other threads run or when a worker dies.
+    in forked workers from ``fork_pool.PARALLEL_MIN_ENTRIES`` tensor
+    entries on, CPUs // BLAS threads of them, one fit per task.  The
+    report is ``==`` to the one the fits give one after another in this
+    process, which is how they run for a smaller tensor, when fewer than
+    two workers fit (one CPU, or BLAS not pinned to fewer threads than
+    the CPUs), without ``fork``, while other threads run, inside a
+    worker of another map or when a worker dies.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")

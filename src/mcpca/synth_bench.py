@@ -7,11 +7,19 @@ standard normals.  Datasets sample each context from the zero-mean
 Gaussian with covariance A B_i A^T, drawn as A diag(sqrt(b_i)) z so
 singular covariances cause no trouble.
 
-Trials run one after another and are deterministic given the master
-seed: per-trial generator, sampling and fitting seeds are derived with
-:func:`mix_seed`, and runtimes are measured around the fit call only.
-In noiseless mode the exact covariances A B_i A^T are decomposed
-instead of sampled ones; such records carry N = 0.
+Trials are deterministic given the master seed: per-trial generator,
+sampling and fitting seeds are derived with :func:`mix_seed`, and
+runtimes are measured around the fit call only.  In noiseless mode the
+exact covariances A B_i A^T are decomposed instead of sampled ones; such
+records carry N = 0.
+
+Each trial (a grid point of a sweep) is one task of
+``fork_pool.map_in_workers``: from ``fork_pool.PARALLEL_MIN_ENTRIES``
+tensor entries on, the trials run in forked workers, CPUs // BLAS
+threads of them, one trial at a time in each, so a recorded runtime
+still times one fit with the CPU to itself.  The records are those of
+the trials run one after another in this process, except
+``runtime_seconds`` (docs/decisions.md, "Benchmark trials in parallel").
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import fork_pool
 from .baselines import jennrich, pca_stack
 from .decompose import FitConfig, fit_mcpca
 from .exceptions import DataFormatError, McpcaError
@@ -117,6 +126,18 @@ class SweepConfig:
     orthonormal: bool = False
 
 
+def _check_shape(p: int, k: int, r: int, density: float) -> None:
+    if p < 1 or k < 1 or not 1 <= r <= p:
+        raise ValueError(f"need p >= 1, k >= 1, 1 <= r <= p; got ({p}, {k}, {r})")
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+
+
+def _check_samples(N: int) -> None:
+    if N < 2:
+        raise ValueError(f"need N >= 2 samples per context, got {N}")
+
+
 def generate_planted(
     p: int,
     k: int,
@@ -126,10 +147,7 @@ def generate_planted(
     seed: int = 0,
 ) -> PlantedModel:
     """Draw unit-norm (or orthonormal) components and sparse loadings."""
-    if p < 1 or k < 1 or not 1 <= r <= p:
-        raise ValueError(f"need p >= 1, k >= 1, 1 <= r <= p; got ({p}, {k}, {r})")
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+    _check_shape(p, k, r, density)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((p, r))
     if orthonormal:
@@ -151,8 +169,7 @@ def exact_covariance_tensor(pm: PlantedModel) -> CovarianceTensor:
 
 def sample_dataset(pm: PlantedModel, N: int, seed: int = 0) -> ContextDataset:
     """N Gaussian draws per context from N(0, A B_i A^T)."""
-    if N < 2:
-        raise ValueError(f"need N >= 2 samples per context, got {N}")
+    _check_samples(N)
     rng = np.random.default_rng(seed)
     contexts = []
     scale = np.sqrt(pm.B_true)
@@ -232,33 +249,42 @@ def _trial_records(methods, tensor, pm, N, trial, seed) -> list[TrialRecord]:
     return records
 
 
+def _run_trial(cfg, trial, model_seed, N, key) -> list[TrialRecord]:
+    """One task of the trial pool: the planted model of ``model_seed``, its
+    exact tensor when ``N`` is 0 or the tensor of N samples per context,
+    and a record per method of ``cfg``.  ``key`` (the trial, or N in a
+    sweep) keys the sampling and fitting seeds."""
+    pm = generate_planted(
+        cfg.p, cfg.k, cfg.r, cfg.density, orthonormal=cfg.orthonormal, seed=model_seed
+    )
+    if N == 0:
+        tensor = exact_covariance_tensor(pm)
+    else:
+        tensor = build_tensor(sample_dataset(pm, N, seed=mix_seed(cfg.seed, _SEED_DATA, key)))
+    fit_seed = mix_seed(cfg.seed, _SEED_FIT, key)
+    return _trial_records(cfg.methods, tensor, pm, N, trial, fit_seed)
+
+
+def _map_trials(cfg, tasks) -> list[TrialRecord]:
+    """The records of every trial in ``tasks``, in task order, each trial
+    one task of ``fork_pool.map_in_workers``."""
+    workers = fork_pool.fit_workers(cfg.p * cfg.p * cfg.k)
+    per_trial = fork_pool.map_in_workers(lambda task: _run_trial(cfg, *task), tasks, workers)
+    return [rec for records in per_trial for rec in records]
+
+
 def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
     """Fresh planted model and dataset per trial; one record per method."""
     for method in cfg.methods:
         _parse_method(method)
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-
-    records = []
-    for trial in range(cfg.n_trials):
-        pm = generate_planted(
-            cfg.p,
-            cfg.k,
-            cfg.r,
-            cfg.density,
-            orthonormal=cfg.orthonormal,
-            seed=mix_seed(cfg.seed, _SEED_MODEL, trial),
-        )
-        if cfg.noiseless:
-            tensor = exact_covariance_tensor(pm)
-            n_recorded = 0
-        else:
-            data = sample_dataset(pm, cfg.N, seed=mix_seed(cfg.seed, _SEED_DATA, trial))
-            tensor = build_tensor(data)
-            n_recorded = cfg.N
-        fit_seed = mix_seed(cfg.seed, _SEED_FIT, trial)
-        records += _trial_records(cfg.methods, tensor, pm, n_recorded, trial, fit_seed)
-    return records
+    _check_shape(cfg.p, cfg.k, cfg.r, cfg.density)
+    if not cfg.noiseless:
+        _check_samples(cfg.N)
+    N = 0 if cfg.noiseless else cfg.N
+    tasks = [(t, mix_seed(cfg.seed, _SEED_MODEL, t), N, t) for t in range(cfg.n_trials)]
+    return _map_trials(cfg, tasks)
 
 
 def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
@@ -275,22 +301,10 @@ def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
         raise ValueError("every N in the grid must be >= 2")
     if any(b < a for a, b in zip(cfg.N_grid, cfg.N_grid[1:])):
         raise ValueError("N_grid must be ascending")
-    pm = generate_planted(
-        cfg.p,
-        cfg.k,
-        cfg.r,
-        cfg.density,
-        orthonormal=cfg.orthonormal,
-        seed=mix_seed(cfg.seed, _SEED_MODEL),
-    )
-
-    records = []
-    for idx, n in enumerate(cfg.N_grid):
-        data = sample_dataset(pm, n, seed=mix_seed(cfg.seed, _SEED_DATA, n))
-        tensor = build_tensor(data)
-        fit_seed = mix_seed(cfg.seed, _SEED_FIT, n)
-        records += _trial_records(cfg.methods, tensor, pm, n, idx, fit_seed)
-    return records
+    _check_shape(cfg.p, cfg.k, cfg.r, cfg.density)
+    model_seed = mix_seed(cfg.seed, _SEED_MODEL)
+    tasks = [(idx, model_seed, n, n) for idx, n in enumerate(cfg.N_grid)]
+    return _map_trials(cfg, tasks)
 
 
 def write_records(path, records) -> None:

@@ -31,6 +31,7 @@ from mcpca.cli import main
 from mcpca import model_select
 from mcpca.ingest import load_contexts, load_matrix
 from mcpca.model_io import Preprocessing, save_model, serialize_model
+from mcpca.synth_bench import RECORD_HEADER
 
 
 def _write_dataset_dir(path, pm):
@@ -198,7 +199,8 @@ def _long_tables(draw):
 def _run_cli(argv, outputs):
     """(exit code, stdout, stderr, warnings, bytes or None of each output
     file) of one ``main(argv)``, the output files then removed.  A report's
-    ``elapsed_seconds`` is blanked, the one value a rerun may change."""
+    ``elapsed_seconds`` and a record file's ``runtime_seconds`` column are
+    blanked, the values a rerun may change."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -210,6 +212,8 @@ def _run_cli(argv, outputs):
         if written[-1] is not None:
             output.unlink()
             written[-1] = re.sub(rb'"elapsed_seconds": [^,\n]*', b"", written[-1])
+            if written[-1].startswith(",".join(RECORD_HEADER).encode() + b"\n"):
+                written[-1] = re.sub(rb"(?m)^((?:[^,\n]*,){8})[^,\n]*", rb"\1", written[-1])
     return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught], written
 
 
@@ -513,10 +517,12 @@ class TestExitCodes:
     def test_covariance_underflow_is_input_error(self, command, tmp_path, capsys):
         # Three contexts of standard-normal data scaled by 1e-165: every
         # covariance entry underflows to zero, an input error naming the
-        # first context.  Scaled by 1e-160 the same data fit.
+        # first context.  Scaled by 1e-160 every entry is subnormal (the
+        # largest 6.6e-321, off by a relative 3.1e-4), the same error.
+        # Scaled by 1e-150 (entries off by 1.1e-16) the same data fit.
         rows = np.random.default_rng(0).standard_normal((18, 2))
         flags = ["--rank", "2"] if command == "fit" else ["--candidates", "1,2"]
-        for scale, want in ((1e-165, 2), (1e-160, 0)):
+        for scale, want in ((1e-165, 2), (1e-160, 2), (1e-150, 0)):
             data = tmp_path / f"long{scale}.csv"
             data.write_text("context,x,y\n" + "".join(
                 f"{'abc'[i // 6]},{float(x) * scale!r},{float(y) * scale!r}\n"
@@ -528,11 +534,12 @@ class TestExitCodes:
             assert code == want
             assert out.exists() == (want == 0)
         assert err == ""
-        data = tmp_path / "long1e-165.csv"
-        main([command, "--input", str(data), *flags, "--output", str(out)])
-        assert capsys.readouterr().err == (
-            "error: context 'a': sample covariance underflows the floating-point range\n"
-        )
+        for scale in (1e-165, 1e-160):
+            data = tmp_path / f"long{scale}.csv"
+            main([command, "--input", str(data), *flags, "--output", str(out)])
+            assert capsys.readouterr().err == (
+                "error: context 'a': sample covariance underflows the floating-point range\n"
+            )
 
     @pytest.mark.parametrize("table", [
         "context,x0\na,0.0\na,1.6375474301492827e+77\n",
@@ -777,7 +784,50 @@ class TestDiagCommand:
         assert status["b"] == "non-pd"
 
 
+@st.composite
+def _bench_argv(draw, work):
+    """``mcpca bench`` flags in either mode, at shapes on both sides of
+    ``fork_pool.PARALLEL_MIN_ENTRIES`` (p * p * k of 108, 256, 4,000 and
+    4,096).  In about three draws of seven every value is in range; in
+    each other one, one of r, density, N (or the N grid) and the methods
+    is out of range or malformed."""
+    bad = draw(st.sampled_from([None] * 3 + ["r", "density", "N", "methods"]))
+
+    def pick(field, good, wrong):
+        return draw(st.sampled_from(wrong if field == bad else good))
+
+    p, k = draw(st.sampled_from([(6, 3), (8, 4), (20, 10), (16, 16)]))
+    methods = pick("methods", ["mcpca", "mcpca,pca_stack,jennrich",
+                               f"pca_stack,external={work / 'A.csv'}"],
+                   [f"external={work / 'missing.csv'}", "external=", "magic"])
+    argv = ["bench", "--p", str(p), "--k", str(k),
+            "--r", str(pick("r", [1, 2, 3], [0, -1, p + 1])),
+            "--density", pick("density", ["0.6", "1.0"], ["0.0", "1.5", "nan"]),
+            "--methods", methods, "--seed", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        grid = pick("N", ["30,60", "60,60"], ["", "1,60", "60,30", "x"])
+        argv += ["--mode", "sweep", "--N-grid", grid]
+    else:
+        argv += ["--mode", "accuracy", "--trials", str(draw(st.integers(1, 3))),
+                 "--N", str(pick("N", [40], [1, 0]))]
+        argv += ["--noiseless"] * (bad != "N" and draw(st.booleans()))
+    return argv + ["--orthonormal"] * draw(st.booleans())
+
+
 class TestBenchCommand:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_generated_argv_keep_the_cli_contract(self, data):
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            # Two unnormalized components of 20 variables: the external
+            # method scores them at p = 20, r = 2, and records a failure
+            # at any other shape.
+            np.savetxt(work / "A.csv", np.arange(1.0, 41.0).reshape(20, 2), delimiter=",")
+            argv = data.draw(_bench_argv(work))
+            output = work / "records.csv"
+            _assert_cli_contract(argv + ["--output", str(output)], output)
+
     def test_accuracy_record_count(self, tmp_path):
         out = tmp_path / "records.csv"
         code = main(

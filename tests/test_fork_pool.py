@@ -98,3 +98,18 @@ def test_task_error_propagates():
 
     with pytest.raises(ValueError, match="task 3"):
         fork_pool.map_in_workers(task, range(6), 2)
+
+
+def test_map_inside_a_running_map_runs_in_process(forks):
+    # Each task maps two tasks of its own, which run in the worker that
+    # runs it: a pool there would overwrite the function and tasks the
+    # worker inherited from the outer map, and fail its next task.
+    def outer(x):
+        inner = fork_pool.map_in_workers(_square_and_pid, [x, x + 1], 2)
+        return [v for v, _ in inner], {pid for _, pid in inner}, os.getpid()
+
+    got = fork_pool.map_in_workers(outer, range(6), 2)
+    assert [values for values, _, _ in got] == [[x * x, (x + 1) ** 2] for x in range(6)]
+    assert all(inner == {pid} for _, inner, pid in got)
+    assert os.getpid() not in {pid for _, _, pid in got}
+    assert len(forks) == 2

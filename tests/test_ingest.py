@@ -589,11 +589,14 @@ class TestSampleCovariance:
         np.testing.assert_array_equal(sample_covariance(X), np.zeros((2, 2)))
 
     def test_underflow_is_rejected(self):
-        # The centred data vary, but every product underflows to zero.
-        X = np.array([[1.0, -2.0], [-1.0, 0.5], [0.5, 1.0]]) * 1e-165
-        with pytest.raises(DataFormatError, match="underflows"):
-            sample_covariance(X)
-        assert sample_covariance(X * 1e5).any()
+        # The centred data vary, but every product underflows to zero
+        # (1e-165) or to a subnormal number, which keeps a few bits
+        # (1e-160); from 1e-150 on the entries are normal numbers.
+        X = np.array([[1.0, -2.0], [-1.0, 0.5], [0.5, 1.0]])
+        for scale in (1e-165, 1e-160):
+            with pytest.raises(DataFormatError, match="underflows"):
+                sample_covariance(X * scale)
+        assert np.abs(sample_covariance(X * 1e-150)).max() >= np.finfo(float).tiny
 
     def test_monte_carlo_diagonal(self):
         # Oracle: 1000 draws from N(0, diag(4, 1)) concentrate the sample

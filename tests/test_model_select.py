@@ -296,7 +296,7 @@ def _pooled():
         return real(fn, tasks, workers)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model_select, "PARALLEL_MIN_ENTRIES", 0)
+        mp.setattr(fork_pool, "PARALLEL_MIN_ENTRIES", 0)
         mp.setattr(fork_pool, "cpu_count", lambda: 2)
         mp.setattr(fork_pool, "map_in_workers", counted)
         mp.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -474,7 +474,7 @@ class TestFitsInWorkers:
         # Below the threshold the map gets one worker, so it starts none.
         pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
         t = tensor_from_factors(pm.A_true, pm.B_true)
-        assert t.slices.size < model_select.PARALLEL_MIN_ENTRIES
+        assert t.slices.size < fork_pool.PARALLEL_MIN_ENTRIES
         pools = []
         real = fork_pool.map_in_workers
 
@@ -582,7 +582,7 @@ def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
         pools.append(count)
         return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(model_select, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(fork_pool, "PARALLEL_MIN_ENTRIES", 0)
     monkeypatch.setattr(fork_pool, "cpu_count", lambda: cpus)
     monkeypatch.setattr(fork_pool, "map_in_workers", in_process)
     got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))

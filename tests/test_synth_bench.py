@@ -1,4 +1,7 @@
 import dataclasses
+import multiprocessing
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,10 +14,13 @@ from mcpca import (
     ascore,
     build_tensor,
     exact_covariance_tensor,
+    fork_pool,
     generate_planted,
+    ingest,
     run_accuracy_trials,
     run_sample_sweep,
     sample_dataset,
+    synth_bench,
 )
 from mcpca.synth_bench import (
     RECORD_HEADER,
@@ -263,3 +269,150 @@ class TestRecordFiles:
         (record,) = run_accuracy_trials(cfg)
         assert record.method == "external"
         assert record.ascore >= 1 - 1e-9
+
+
+# --- the trials in forked worker processes -----------------------------------
+
+
+def _strip(records):
+    return [dataclasses.replace(rec, runtime_seconds=0.0) for rec in records]
+
+
+@contextmanager
+def _serial():
+    """Every trial in this process, as on one CPU."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fork_pool, "cpu_count", lambda: 1)
+        yield
+
+
+@contextmanager
+def _pooled():
+    """The trials in two worker processes, whatever the shape; record the
+    worker count of each map and each fork of this process."""
+    pools, forks = [], []
+    real_map, real_fork = fork_pool.map_in_workers, os.fork
+
+    def counted(fn, tasks, workers):
+        pools.append(workers)
+        return real_map(fn, tasks, workers)
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fork_pool, "PARALLEL_MIN_ENTRIES", 0)
+        mp.setattr(fork_pool, "cpu_count", lambda: 2)
+        mp.setattr(fork_pool, "map_in_workers", counted)
+        mp.setattr(os, "fork", fork)
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        yield pools, forks
+    assert multiprocessing.active_children() == []
+
+
+_ALL = ("mcpca", "pca_stack", "jennrich")
+
+
+class TestTrialPool:
+    @pytest.mark.parametrize("cfg", [
+        BenchConfig(p=10, k=5, r=3, density=0.6, N=200, n_trials=3, methods=_ALL, seed=21),
+        BenchConfig(p=10, k=5, r=3, density=0.6, n_trials=3, methods=_ALL, seed=22,
+                    noiseless=True),
+        BenchConfig(p=10, k=5, r=3, density=0.6, N=200, n_trials=3, methods=_ALL, seed=23,
+                    orthonormal=True),
+        SweepConfig(p=10, k=5, r=3, density=0.6, N_grid=(50, 200, 200), methods=_ALL,
+                    seed=24),
+    ], ids=["sampled", "noiseless", "orthonormal", "sweep"])
+    def test_records_match_the_serial_run(self, cfg):
+        run = run_sample_sweep if isinstance(cfg, SweepConfig) else run_accuracy_trials
+        with _serial():
+            serial = run(cfg)
+        with _pooled() as (pools, forks):
+            pooled = run(cfg)
+        assert pools == [2] and len(forks) == 2
+        assert _strip(pooled) == _strip(serial)
+        assert [rec.trial for rec in pooled] == [t for t in range(3) for _ in _ALL]
+
+    def test_external_records_match_the_serial_run(self, tmp_path, monkeypatch):
+        # Every byte range of the components file is one task of its own
+        # map, which runs inside a worker of the trial pool.
+        path = tmp_path / "components.csv"
+        np.savetxt(path, np.random.default_rng(25).standard_normal((10, 3)), delimiter=",")
+        monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
+        cfg = BenchConfig(p=10, k=5, r=3, density=0.6, N=200, n_trials=3,
+                          methods=("mcpca", f"external={path}"), seed=26)
+        with _serial():
+            serial = run_accuracy_trials(cfg)
+        with _pooled() as (pools, forks):
+            pooled = run_accuracy_trials(cfg)
+        assert pools == [2] and len(forks) == 2
+        assert _strip(pooled) == _strip(serial)
+        assert [rec.method for rec in pooled] == ["mcpca", "external"] * 3
+
+    def test_exiting_workers_give_the_same_records(self, monkeypatch):
+        # Every worker exits at its first trial; this process runs them all.
+        cfg = BenchConfig(p=10, k=5, r=3, density=0.6, N=200, n_trials=3, methods=_ALL,
+                          seed=27)
+        with _serial():
+            serial = run_accuracy_trials(cfg)
+        parent = os.getpid()
+        real = synth_bench._run_trial
+
+        def exiting(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(synth_bench, "_run_trial", exiting)
+        with _pooled() as (pools, forks):
+            pooled = run_accuracy_trials(cfg)
+        assert pools == [2] and forks
+        assert _strip(pooled) == _strip(serial)
+
+    def test_trial_error_propagates(self, monkeypatch):
+        real = synth_bench._trial_records
+
+        def broken(methods, tensor, pm, N, trial, seed):
+            if trial == 1:
+                raise ValueError("not a fit failure in trial 1")
+            return real(methods, tensor, pm, N, trial, seed)
+
+        monkeypatch.setattr(synth_bench, "_trial_records", broken)
+        cfg = BenchConfig(p=10, k=5, r=3, density=0.6, N=200, n_trials=3, methods=_ALL,
+                          seed=28)
+        with _pooled() as (pools, forks), pytest.raises(ValueError, match="trial 1"):
+            run_accuracy_trials(cfg)
+        assert pools == [2] and forks
+
+    @pytest.mark.parametrize("p, k, workers", [(8, 4, 1), (20, 10, 2)])
+    def test_pool_size_follows_tensor_entries(self, monkeypatch, p, k, workers):
+        # Below fork_pool.PARALLEL_MIN_ENTRIES (p * p * k) the map gets one
+        # worker, so it starts none; from there on, CPUs // BLAS threads.
+        pools = []
+
+        def in_process(fn, tasks, count):
+            pools.append(count)
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(fork_pool, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fork_pool, "map_in_workers", in_process)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cfg = BenchConfig(p=p, k=k, r=2, density=0.9, N=50, n_trials=2, methods=("pca_stack",))
+        assert len(run_accuracy_trials(cfg)) == 2
+        assert pools == [workers]
+        assert (p * p * k >= fork_pool.PARALLEL_MIN_ENTRIES) == (workers == 2)
+
+    @pytest.mark.parametrize("cfg, match", [
+        (BenchConfig(p=40, k=20, r=41, n_trials=2), "1 <= r <= p"),
+        (BenchConfig(p=40, k=20, r=4, density=0.0, n_trials=2), "density"),
+        (BenchConfig(p=40, k=20, r=4, N=1, n_trials=2), "N >= 2"),
+        (SweepConfig(p=40, k=20, r=41, N_grid=(10, 20)), "1 <= r <= p"),
+    ], ids=["r", "density", "N", "sweep-r"])
+    def test_shape_checked_before_any_worker(self, monkeypatch, cfg, match):
+        pools = []
+        monkeypatch.setattr(fork_pool, "map_in_workers", lambda *args: pools.append(args))
+        run = run_sample_sweep if isinstance(cfg, SweepConfig) else run_accuracy_trials
+        with pytest.raises(ValueError, match=match):
+            run(cfg)
+        assert pools == []
