@@ -125,7 +125,7 @@ def cmd_fit(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    model, report = fit_mcpca(tensor, args.rank, cfg, identifiability_probe=True)
+    model, report = fit_mcpca(tensor, args.rank, cfg)
     report = dataclasses.replace(report, metadata=tuple(metadata))
     save_model(args.output, model, preprocessing)
     report_path = args.report or args.output + ".report.json"
@@ -230,6 +230,8 @@ def cmd_bench(args) -> int:
         )
         records = run_accuracy_trials(cfg)
     else:
+        if args.noiseless:
+            raise ValueError("usage: --noiseless applies to --mode accuracy only")
         grid = tuple(int(n) for n in args.N_grid.split(",") if n.strip())
         cfg = SweepConfig(
             p=args.p,
@@ -308,20 +310,22 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=cmd_diag)
 
     bench = commands.add_parser("bench", help="synthetic accuracy/runtime benchmarks")
+    # Both modes share the shape, methods and seed defaults (a test pins it).
+    accuracy, sweep = BenchConfig(), SweepConfig()
     bench.add_argument("--mode", choices=["accuracy", "sweep"], default="accuracy")
-    bench.add_argument("--p", type=int, default=100)
-    bench.add_argument("--k", type=int, default=50)
-    bench.add_argument("--r", type=int, default=60)
-    bench.add_argument("--density", type=float, default=0.2)
-    bench.add_argument("--N", type=int, default=1000)
+    bench.add_argument("--p", type=int, default=accuracy.p)
+    bench.add_argument("--k", type=int, default=accuracy.k)
+    bench.add_argument("--r", type=int, default=accuracy.r)
+    bench.add_argument("--density", type=float, default=accuracy.density)
+    bench.add_argument("--N", type=int, default=accuracy.N)
     bench.add_argument(
         "--N-grid",
-        default="10,100,1000,10000,100000",
+        default=",".join(map(str, sweep.N_grid)),
         help="comma-separated sample sizes for sweep mode",
     )
-    bench.add_argument("--trials", type=int, default=40)
-    bench.add_argument("--methods", default="mcpca,pca_stack,jennrich")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--trials", type=int, default=accuracy.n_trials)
+    bench.add_argument("--methods", default=",".join(accuracy.methods))
+    bench.add_argument("--seed", type=int, default=accuracy.seed)
     bench.add_argument("--noiseless", action="store_true")
     bench.add_argument("--orthonormal", action="store_true")
     bench.add_argument("--output", required=True)

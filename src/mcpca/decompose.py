@@ -209,13 +209,15 @@ class FitReport:
     """Per-fit diagnostics.
 
     ``reconstruction_error`` (the Frobenius distance between the tensor
-    and the model) and ``per_context_error`` (one residual per context)
-    are computed by :func:`reconstruction_error` on first read, not by
-    the fit, so a caller that discards the report never pays for them.
-    To compute them the report holds the tensor and model it was fitted
-    from for as long as it lives, and ``elapsed_seconds`` times the fit
-    without them.  ``dataclasses.replace`` carries the pair over, and the
-    copy computes the same values on its own first read.
+    and the model), ``per_context_error`` (one residual per context) and
+    ``non_identifiable_suspect`` are computed on first read, not by the
+    fit, so a caller that discards the report never pays for them.  To
+    compute them the report holds, for as long as it lives, the tensor
+    and model it was fitted from, the working subspace's unfolding and
+    each component's loading direction b, and ``elapsed_seconds`` times
+    the fit without them.  ``dataclasses.replace`` carries these over,
+    and the copy computes the same values on its own first read; ``==``
+    and the repr leave them out.
     ``objective_trace[j]`` lists the objective value at every iteration
     of component j's best restart (discovery followed by refinement, in
     final column order); it is nondecreasing within floating-point slack.
@@ -226,12 +228,15 @@ class FitReport:
     the final value of each stage, ``iterations[j] + 2`` in all.  When
     refinement lands on an earlier component and the discovered point is
     kept, both count discovery alone.
-    ``non_identifiable_suspect`` is None unless the fit was asked to run
-    the identifiability probe; it is then True when some component's
-    loading direction is shared with a second component direction (see
-    :func:`fit_mcpca`).  The probe is deterministic: no second fit is
-    run, and the flag is the same for every seed that recovers the same
-    components.
+    ``non_identifiable_suspect`` tests each component for a loading
+    direction b shared with a second component direction: the p x r
+    contraction T_A(*, b, *) of the working subspace has sigma_1 = 1 at a
+    converged component, and sigma_2/sigma_1 reaches 1 exactly when some
+    a' orthogonal to a also has a' (x) b in the subspace, so the
+    components spanning {a, a'} are fixed only up to a rotation.  It is
+    True when 1 - sigma_2/sigma_1 <= ``IDENTIFIABILITY_GAP_TOL`` for any
+    component.  The probe is deterministic: no second fit is run, and the
+    flag is the same for every seed that recovers the same components.
     """
 
     objective_trace: tuple[tuple[float, ...], ...]
@@ -239,14 +244,25 @@ class FitReport:
     iterations: tuple[int, ...]
     elapsed_seconds: float
     seed: int
-    # The (tensor, model) the residuals are computed from.
-    _fit: tuple[CovarianceTensor, McpcaModel] = field(repr=False, compare=False)
-    non_identifiable_suspect: bool | None = None
+    # The tensor and model the residuals are computed from, and the
+    # subspace's unfolding and the loading directions (one row each, in
+    # column order) the identifiability probe reads.
+    _fit: tuple[CovarianceTensor, McpcaModel, np.ndarray, np.ndarray] = field(
+        repr=False, compare=False
+    )
     metadata: tuple[tuple[str, str], ...] = ()
 
     @cached_property
     def _residuals(self) -> tuple[float, np.ndarray]:
-        return reconstruction_error(*self._fit)
+        return reconstruction_error(*self._fit[:2])
+
+    @cached_property
+    def non_identifiable_suspect(self) -> bool:
+        t, model, unfold, loadings = self._fit
+        return any(
+            _identifiability_gap(unfold, t.k, model.r, b) <= IDENTIFIABILITY_GAP_TOL
+            for b in loadings
+        )
 
     @property
     def reconstruction_error(self) -> float:
@@ -703,24 +719,13 @@ def reconstruction_error(t: CovarianceTensor, m: McpcaModel):
 
 
 def fit_mcpca(
-    t: CovarianceTensor,
-    r: int,
-    cfg: FitConfig = FitConfig(),
-    identifiability_probe: bool = False,
+    t: CovarianceTensor, r: int, cfg: FitConfig = FitConfig()
 ) -> tuple[McpcaModel, FitReport]:
     """Fit the rank-r model: components by deflated power iterations with
     refinement, loadings by global non-negative least squares.
 
-    With ``identifiability_probe`` the report's ``non_identifiable_suspect``
-    flag is set by a deterministic check on each refined component
-    (a, b), with no second fit: the p x r contraction T_A(*, b, *) of the
-    original working subspace has sigma_1 = 1 at a converged component,
-    and sigma_2/sigma_1 reaches 1 exactly when some a' orthogonal to a
-    also has a' (x) b in the subspace.  The loading direction b is then
-    shared (collinear loading columns), and the components spanning
-    {a, a'} are fixed only up to a rotation.  The fit is flagged when
-    1 - sigma_2/sigma_1 <= ``IDENTIFIABILITY_GAP_TOL`` for any component.
-    The model is the same with or without the probe.
+    The report's residuals and identifiability flag are computed when
+    they are first read (see :class:`FitReport`).
     """
     started = time.perf_counter()
     p, k = t.p, t.k
@@ -789,20 +794,12 @@ def fit_mcpca(
         seed=cfg.seed,
         converged=tuple(c[4] for c in components),
     )
-    suspect = None
-    if identifiability_probe:
-        suspect = any(
-            _identifiability_gap(unfold, k, r, c[1]) <= IDENTIFIABILITY_GAP_TOL
-            for c in components
-        )
-
     report = FitReport(
         objective_trace=tuple(tuple(c[2]) for c in components),
         restarts_used=tuple(c[5] for c in components),
         iterations=tuple(c[3] for c in components),
         elapsed_seconds=time.perf_counter() - started,
         seed=cfg.seed,
-        _fit=(t, model),
-        non_identifiable_suspect=suspect,
+        _fit=(t, model, unfold, np.array([c[1] for c in components])),
     )
     return model, report

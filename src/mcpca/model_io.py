@@ -99,56 +99,95 @@ def save_model(path, model: McpcaModel, preprocessing: Preprocessing = Preproces
         fh.write(serialize_model(model, preprocessing))
 
 
+# Field types are tested with type(), not isinstance(): JSON true and false
+# load as bools, which isinstance() counts as ints.
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _list_of(value, is_item, name, what):
+    """``value`` if it is a JSON array of items passing ``is_item``."""
+    if not (type(value) is list and all(map(is_item, value))):
+        raise TypeError(f"{name} must be a list of {what}")
+    return value
+
+
+def _matrix(value, name) -> np.ndarray:
+    is_row = lambda row: type(row) is list and all(map(_is_number, row))
+    return np.array(_list_of(value, is_row, name, "rows of numbers"), dtype=float)
+
+
 def load_model(path) -> tuple[McpcaModel, Preprocessing]:
-    """Read a model file, re-validating every model invariant."""
+    """Read a model file, re-validating every model invariant.
+
+    Every field must have the JSON type the writer gives it, and none is
+    coerced: an integer (not a bool) for the format version, the sizes and
+    the seed, arrays of strings and of booleans for the context ids and
+    the converged flags, arrays of numbers (integers read as floats) for
+    the matrices, and the fixed rules as written.  Anything else raises
+    ``DataFormatError``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict) or raw.get("format_version") != FORMAT_VERSION:
+    except RecursionError as exc:
+        # Arrays or objects nested beyond the parser's recursion limit.
+        raise DataFormatError(f"{path}: JSON nested too deeply ({exc})") from exc
+    version = raw.get("format_version") if isinstance(raw, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: missing or unsupported format_version "
             f"(expected {FORMAT_VERSION})"
         )
     try:
-        A = np.asarray(raw["A"], dtype=float)
-        B = np.asarray(raw["B"], dtype=float)
-        if A.shape != (raw["p"], raw["r"]) or B.shape != (raw["k"], raw["r"]):
+        A = _matrix(raw["A"], "A")
+        B = _matrix(raw["B"], "B")
+        sizes = [raw[name] for name in ("p", "k", "r")]
+        if any(type(size) is not int for size in sizes):
+            raise TypeError("p, k and r must be integers")
+        p, k, r = sizes
+        if A.shape != (p, r) or B.shape != (k, r):
             raise DataFormatError(
                 f"{path}: matrix shapes disagree with the declared p, k, r"
             )
-        model = McpcaModel(
-            A=A,
-            B=B,
-            context_ids=tuple(raw["context_ids"]),
-            seed=int(raw["seed"]),
-            converged=tuple(bool(c) for c in raw["converged"]),
-        )
+        if type(raw["seed"]) is not int:
+            raise TypeError("seed must be an integer")
+        ids = _list_of(raw["context_ids"], lambda c: type(c) is str, "context_ids", "strings")
+        flags = _list_of(raw["converged"], lambda c: type(c) is bool, "converged", "booleans")
+        model = McpcaModel(A=A, B=B, context_ids=ids, seed=raw["seed"], converged=flags)
         pre = raw["preprocessing"]
+        projection, mean = pre["projection"], pre["pca_mean"]
         preprocessing = Preprocessing(
-            projection=(
-                None if pre["projection"] is None else np.asarray(pre["projection"])
-            ),
+            projection=None if projection is None else _matrix(projection, "projection"),
             pca_mean=(
-                None if pre["pca_mean"] is None else np.asarray(pre["pca_mean"])
+                None if mean is None
+                else np.array(_list_of(mean, _is_number, "pca_mean", "numbers"), dtype=float)
             ),
         )
         proj = preprocessing.projection
+        if proj is not None and proj.shape[0] != p:
+            raise DataFormatError(f"{path}: projection has {proj.shape[0]} rows, p is {p}")
         for block, field, value in (
             (raw, "ordering_rule", ORDERING_RULE),
             (raw, "sign_rule", SIGN_RULE),
+            (pre, "centering", "per-context"),
+            (pre, "covariance", "unbiased"),
             (pre, "pca_components", None if proj is None else proj.shape[0]),
+            (pre, "pca_whitened", False),
         ):
-            if block[field] != value:
+            # By type too: 4.0 and true equal 4 and 1.
+            if type(block[field]) is not type(value) or block[field] != value:
                 raise DataFormatError(
                     f"{path}: {field} must be {value!r}, got {block[field]!r}"
                 )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing field {exc}") from exc
-    except TypeError as exc:
-        # A field of the wrong JSON type: null for the seed, a number for
-        # the converged flags, a list for the preprocessing block.
+    except (TypeError, OverflowError) as exc:
+        # A field of the wrong JSON type (null for the seed, a number for
+        # the converged flags, a list for the preprocessing block), or an
+        # integer beyond the float range in a matrix.
         raise DataFormatError(f"{path}: malformed model file ({exc})") from exc
     return model, preprocessing
 

@@ -138,6 +138,13 @@ def _check_samples(N: int) -> None:
         raise ValueError(f"need N >= 2 samples per context, got {N}")
 
 
+def _check_methods(methods) -> None:
+    if not methods:
+        raise ValueError("methods is empty")
+    for method in methods:
+        _parse_method(method)
+
+
 def generate_planted(
     p: int,
     k: int,
@@ -275,8 +282,7 @@ def _map_trials(cfg, tasks) -> list[TrialRecord]:
 
 def run_accuracy_trials(cfg: BenchConfig) -> list[TrialRecord]:
     """Fresh planted model and dataset per trial; one record per method."""
-    for method in cfg.methods:
-        _parse_method(method)
+    _check_methods(cfg.methods)
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _check_shape(cfg.p, cfg.k, cfg.r, cfg.density)
@@ -293,8 +299,7 @@ def run_sample_sweep(cfg: SweepConfig) -> list[TrialRecord]:
     Sampling and fitting seeds are keyed by the value of N (not the grid
     position), so repeated grid entries produce identical records.
     """
-    for method in cfg.methods:
-        _parse_method(method)
+    _check_methods(cfg.methods)
     if not cfg.N_grid:
         raise ValueError("N_grid is empty")
     if min(cfg.N_grid) < 2:

@@ -293,19 +293,13 @@ def test_criterion_7_non_identifiability_detection():
         pm_dup = duplicated_column_model(20, 10, r, 0.8, seed=700 + rep)
         t_dup = tensor_from_factors(pm_dup.A_true, pm_dup.B_true)
         duplicated.append(stability_score(t_dup, r, n_seed_pairs=5, cfg=cfg))
-        dup_flags.append(
-            fit_mcpca(t_dup, r, cfg, identifiability_probe=True)[1]
-            .non_identifiable_suspect
-        )
+        dup_flags.append(fit_mcpca(t_dup, r, cfg)[1].non_identifiable_suspect)
         rng = np.random.default_rng(800 + rep)
         B = pm_dup.B_true.copy()
         B[:, 1] = np.abs(B[:, 1] * (1.0 + 0.1 * rng.standard_normal(10)))
         t_pert = tensor_from_factors(pm_dup.A_true, B)
         perturbed.append(stability_score(t_pert, r, n_seed_pairs=5, cfg=cfg))
-        pert_flags.append(
-            fit_mcpca(t_pert, r, cfg, identifiability_probe=True)[1]
-            .non_identifiable_suspect
-        )
+        pert_flags.append(fit_mcpca(t_pert, r, cfg)[1].non_identifiable_suspect)
     detect = all(flag is True for flag in dup_flags) and all(
         flag is False for flag in pert_flags
     )

@@ -31,7 +31,7 @@ from mcpca.cli import main
 from mcpca import model_select
 from mcpca.ingest import load_contexts, load_matrix
 from mcpca.model_io import Preprocessing, save_model, serialize_model
-from mcpca.synth_bench import RECORD_HEADER
+from mcpca.synth_bench import RECORD_HEADER, BenchConfig, SweepConfig
 
 
 def _write_dataset_dir(path, pm):
@@ -345,6 +345,90 @@ class TestSelectRankCommand:
         assert code == 2
 
 
+# JSON values of every type, to put where a field or element of another
+# type belongs.
+_JSON_VALUES = (None, True, False, 0, 7, 1.5, -0.0, "x", "", [], {}, [1.0], ["a"], [[1.0]])
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """A dataset directory and the JSON of two models fitted to it, one of
+    them on 4 principal components."""
+    work = tmp_path_factory.mktemp("models")
+    data_dir = work / "data"
+    _write_dataset_dir(data_dir, generate_identifiable(10, 5, 3, 0.8, seed=77))
+    models = []
+    for extra in ([], ["--pca-components", "4"]):
+        path = work / f"model{len(models)}.json"
+        argv = ["fit", "--input", str(data_dir), "--rank", "3", "--output", str(path)]
+        assert main(argv + extra) == 0
+        models.append(json.loads(path.read_text(encoding="utf-8")))
+    return data_dir, models
+
+
+@st.composite
+def _malformed_models(draw, raw):
+    """``raw`` with one field, or one element of an array field, changed:
+    removed, given a value of another JSON type, or given another shape
+    (an element fewer or more, a ragged row, or wrapped in one more
+    array).  Integer and float are one type where a float is written."""
+    raw = json.loads(json.dumps(raw))
+    block = draw(st.sampled_from([raw, raw["preprocessing"]]))
+    field = draw(st.sampled_from(sorted(block)))
+    value = block[field]
+    kinds = ["missing", "type"] + ["element", "shape"] * isinstance(value, list)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "missing":
+        del block[field]
+        return raw
+    if kind == "element":
+        block, field = value, draw(st.integers(0, len(value) - 1))
+        if isinstance(value[field], list) and draw(st.booleans()):
+            block, field = value[field], draw(st.integers(0, len(value[field]) - 1))
+        value = block[field]
+    if kind in ("type", "element"):
+        same = (int, float) if type(value) is float else (type(value),)
+        block[field] = draw(st.sampled_from([v for v in _JSON_VALUES if type(v) not in same]))
+        return raw
+    shapes = [value[:-1], value + value[-1:], [value]]
+    if isinstance(value[0], list):
+        shapes.append([value[0][:-1], *value[1:]])
+    block[field] = draw(st.sampled_from(shapes))
+    return raw
+
+
+class TestMalformedModelFiles:
+    """``score`` and ``diag`` on generated malformed model files: each exits
+    2 with one error line, the unchanged file 0."""
+
+    def _runs(self, data_dir, model):
+        yield ["score", "--model", str(model), "--data", str(data_dir / "c00.csv")]
+        yield ["diag", "--model", str(model), "--input", str(data_dir)]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["raw", "pca"])
+    def test_unchanged_file_exits_zero(self, model_files, which):
+        data_dir, models = model_files
+        with tempfile.TemporaryDirectory() as work:
+            model = Path(work) / "model.json"
+            model.write_text(json.dumps(models[which], indent=2) + "\n", encoding="utf-8")
+            assert serialize_model(*load_model(model)) == model.read_text(encoding="utf-8")
+            for argv in self._runs(data_dir, model):
+                output = Path(work) / "out.csv"
+                assert _assert_cli_contract(argv + ["--output", str(output)], output)[0] == 0
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_generated_malformed_files_exit_two(self, model_files, data):
+        data_dir, models = model_files
+        raw = data.draw(_malformed_models(models[data.draw(st.integers(0, 1))]))
+        with tempfile.TemporaryDirectory() as work:
+            model = Path(work) / "model.json"
+            model.write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
+            for argv in self._runs(data_dir, model):
+                output = Path(work) / "out.csv"
+                assert _assert_cli_contract(argv + ["--output", str(output)], output)[0] == 2
+
+
 class TestScoreCommand:
     def test_training_context_matches_library_scores(
         self, planted_dir, tmp_path
@@ -599,12 +683,17 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "field, value", [("converged", 5), ("seed", None), ("preprocessing", [])]
+        "field, value",
+        [("converged", 5), ("seed", None), ("preprocessing", []),
+         ("seed", "7"), ("seed", 1.5), ("seed", True), ("context_ids", "ab"),
+         ("converged", "tt")],
     )
     def test_malformed_model_file_is_input_error(
         self, field, value, model_path, planted_dir, tmp_path, capsys
     ):
-        # Well-formed JSON with a field of the wrong type.
+        # Well-formed JSON with a field of the wrong type, which is not
+        # coerced: "7", 1.5 and true are no seed, and "ab" and "tt" are no
+        # lists of context ids or flags.
         raw = json.loads(model_path.read_text())
         raw[field] = value
         model_path.write_text(json.dumps(raw))
@@ -799,7 +888,7 @@ def _bench_argv(draw, work):
     p, k = draw(st.sampled_from([(6, 3), (8, 4), (20, 10), (16, 16)]))
     methods = pick("methods", ["mcpca", "mcpca,pca_stack,jennrich",
                                f"pca_stack,external={work / 'A.csv'}"],
-                   [f"external={work / 'missing.csv'}", "external=", "magic"])
+                   [f"external={work / 'missing.csv'}", "external=", "magic", ","])
     argv = ["bench", "--p", str(p), "--k", str(k),
             "--r", str(pick("r", [1, 2, 3], [0, -1, p + 1])),
             "--density", pick("density", ["0.6", "1.0"], ["0.0", "1.5", "nan"]),
@@ -857,6 +946,34 @@ class TestBenchCommand:
              "--output", str(tmp_path / "r.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--methods", ","],
+        ["--mode", "sweep", "--methods", " ,"],
+        ["--mode", "sweep", "--noiseless", "--N-grid", "5"],
+    ], ids=["no-methods", "sweep-no-methods", "sweep-noiseless"])
+    def test_empty_methods_or_noiseless_sweep_usage_error(self, argv, tmp_path, capsys):
+        # Each used to exit 0: a header-only table, or a sweep that
+        # sampled N = 5 although --noiseless was given.
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--p", "6", "--k", "3", "--r", "2", "--trials", "1",
+                     *argv, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_default_flags_are_the_config_defaults(self):
+        from mcpca.cli import build_parser
+
+        args = build_parser().parse_args(["bench", "--output", "x.csv"])
+        accuracy, sweep = BenchConfig(), SweepConfig()
+        for config in (accuracy, sweep):
+            assert (args.p, args.k, args.r, args.density, args.seed) == (
+                config.p, config.k, config.r, config.density, config.seed,
+            )
+            assert tuple(args.methods.split(",")) == config.methods
+        assert (args.N, args.trials) == (accuracy.N, accuracy.n_trials)
+        assert tuple(int(n) for n in args.N_grid.split(",")) == sweep.N_grid
 
     def test_default_flags_match_protocol(self):
         from mcpca.cli import build_parser

@@ -889,16 +889,42 @@ class TestFitMcpca:
         pm = duplicated_column_model(20, 10, 3, 0.8, seed=101)
         t = tensor_from_factors(pm.A_true, pm.B_true)
         for seed in range(5):
-            model, report = fit_mcpca(
-                t, 3, FitConfig(seed=seed), identifiability_probe=True
-            )
+            model, report = fit_mcpca(t, 3, FitConfig(seed=seed))
             assert report.non_identifiable_suspect is True
             assert model.r == 3  # model still returned
 
     def test_identifiability_probe_clean_model(self):
         pm, t = _planted_tensor(20, 10, 3, 0.8, seed=500)
-        _, report = fit_mcpca(t, 3, FitConfig(seed=0), identifiability_probe=True)
+        _, report = fit_mcpca(t, 3, FitConfig(seed=0))
         assert report.non_identifiable_suspect is False
+
+    def test_identifiability_probe_runs_only_when_read(self, monkeypatch):
+        # One CPU, so rank selection and the trials fit in this process
+        # and every probe call is counted.
+        from mcpca import BenchConfig, fork_pool, run_accuracy_trials, select_rank
+
+        monkeypatch.setattr(fork_pool, "cpu_count", lambda: 1)
+        calls = []
+        gap = decompose._identifiability_gap
+
+        def counted(*args):
+            calls.append(args)
+            return gap(*args)
+
+        monkeypatch.setattr(decompose, "_identifiability_gap", counted)
+        pm = generate_identifiable(8, 5, 3, 0.7, seed=20)
+        t = build_tensor(sample_dataset(pm, 50, seed=21))
+        select_rank(t, [2, 3], n_seed_pairs=2)
+        run_accuracy_trials(BenchConfig(p=8, k=5, r=3, density=0.7, N=50, n_trials=2,
+                                        methods=("mcpca",), seed=3))
+        model, report = fit_mcpca(t, 3)
+        assert calls == []
+        assert report.non_identifiable_suspect is False
+        assert report.non_identifiable_suspect is False
+        assert len(calls) == model.r
+        copy = replace(report, metadata=(("key", "value"),))
+        assert copy.non_identifiable_suspect is False
+        assert len(calls) == 2 * model.r
 
     def test_cached_flattening_changes_nothing(self):
         # The first fit caches the flattening's SVD on t; the second reads

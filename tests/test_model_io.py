@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcpca import McpcaModel
+from mcpca.exceptions import DataFormatError
 from mcpca.model_io import Preprocessing, load_model, save_model, serialize_model
 
 HUGE = float(np.finfo(float).max)
@@ -124,3 +126,78 @@ def test_column_order_check_survives_overflowing_sums():
         with pytest.raises(ValueError, match="nonincreasing B column sums"):
             McpcaModel(B=B, **fields)
         McpcaModel(B=B[:, ::-1], **fields)
+
+
+class TestFieldTypes:
+    """A field of the wrong JSON type is an error, not a value coerced to
+    the right one: such a file would not be written back byte-identically."""
+
+    @pytest.fixture
+    def raw(self):
+        model = McpcaModel(
+            A=np.eye(3, 2),
+            B=np.array([[2.0, 1.0], [1.0, 1.0]]),
+            context_ids=("a", "b"),
+            seed=7,
+            converged=(True, False),
+        )
+        pre = Preprocessing(projection=np.eye(3, 4), pca_mean=np.zeros(4))
+        return json.loads(serialize_model(model, pre))
+
+    def _load(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            return load_model(path)
+
+    def test_well_typed_file_loads(self, raw):
+        model, pre = self._load(raw)
+        assert (model.seed, model.context_ids, model.converged) == (7, ("a", "b"), (True, False))
+        assert json.loads(serialize_model(model, pre)) == raw
+
+    @pytest.mark.parametrize(
+        "block, field, value",
+        [
+            (None, "seed", 7.0),
+            (None, "context_ids", ["a", 2]),
+            (None, "converged", [True, 1]),
+            (None, "p", 3.0),
+            (None, "r", True),
+            (None, "format_version", True),
+            (None, "format_version", 1.0),
+            (None, "A", [[1.0, 0.0], [0.0, "1.0"], [0.0, 0.0]]),
+            (None, "A", [[1.0, 0.0], [0.0, True], [0.0, 0.0]]),
+            (None, "B", [[10**400, 1.0], [1.0, 1.0]]),
+            ("preprocessing", "pca_components", 3.0),
+            ("preprocessing", "pca_whitened", 0),
+            ("preprocessing", "centering", None),
+            ("preprocessing", "pca_mean", ["0.0", 0.0, 0.0, 0.0]),
+            ("preprocessing", "projection", [[1.0, 0.0, 0.0, 0.0]] * 2 + [[0.0, 0.0, 1.0, False]]),
+        ],
+    )
+    def test_wrong_type_is_rejected(self, raw, block, field, value):
+        (raw[block] if block else raw)[field] = value
+        with pytest.raises(DataFormatError):
+            self._load(raw)
+
+    def test_integer_matrix_entries_load_as_floats(self, raw):
+        raw["A"] = [[1, 0], [0, 1], [0, 0]]
+        model, _ = self._load(raw)
+        assert model.A.dtype == float
+        np.testing.assert_array_equal(model.A, np.eye(3, 2))
+
+    def test_projection_must_reduce_to_p_variables(self, raw):
+        # A projection onto 2 components for a model of 3 variables used to
+        # load, and every score then failed on the reduced data's width.
+        pre = raw["preprocessing"]
+        pre["projection"], pre["pca_components"] = pre["projection"][:2], 2
+        with pytest.raises(DataFormatError, match="projection has 2 rows, p is 3"):
+            self._load(raw)
+
+    def test_deeply_nested_file_is_rejected(self, tmp_path):
+        # The JSON parser raises RecursionError, which used to escape.
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(DataFormatError, match="nested too deeply"):
+            load_model(path)

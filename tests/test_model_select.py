@@ -390,7 +390,7 @@ class TestFitsInWorkers:
 
     def test_stability_fits_compute_no_residuals(self, monkeypatch):
         # Patched before the pool forks, so a worker that read a fit's
-        # residuals would raise too.
+        # residuals or identifiability flag would raise too.
         pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
         t = build_tensor(sample_dataset(pm, 200, seed=1))
         cfg = FitConfig(seed=7)
@@ -399,9 +399,10 @@ class TestFitsInWorkers:
             score = stability_score(t, 3, n_seed_pairs=3, cfg=cfg)
 
         def unread(*args):
-            raise AssertionError("a stability fit computed its residuals")
+            raise AssertionError("a stability fit computed a report value")
 
         monkeypatch.setattr(decompose, "reconstruction_error", unread)
+        monkeypatch.setattr(decompose, "_identifiability_gap", unread)
         assert _serial_and_pooled(t, [2, 3, 4], cfg=cfg) == (report, report)
         with _serial():
             assert stability_score(t, 3, n_seed_pairs=3, cfg=cfg) == score

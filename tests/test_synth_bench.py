@@ -146,11 +146,14 @@ class TestAccuracyTrials:
         assert (fit.method, fit.ascore, fit.converged) == ("mcpca", 0.0, False)
         assert stack.method == "pca_stack" and stack.ascore > 0.0
 
-    def test_empty_methods_empty_records(self):
+    def test_empty_methods_rejected(self):
+        # Before any trial runs: an empty method list used to give no
+        # records and no error.
         cfg = BenchConfig(
             p=6, k=3, r=2, density=1.0, N=50, n_trials=2, methods=(), seed=12
         )
-        assert run_accuracy_trials(cfg) == []
+        with pytest.raises(ValueError, match="methods is empty"):
+            run_accuracy_trials(cfg)
 
     def test_sampled_ordering_mcpca_above_pca_stack(self):
         cfg = BenchConfig(
@@ -165,11 +168,12 @@ class TestAccuracyTrials:
             assert scores["mcpca"] > scores["pca_stack"]
 
     def test_determinism_excluding_runtime(self, monkeypatch):
-        # The second run also shows that no trial reads a fit's residuals.
+        # The second run also shows that no trial reads a fit's residuals
+        # or identifiability flag.
         import mcpca.decompose
 
         def unread(*args):
-            raise AssertionError("a trial fit computed its residuals")
+            raise AssertionError("a trial fit computed a report value")
 
         cfg = BenchConfig(
             p=10, k=5, r=3, density=0.6, N=200, n_trials=2,
@@ -177,6 +181,7 @@ class TestAccuracyTrials:
         )
         first = run_accuracy_trials(cfg)
         monkeypatch.setattr(mcpca.decompose, "reconstruction_error", unread)
+        monkeypatch.setattr(mcpca.decompose, "_identifiability_gap", unread)
         second = run_accuracy_trials(cfg)
         strip = lambda rec: dataclasses.replace(rec, runtime_seconds=0.0)
         assert [strip(r) for r in first] == [strip(r) for r in second]
@@ -219,6 +224,11 @@ class TestSampleSweep:
             run_sample_sweep(SweepConfig(N_grid=(100, 50), methods=("mcpca",)))
         with pytest.raises(ValueError):
             run_sample_sweep(SweepConfig(N_grid=(1, 100), methods=("mcpca",)))
+
+    def test_empty_methods_rejected(self):
+        cfg = SweepConfig(p=6, k=3, r=2, density=1.0, N_grid=(50,), methods=())
+        with pytest.raises(ValueError, match="methods is empty"):
+            run_sample_sweep(cfg)
 
 
 class TestRecordFiles:
