@@ -1,5 +1,10 @@
 """Command-line front end: fit, select-rank, score, diag, bench.
 
+Each input has one accepted form: ``--input`` is a directory of
+per-context files or a long-table file, as the path type says, and
+``score`` and ``diag`` take raw samples (a model's stored projection maps
+them); ``diag`` pairs the data's contexts with the model's by id.
+
 Exit codes: 0 on success, 2 on usage or input errors (including files
 that cannot be read or written), 3 on numerical failures (rank
 deficiency, degenerate restarts, singular Gram matrix, a linear-algebra
@@ -15,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -66,32 +70,15 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _infer_format(path, explicit):
-    if explicit:
-        return explicit
-    return "per-context-files" if os.path.isdir(path) else "long-table"
-
-
-def _load_dataset(args) -> ContextDataset:
-    return load_contexts(args.input, _infer_format(args.input, args.format))
-
-
 def _apply_stored_projection(X, preprocessing: Preprocessing):
-    if preprocessing.projection is None:
-        return X
+    """Raw samples ``X`` in the coordinates the model was fitted in."""
     proj = preprocessing.projection
-    if proj.shape[0] == proj.shape[1]:
-        raise DimensionMismatchError(
-            f"the model's projection keeps all {proj.shape[1]} variables, so raw "
-            "and reduced data cannot be told apart; refit with fewer --pca-components"
-        )
-    if X.shape[1] == proj.shape[0]:
-        # Data are already in the reduced coordinates.
+    if proj is None:
         return X
     if X.shape[1] != proj.shape[1]:
         raise DimensionMismatchError(
-            f"data has {X.shape[1]} columns; model expects {proj.shape[1]} "
-            f"raw or {proj.shape[0]} reduced"
+            f"data has {X.shape[1]} columns; the model's projection takes "
+            f"{proj.shape[1]} raw variables"
         )
     return (X - preprocessing.pca_mean) @ proj.T
 
@@ -106,14 +93,10 @@ def _write_table(path, header, rows):
 def cmd_fit(args) -> int:
     if args.rank < 1:
         raise ValueError("usage: --rank must be a positive integer")
-    dataset = _load_dataset(args)
+    dataset = load_contexts(args.input)
     preprocessing = Preprocessing()
     metadata = [("covariance", "unbiased"), ("centering", "per-context")]
     if args.pca_components is not None:
-        if args.pca_components >= dataset.p:
-            raise ValueError(
-                f"usage: --pca-components must be below the {dataset.p} variables"
-            )
         dataset, projection, mean = global_pca_reduce(dataset, args.pca_components)
         preprocessing = Preprocessing(projection=projection, pca_mean=mean)
         metadata.append(("pca_components", str(args.pca_components)))
@@ -138,8 +121,7 @@ def cmd_select_rank(args) -> int:
     candidates = [int(c) for c in args.candidates.split(",") if c.strip()]
     if not candidates:
         raise ValueError("usage: --candidates must list at least one rank")
-    dataset = _load_dataset(args)
-    tensor = build_tensor(dataset)
+    tensor = build_tensor(load_contexts(args.input))
     report = select_rank(
         tensor,
         candidates,
@@ -175,14 +157,19 @@ def cmd_score(args) -> int:
 
 def cmd_diag(args) -> int:
     model, preprocessing = load_model(args.model)
-    dataset = _load_dataset(args)
-    if preprocessing.projection is not None:
-        contexts = tuple(
-            (cid, _apply_stored_projection(x, preprocessing))
-            for cid, x in dataset.contexts
-        )
-        dataset = ContextDataset(contexts)
-    tensor = build_tensor(dataset)
+    dataset = load_contexts(args.input)
+    unknown = set(dataset.context_ids).symmetric_difference(model.context_ids)
+    if unknown:
+        cid = min(unknown)
+        side = "data" if cid in model.context_ids else "model"
+        raise DataFormatError(f"context {cid!r} is not in the {side}")
+    samples = dict(dataset.contexts)
+    # In the model's order; a model file that repeats an id fails here.
+    contexts = tuple(
+        (cid, _apply_stored_projection(samples[cid], preprocessing))
+        for cid in model.context_ids
+    )
+    tensor = build_tensor(ContextDataset(contexts))
     diag = compute_diagnostics(tensor, model)
     _, per_context = reconstruction_error(tensor, model)
     header = [
@@ -194,7 +181,7 @@ def cmd_diag(args) -> int:
         "kl_status",
     ]
     rows = []
-    for i, cid in enumerate(tensor.context_ids or dataset.context_ids):
+    for i, cid in enumerate(model.context_ids):
         kl = diag.kl_loss[i]
         rows.append(
             [
@@ -249,14 +236,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_dataset_arguments(sub):
-    sub.add_argument("--input", required=True, help="dataset file or directory")
-    sub.add_argument(
-        "--format",
-        choices=["long-table", "per-context-files"],
-        default=None,
-        help="input layout (default: inferred from the path type)",
-    )
+_INPUT_HELP = "a directory of per-context files, or a long-table file"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = FitConfig()
 
     fit = commands.add_parser("fit", help="fit a model and write model/report files")
-    _add_dataset_arguments(fit)
+    fit.add_argument("--input", required=True, help=_INPUT_HELP)
     fit.add_argument("--rank", type=int, required=True)
     fit.add_argument("--seed", type=int, default=defaults.seed)
     fit.add_argument("--restarts", type=int, default=defaults.restarts_per_component)
@@ -289,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     select = commands.add_parser("select-rank", help="stability-based rank selection")
-    _add_dataset_arguments(select)
+    select.add_argument("--input", required=True, help=_INPUT_HELP)
     select.add_argument("--candidates", required=True, help="comma-separated ranks")
     select.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     select.add_argument("--n-seed-pairs", type=int, default=DEFAULT_SEED_PAIRS)
@@ -305,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = commands.add_parser("diag", help="per-context diagnostics table")
     diag.add_argument("--model", required=True)
-    _add_dataset_arguments(diag)
+    diag.add_argument("--input", required=True, help=_INPUT_HELP)
     diag.add_argument("--output", required=True)
     diag.set_defaults(func=cmd_diag)
 

@@ -92,14 +92,30 @@ def _projected_slices(t: CovarianceTensor, m: McpcaModel):
     return 0.5 * (projected + projected.transpose(0, 2, 1)), scale[:, 0, 0]
 
 
-def uncorrelatedness_score(t: CovarianceTensor, m: McpcaModel) -> np.ndarray:
-    """Frobenius norm of the off-diagonal of A^+ S_i (A^+)^T, per context;
-    inf past the float limit."""
-    off, scale = _projected_slices(t, m)
-    idx = np.arange(m.r)
+def _off_diagonal_norms(projected, scale) -> np.ndarray:
+    off = projected.copy()
+    idx = np.arange(off.shape[1])
     off[:, idx, idx] = 0.0
     with np.errstate(over="ignore"):
         return np.linalg.norm(off, axis=(1, 2)) * scale
+
+
+def uncorrelatedness_score(t: CovarianceTensor, m: McpcaModel) -> np.ndarray:
+    """Frobenius norm of the off-diagonal of A^+ S_i (A^+)^T, per context;
+    inf past the float limit."""
+    return _off_diagonal_norms(*_projected_slices(t, m))
+
+
+def _log_det_gaps(projected) -> tuple[float | None, ...]:
+    out: list[float | None] = []
+    for s in projected:
+        trace = float(np.trace(s))
+        eigvals = np.linalg.eigvalsh(s)
+        if trace <= 0.0 or eigvals[0] <= PD_RTOL * trace:
+            out.append(None)
+            continue
+        out.append(float(np.sum(np.log(np.diag(s))) - np.sum(np.log(eigvals))))
+    return tuple(out)
 
 
 def kl_loss(t: CovarianceTensor, m: McpcaModel) -> tuple[float | None, ...]:
@@ -113,16 +129,7 @@ def kl_loss(t: CovarianceTensor, m: McpcaModel) -> tuple[float | None, ...]:
     trace) report None instead of a value; log-dets use the symmetric
     eigendecomposition for stability near singularity.
     """
-    projected, _ = _projected_slices(t, m)  # the gap is scale-free
-    out: list[float | None] = []
-    for s in projected:
-        trace = float(np.trace(s))
-        eigvals = np.linalg.eigvalsh(s)
-        if trace <= 0.0 or eigvals[0] <= PD_RTOL * trace:
-            out.append(None)
-            continue
-        out.append(float(np.sum(np.log(np.diag(s))) - np.sum(np.log(eigvals))))
-    return tuple(out)
+    return _log_det_gaps(_projected_slices(t, m)[0])  # the gap is scale-free
 
 
 def variance_explained(t: CovarianceTensor, m: McpcaModel) -> VarianceExplained:
@@ -149,9 +156,10 @@ def variance_explained(t: CovarianceTensor, m: McpcaModel) -> VarianceExplained:
 
 
 def compute_diagnostics(t: CovarianceTensor, m: McpcaModel) -> Diagnostics:
-    """All per-context diagnostics in one pass."""
+    """All per-context diagnostics, from one projection of the tensor."""
+    projected, scale = _projected_slices(t, m)
     return Diagnostics(
         variance=variance_explained(t, m),
-        uncorrelatedness=uncorrelatedness_score(t, m),
-        kl_loss=kl_loss(t, m),
+        uncorrelatedness=_off_diagonal_norms(projected, scale),
+        kl_loss=_log_det_gaps(projected),
     )

@@ -1,12 +1,13 @@
 """Loading per-context data, sample covariances and global PCA reduction.
 
 Supported inputs are delimited text (comma or tab, auto-detected from the
-first line, optional header row, UTF-8 with or without a byte-order mark):
+first line, optional header row, UTF-8 with or without a byte-order mark).
+The path type decides the layout:
 
-* per-context-files: a directory with one file per context, context id =
-  file stem, contexts ordered by lexicographic file name;
-* long-table: a single file whose first column holds the context id
-  (or the column named ``context`` when a header is present), contexts
+* a directory holds one file per context, context id = file stem,
+  contexts ordered by lexicographic file name;
+* a file is a long table whose first column holds the context id (or
+  the column named ``context`` when a header is present), contexts
   ordered by first appearance.
 
 Covariances use each context's own mean and the unbiased 1/(n-1)
@@ -47,10 +48,11 @@ class ContextDataset:
     """Ordered per-context data matrices over a shared variable set.
 
     ``contexts`` is a tuple of (context_id, X_i) pairs where every X_i is
-    an n_i x p array with n_i >= 2.  ``variable_names``, when present,
-    has length p.  The arrays are read-only: a writable one is copied, so
-    the caller can change it without changing the dataset, and a read-only
-    float64 one, as the loaders hand over, is kept as it is.
+    an n_i x p array with n_i >= 2, under a context id no other pair has.
+    ``variable_names``, when present, has length p.  The arrays are
+    read-only: a writable one is copied, so the caller can change it
+    without changing the dataset, and a read-only float64 one, as the
+    loaders hand over, is kept as it is.
     """
 
     contexts: tuple[tuple[str, np.ndarray], ...]
@@ -60,8 +62,13 @@ class ContextDataset:
         if not self.contexts:
             raise DataFormatError("dataset has no contexts")
         cleaned = []
+        seen = set()
         p = None
         for cid, x in self.contexts:
+            cid = str(cid)
+            if cid in seen:
+                raise DataFormatError(f"duplicate context id {cid!r}")
+            seen.add(cid)
             arr = np.asarray(x, dtype=float)
             if arr.ndim != 2:
                 raise DimensionMismatchError(f"context {cid!r} is not a matrix")
@@ -81,7 +88,7 @@ class ContextDataset:
             if arr.flags.writeable:
                 arr = arr.copy()
                 arr.setflags(write=False)
-            cleaned.append((str(cid), arr))
+            cleaned.append((cid, arr))
         if p == 0:
             raise DataFormatError("dataset has zero variables")
         object.__setattr__(self, "contexts", tuple(cleaned))
@@ -381,21 +388,14 @@ def _load_long_table(path) -> ContextDataset:
     return ContextDataset(tuple(contexts), variable_names=variable_names)
 
 
-def load_contexts(path_spec, format) -> ContextDataset:
-    """Load a dataset from disk.
-
-    ``format`` is ``"per-context-files"`` (directory, one file per
-    context) or ``"long-table"`` (single file with a context-id column).
-    """
-    if format == "per-context-files":
-        if not os.path.isdir(path_spec):
-            raise DataFormatError(f"{path_spec}: not a directory")
-        return _load_directory(path_spec)
-    if format == "long-table":
-        if not os.path.isfile(path_spec):
-            raise DataFormatError(f"{path_spec}: not a file")
-        return _load_long_table(path_spec)
-    raise ValueError(f"unknown format {format!r}")
+def load_contexts(path) -> ContextDataset:
+    """Load a dataset from disk: a directory as one file per context, a
+    file as a long table with a context-id column."""
+    if os.path.isdir(path):
+        return _load_directory(path)
+    if os.path.isfile(path):
+        return _load_long_table(path)
+    raise DataFormatError(f"{path}: not a file or directory")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -25,6 +25,7 @@ from mcpca import (
     fit_mcpca,
     global_pca_reduce,
     load_model,
+    score_samples,
     tensor_from_factors,
 )
 from mcpca.cli import main
@@ -50,6 +51,46 @@ def planted_dir(tmp_path):
     data_dir = tmp_path / "data"
     _write_dataset_dir(data_dir, pm)
     return pm, data_dir
+
+
+def _assert_layouts_agree(work, table, fit_options, fitted):
+    """The cells of the long ``table`` in ``work / "long.csv"``, whose fit
+    with ``fit_options`` wrote ``fitted`` (the model's and the report's
+    bytes), fit to the same bytes as a directory of per-context files; and
+    diag writes the same table for the long table and for it with its
+    context blocks reversed, since it pairs contexts by id."""
+    header, *lines = table.splitlines()
+    blocks = {}
+    for line in lines:
+        cid, values = line.split(",", 1)
+        blocks.setdefault(cid, []).append(values + "\n")
+    directory = work / "contexts"
+    directory.mkdir()
+    for cid, rows in blocks.items():
+        (directory / f"{cid}.csv").write_text(
+            header.split(",", 1)[1] + "\n" + "".join(rows), encoding="utf-8"
+        )
+    model = work / "model.json"
+    assert _assert_cli_contract(
+        ["fit", "--input", str(directory), *fit_options, "--output", str(model)],
+        model, work / "model.json.report.json",
+    ) == (0, fitted)
+    model.write_bytes(fitted[0])
+    reversed_table = work / "reversed.csv"
+    reversed_table.write_text(
+        header + "\n"
+        + "".join(f"{cid},{row}" for cid in reversed(blocks) for row in blocks[cid]),
+        encoding="utf-8",
+    )
+    diag = work / "diag.csv"
+    outcomes = [
+        _assert_cli_contract(
+            ["diag", "--model", str(model), "--input", str(path), "--output", str(diag)],
+            diag,
+        )
+        for path in (work / "long.csv", reversed_table)
+    ]
+    assert outcomes[1] == outcomes[0]
 
 
 class TestFitCommand:
@@ -99,7 +140,7 @@ class TestFitCommand:
         )
         assert code == 0
         model, _ = load_model(model_path)
-        expected, _ = fit_mcpca(build_tensor(load_contexts(data_dir, "per-context-files")), 3, FitConfig(seed=5))
+        expected, _ = fit_mcpca(build_tensor(load_contexts(data_dir)), 3, FitConfig(seed=5))
         np.testing.assert_array_equal(model.A, expected.A)
         np.testing.assert_array_equal(model.B, expected.B)
         select_path = tmp_path / "select.json"
@@ -182,16 +223,17 @@ _ODD_CELLS = ("1e308", "-1e308", "nan", "inf", "", "x", "1e-320")
 
 
 @st.composite
-def _long_tables(draw):
-    """A long table of 1-4 value columns and 1-3 contexts of 0-6 rows
-    each; about one cell in ten is odd or any float."""
+def _long_tables(draw, odd_cells=True, min_rows=0):
+    """A long table of 1-4 value columns and 1-3 contexts of ``min_rows``-6
+    rows each; with ``odd_cells``, about one cell in ten is odd or any
+    float."""
     odd = st.one_of(st.sampled_from(_ODD_CELLS), st.floats().map(repr))
     moderate = st.floats(-100, 100).map(repr)
-    cell = st.integers(0, 19).flatmap(lambda i: odd if i < 2 else moderate)
+    cell = st.integers(0, 19).flatmap(lambda i: odd if odd_cells and i < 2 else moderate)
     p = draw(st.integers(1, 4))
     lines = ["context," + ",".join(f"x{j}" for j in range(p))]
     for cid in "abc"[: draw(st.integers(1, 3))]:
-        for _ in range(draw(st.integers(0, 6))):
+        for _ in range(draw(st.integers(min_rows, 6))):
             lines.append(",".join([cid, *draw(st.lists(cell, min_size=p, max_size=p))]))
     return "\n".join(lines) + "\n"
 
@@ -295,7 +337,8 @@ class TestSelectRankCommand:
     def test_generated_tables_keep_the_cli_contract(self, table, candidates, pairs, seed, chain):
         # select-rank on the table; with ``chain``, fit at the first
         # candidate instead and, when that succeeds, load the model, score
-        # the table's value columns and diag the table with it.
+        # the table's value columns and check the other layout and
+        # context order (``_assert_layouts_agree``), diag included.
         with tempfile.TemporaryDirectory() as work:
             work = Path(work)
             data = work / "long.csv"
@@ -311,9 +354,9 @@ class TestSelectRankCommand:
                 )
                 return
             model = work / "model.json"
+            options = ["--rank", str(candidates[0]), "--seed", str(seed)]
             code, written = _assert_cli_contract(
-                ["fit", "--input", str(data), "--rank", str(candidates[0]),
-                 "--seed", str(seed), "--output", str(model)],
+                ["fit", "--input", str(data), *options, "--output", str(model)],
                 model, work / "model.json.report.json",
             )
             if code != 0:
@@ -330,11 +373,29 @@ class TestSelectRankCommand:
                 ["score", "--model", str(model), "--data", str(matrix), "--output", str(scores)],
                 scores,
             )
-            diag = work / "diag.csv"
-            _assert_cli_contract(
-                ["diag", "--model", str(model), "--input", str(data), "--output", str(diag)],
-                diag,
+            _assert_layouts_agree(work, table, options, written)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        table=_long_tables(odd_cells=False, min_rows=2),
+        rank=st.integers(1, 2),
+        seed=st.integers(0, 3),
+    )
+    def test_generated_fits_agree_across_layouts_and_orders(self, table, rank, seed):
+        # Tables of moderate cells and two or more rows per context, which
+        # fit far more often than the ones above.
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            data = work / "long.csv"
+            data.write_text(table, encoding="utf-8")
+            model = work / "model.json"
+            options = ["--rank", str(rank), "--seed", str(seed)]
+            code, written = _assert_cli_contract(
+                ["fit", "--input", str(data), *options, "--output", str(model)],
+                model, work / "model.json.report.json",
             )
+            if code == 0:
+                _assert_layouts_agree(work, table, options, written)
 
     def test_empty_candidates_usage_error(self, planted_dir, tmp_path):
         pm, data_dir = planted_dir
@@ -447,8 +508,6 @@ class TestScoreCommand:
         )
         assert code == 0
         written = load_matrix(out)
-        from mcpca import score_samples
-
         model, _ = load_model(model_path)
         expected = score_samples(model, load_matrix(data_file))
         np.testing.assert_allclose(written, expected, atol=1e-10)
@@ -501,53 +560,73 @@ class TestScoreCommand:
         reduced, projection, _ = global_pca_reduce(dataset, 4)
         model, preprocessing = load_model(model_path)
         np.testing.assert_allclose(preprocessing.projection, projection, atol=1e-10)
-        from mcpca import score_samples
-
         expected = score_samples(model, reduced.contexts[0][1])
         np.testing.assert_allclose(written, expected, atol=1e-10)
 
 
-class TestSquareProjection:
-    """A projection onto all p variables leaves raw and reduced data with
-    the same column count, so score and diag cannot tell them apart."""
+class TestRawDataOnly:
+    """score and diag take raw samples, which the model's stored
+    projection maps to the fitted coordinates, whatever its width."""
 
-    @pytest.mark.parametrize("components", ["10", "11"])
-    def test_fit_rejects_components_at_or_above_p(
-        self, planted_dir, tmp_path, capsys, components
-    ):
+    def test_projection_onto_all_p_axes(self, planted_dir, tmp_path):
+        _, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        assert main(
+            ["fit", "--input", str(data_dir), "--rank", "3", "--seed", "5",
+             "--pca-components", "10", "--output", str(model_path)]
+        ) == 0
+        model, preprocessing = load_model(model_path)
+        assert preprocessing.projection.shape == (10, 10)
+        scores = tmp_path / "scores.csv"
+        raw = data_dir / "c00.csv"
+        assert main(
+            ["score", "--model", str(model_path), "--data", str(raw), "--output", str(scores)]
+        ) == 0
+        reduced = (load_matrix(raw) - preprocessing.pca_mean) @ preprocessing.projection.T
+        np.testing.assert_array_equal(load_matrix(scores), score_samples(model, reduced))
+        diag = tmp_path / "diag.csv"
+        assert main(
+            ["diag", "--model", str(model_path), "--input", str(data_dir), "--output", str(diag)]
+        ) == 0
+        assert [row.split(",")[0] for row in diag.read_text().splitlines()[1:]] == list(
+            model.context_ids
+        )
+
+    def test_components_above_p_is_input_error(self, planted_dir, tmp_path, capsys):
         _, data_dir = planted_dir
         model_path = tmp_path / "model.json"
         code = main(
             ["fit", "--input", str(data_dir), "--rank", "3",
-             "--pca-components", components, "--output", str(model_path)]
+             "--pca-components", "11", "--output", str(model_path)]
         )
         assert code == 2
-        assert capsys.readouterr().err == (
-            "error: usage: --pca-components must be below the 10 variables\n"
+        assert capsys.readouterr().err.startswith(
+            "error: n_components must be in [1, min(p=10, "
         )
         assert not model_path.exists()
 
     @pytest.mark.parametrize("command", ["score", "diag"])
-    def test_square_projection_is_input_error(
-        self, planted_dir, tmp_path, capsys, command
-    ):
-        # The library keeps n = p: such a model reaches the CLI only from
-        # a file written outside it.
+    def test_reduced_data_is_input_error(self, planted_dir, tmp_path, capsys, command):
         _, data_dir = planted_dir
-        dataset = load_contexts(data_dir, "per-context-files")
-        reduced, projection, mean = global_pca_reduce(dataset, dataset.p)
-        model, _ = fit_mcpca(build_tensor(reduced), 3, FitConfig(seed=5))
         model_path = tmp_path / "model.json"
-        save_model(model_path, model, Preprocessing(projection=projection, pca_mean=mean))
-        out = tmp_path / "out.csv"
-        data = ["--data", str(data_dir / "c00.csv")]
+        assert main(
+            ["fit", "--input", str(data_dir), "--rank", "3",
+             "--pca-components", "4", "--output", str(model_path)]
+        ) == 0
+        reduced, _, _ = global_pca_reduce(load_contexts(data_dir), 4)
+        reduced_dir = tmp_path / "reduced"
+        reduced_dir.mkdir()
+        for cid, x in reduced.contexts:
+            np.savetxt(reduced_dir / f"{cid}.csv", x, delimiter=",")
+        data = ["--data", str(reduced_dir / "c00.csv")]
         if command == "diag":
-            data = ["--input", str(data_dir)]
+            data = ["--input", str(reduced_dir)]
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
         code = main([command, "--model", str(model_path), *data, "--output", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: the model's projection keeps all 10 variables, so raw and "
-            "reduced data cannot be told apart; refit with fewer --pca-components\n"
+            "error: data has 4 columns; the model's projection takes 10 raw variables\n"
         )
         assert not out.exists()
 
@@ -663,6 +742,39 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
+
+    @staticmethod
+    def _input_argv(command, model_path, data_path, tmp_path):
+        extra = {"fit": ["--rank", "3"], "select-rank": ["--candidates", "3"],
+                 "diag": ["--model", str(model_path)]}[command]
+        return [command, "--input", str(data_path), *extra, "--output", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["fit", "select-rank", "diag"])
+    def test_format_flag_is_usage_error(self, command, model_path, planted_dir, tmp_path, capsys):
+        # The path type decides the layout; there is no flag to name it.
+        argv = self._input_argv(command, model_path, planted_dir[1], tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--format", "long-table"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format long-table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "select-rank", "diag"])
+    def test_missing_input_is_input_error(self, command, model_path, tmp_path, capsys):
+        missing = tmp_path / "no_such_data"
+        capsys.readouterr()
+        assert main(self._input_argv(command, model_path, missing, tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {missing}: not a file or directory\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_context_id_is_input_error(self, planted_dir, tmp_path, capsys):
+        _, data_dir = planted_dir
+        (data_dir / "c00.tsv").write_text((data_dir / "c01.csv").read_text().replace(",", "\t"))
+        capsys.readouterr()
+        code = main(["fit", "--input", str(data_dir), "--rank", "3",
+                     "--output", str(tmp_path / "model.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate context id 'c00'\n"
 
     @pytest.mark.parametrize("factor", ["A", "B"])
     def test_nan_model_file_is_input_error(
@@ -871,6 +983,66 @@ class TestDiagCommand:
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         status = {row[0]: row[5] for row in rows}
         assert status["b"] == "non-pd"
+
+    def test_contexts_paired_by_id(self, tmp_path):
+        # The long table lists its contexts c, b, a; the directory sorts
+        # them a, b, c.  Either way each row is the id's, in model order.
+        rng = np.random.default_rng(4)
+        samples = {cid: rng.standard_normal((12, 4)) * (1 + i) for i, cid in enumerate("cba")}
+        table = tmp_path / "long.csv"
+        table.write_text("".join(
+            f"{cid}," + ",".join(map(repr, row)) + "\n"
+            for cid, x in samples.items() for row in x.tolist()
+        ))
+        data_dir = tmp_path / "dir"
+        data_dir.mkdir()
+        for cid, x in samples.items():
+            (data_dir / f"{cid}.csv").write_text(
+                "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+            )
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--input", str(table), "--rank", "2", "--output", str(model_path)]) == 0
+        tables = []
+        for path in (table, data_dir):
+            out = tmp_path / "diag.csv"
+            assert main(["diag", "--model", str(model_path), "--input", str(path),
+                         "--output", str(out)]) == 0
+            tables.append(out.read_text())
+        assert tables[1] == tables[0]
+        assert [row.split(",")[0] for row in tables[0].splitlines()[1:]] == ["c", "b", "a"]
+
+    @pytest.mark.parametrize(
+        "files, model_ids, message",
+        [
+            ("c00 c01 c02 c03 x", None, "context 'c04' is not in the data"),
+            ("c00 c01 c02 c03", None, "context 'c04' is not in the data"),
+            ("c00 c01 c02 c03 c04 c05", None, "context 'c05' is not in the model"),
+            ("c00 c01 c02 c03", "c00 c00 c01 c02 c03", "duplicate context id 'c00'"),
+        ],
+        ids=["renamed", "fewer", "more", "repeated"],
+    )
+    def test_context_ids_that_differ_are_input_error(
+        self, planted_dir, tmp_path, capsys, files, model_ids, message
+    ):
+        # The model has contexts c00-c04; the data have ``files``, each a
+        # copy of one of the model's contexts.
+        _, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--input", str(data_dir), "--rank", "3", "--output", str(model_path)]) == 0
+        if model_ids:
+            raw = json.loads(model_path.read_text())
+            raw["context_ids"] = model_ids.split()
+            model_path.write_text(json.dumps(raw))
+        other = tmp_path / "other"
+        other.mkdir()
+        for i, name in enumerate(files.split()):
+            (other / f"{name}.csv").write_bytes((data_dir / f"c{i % 5:02d}.csv").read_bytes())
+        capsys.readouterr()
+        out = tmp_path / "diag.csv"
+        code = main(["diag", "--model", str(model_path), "--input", str(other),
+                     "--output", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not out.exists()
 
 
 @st.composite

@@ -241,6 +241,26 @@ def test_compute_diagnostics_assembles_everything():
     assert diag.variance.ratio.shape == (4,)
 
 
+def test_compute_diagnostics_projects_once(monkeypatch):
+    # One projection serves both the uncorrelatedness and the log-det gap,
+    # which keep the bits of the public functions that project apiece.
+    import mcpca.diagnostics as diagnostics
+
+    rng = np.random.default_rng(5)
+    t = stack_covariances([np.cov(rng.standard_normal((4, 30))) for _ in range(5)])
+    model, _ = fit_mcpca(t, 3, FitConfig(seed=0))
+    calls = []
+    real = diagnostics.projection_matrix
+    monkeypatch.setattr(
+        diagnostics, "projection_matrix", lambda m: calls.append(m) or real(m)
+    )
+    diag = compute_diagnostics(t, model)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(diag.uncorrelatedness, uncorrelatedness_score(t, model))
+    assert diag.kl_loss == kl_loss(t, model)
+    assert len(calls) == 3
+
+
 def test_fitted_model_diagnostics_match_planted(seed=17):
     # Density 1 keeps every projected covariance positive definite (a
     # zero loading makes the corresponding B_i singular and the log-det

@@ -41,7 +41,7 @@ class TestLoadContexts:
     def test_directory_layout(self, tmp_path):
         _write(tmp_path / "c1.csv", "1,2\n3,4\n5,6\n")
         _write(tmp_path / "c2.csv", "1,0\n0,1\n2,2\n3,3\n")
-        ds = load_contexts(tmp_path, "per-context-files")
+        ds = load_contexts(tmp_path)
         assert ds.k == 2 and ds.p == 2
         assert ds.context_ids == ("c1", "c2")
         assert [len(x) for _, x in ds.contexts] == [3, 4]
@@ -49,20 +49,20 @@ class TestLoadContexts:
     def test_directory_orders_lexicographically(self, tmp_path):
         _write(tmp_path / "b.csv", "1,1\n2,2\n")
         _write(tmp_path / "a.csv", "3,3\n4,4\n")
-        ds = load_contexts(tmp_path, "per-context-files")
+        ds = load_contexts(tmp_path)
         assert ds.context_ids == ("a", "b")
 
     def test_long_table_first_appearance_order(self, tmp_path):
         f = tmp_path / "data.csv"
         _write(f, "z,1,2\nz,3,4\nq,5,6\nq,7,8\n")
-        ds = load_contexts(f, "long-table")
+        ds = load_contexts(f)
         assert ds.context_ids == ("z", "q")
         np.testing.assert_array_equal(ds.contexts[0][1], [[1, 2], [3, 4]])
 
     def test_long_table_header_context_column(self, tmp_path):
         f = tmp_path / "data.csv"
         _write(f, "g1,context,g2\n1,a,2\n3,a,4\n5,b,6\n7,b,8\n")
-        ds = load_contexts(f, "long-table")
+        ds = load_contexts(f)
         assert ds.context_ids == ("a", "b")
         assert ds.variable_names == ("g1", "g2")
 
@@ -70,17 +70,17 @@ class TestLoadContexts:
         f = tmp_path / "data.csv"
         _write(f, "a,1,2\na,3,4\nb,5,6\n")
         with pytest.raises(DataFormatError, match="fewer than 2 samples"):
-            load_contexts(f, "long-table")
+            load_contexts(f)
 
     def test_ragged_rows_rejected(self, tmp_path):
         _write(tmp_path / "c1.csv", "1,2,3\n4,5\n")
         with pytest.raises(DataFormatError, match="ragged"):
-            load_contexts(tmp_path, "per-context-files")
+            load_contexts(tmp_path)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         _write(tmp_path / "c1.csv", "1,2\n3,oops\n")
         with pytest.raises(DataFormatError, match="non-numeric"):
-            load_contexts(tmp_path, "per-context-files")
+            load_contexts(tmp_path)
 
     def test_long_table_bad_cell_named_by_file_row(self, tmp_path):
         # Contexts interleave: the bad cell is on data row 4 of the file
@@ -88,7 +88,7 @@ class TestLoadContexts:
         f = tmp_path / "data.csv"
         _write(f, "ctx,x,y\na,1,2\n\nb,3,4\na,5,6\nb,7,oops\na,9,10\n")
         with pytest.raises(DataFormatError) as excinfo:
-            load_contexts(f, "long-table")
+            load_contexts(f)
         assert str(excinfo.value) == (
             f"{f}: non-numeric cell 'oops' at row 4, column 3"
         )
@@ -97,13 +97,33 @@ class TestLoadContexts:
         f = tmp_path / "data.csv"
         _write(f, "\n")
         with pytest.raises(DataFormatError, match="empty"):
-            load_contexts(f, "long-table")
+            load_contexts(f)
 
     def test_tab_delimiter_detected(self, tmp_path):
         f = tmp_path / "data.tsv"
         _write(f, "a\t1\t2\na\t3\t4\n")
-        ds = load_contexts(f, "long-table")
+        ds = load_contexts(f)
         assert ds.p == 2
+
+    def test_duplicate_context_id_rejected(self):
+        x = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(DataFormatError) as excinfo:
+            ContextDataset((("a", x), ("b", x), ("a", x)))
+        assert str(excinfo.value) == "duplicate context id 'a'"
+
+    def test_directory_files_with_one_stem_rejected(self, tmp_path):
+        _write(tmp_path / "a.csv", "1,2\n3,4\n")
+        _write(tmp_path / "a.tsv", "1\t2\n3\t5\n")
+        _write(tmp_path / "b.csv", "1,2\n3,1\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_contexts(tmp_path)
+        assert str(excinfo.value) == "duplicate context id 'a'"
+
+    def test_path_neither_file_nor_directory_rejected(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(DataFormatError) as excinfo:
+            load_contexts(path)
+        assert str(excinfo.value) == f"{path}: not a file or directory"
 
     def test_load_matrix_header(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -114,13 +134,13 @@ class TestLoadContexts:
 class TestEncodingAndNonFinite:
     def test_bom_header_directory(self, tmp_path):
         (tmp_path / "c1.csv").write_text("\ufeffg1,g2\n1,2\n3,5\n", encoding="utf-8")
-        ds = load_contexts(tmp_path, "per-context-files")
+        ds = load_contexts(tmp_path)
         assert ds.variable_names == ("g1", "g2")
 
     def test_bom_header_long_table(self, tmp_path):
         f = tmp_path / "data.csv"
         f.write_text("\ufeffg1,context,g2\n1,a,2\n3,a,5\n", encoding="utf-8")
-        ds = load_contexts(f, "long-table")
+        ds = load_contexts(f)
         assert ds.context_ids == ("a",)
         assert ds.variable_names == ("g1", "g2")
 
@@ -194,7 +214,7 @@ def _ref_load_matrix(path):
     return _ref_numeric_matrix(path, rows, list(range(len(rows[0]))))
 
 
-def _ref_load_long_table(path):
+def _refload_contexts_table(path):
     header, rows = _ref_parse_delimited(path)
     ctx_col = 0
     variable_names = None
@@ -253,8 +273,8 @@ def _assert_matches_cell_walk(text):
             assert isinstance(got_exc, DataFormatError)
             assert str(got_exc).endswith(f"at row {i + 1}, column {j + 1}")
 
-        want, want_exc = _outcome(_ref_load_long_table, path)
-        got, got_exc = _outcome(lambda p: load_contexts(p, "long-table"), path)
+        want, want_exc = _outcome(_refload_contexts_table, path)
+        got, got_exc = _outcome(load_contexts, path)
         if want_exc is not None:
             assert type(got_exc) is type(want_exc)
             assert str(got_exc) == str(want_exc)
@@ -409,14 +429,6 @@ def _assert_same_as_serial(load, path, split=True):
     return None
 
 
-def _load_long(path):
-    return load_contexts(path, "long-table")
-
-
-def _load_dir(path):
-    return load_contexts(path, "per-context-files")
-
-
 _ROWS = [f"{i}.5,{-i}.25,{i * i}e-3" for i in range(12)]
 
 
@@ -449,7 +461,7 @@ class TestChunkedPath:
         assert (exc is None) == (defect == "1_0")
         ctx = tmp_path / "long.csv"
         _write(ctx, "".join(f"{'ab'[i % 2]},{ln}\n" for i, ln in enumerate(lines)))
-        _assert_same_as_serial(_load_long, ctx)
+        _assert_same_as_serial(load_contexts, ctx)
 
     @pytest.mark.parametrize("row", range(len(_ROWS)))
     @pytest.mark.parametrize(
@@ -470,15 +482,15 @@ class TestChunkedPath:
         f = tmp_path / "long.csv"
         _write(f, "ctx,x,y,z\n" + "".join(f"{c},{r}\n" for c, r in zip(ids, _ROWS)))
         with _forced_chunks():
-            ds = _load_long(f)
+            ds = load_contexts(f)
         assert ds.context_ids == ("z", "q", "m", "a")
         assert [len(x) for _, x in ds.contexts] == [4, 3, 3, 2]
-        _assert_same_as_serial(_load_long, f)
+        _assert_same_as_serial(load_contexts, f)
 
     def test_single_sample_context_in_second_range(self, tmp_path):
         f = tmp_path / "long.csv"
         _write(f, "".join(f"a,{r}\n" for r in _ROWS) + f"b,{_ROWS[0]}\n")
-        exc = _assert_same_as_serial(_load_long, f)
+        exc = _assert_same_as_serial(load_contexts, f)
         assert "fewer than 2 samples in context 'b'" in str(exc)
 
     @pytest.mark.parametrize("row", range(len(_ROWS)))
@@ -517,7 +529,7 @@ class TestChunkedPath:
             if i == bad:
                 rows[1] = "1,2" if defect == "ragged" else f"1,{defect},3"
             _write(tmp_path / f"c{i}.csv", "x,y,z\n" + "".join(r + "\n" for r in rows))
-        exc = _assert_same_as_serial(_load_dir, tmp_path)
+        exc = _assert_same_as_serial(load_contexts, tmp_path)
         assert (exc is None) == (bad is None or defect == "1_0")
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -538,7 +550,7 @@ class TestChunkedPath:
             mp.setattr(ingest, "parse_delimited", recorded)
             if forced:
                 mp.setattr(ingest, "PARALLEL_MIN_BYTES", 0)
-            ds = _load_dir(tmp_path)
+            ds = load_contexts(tmp_path)
         assert walked == ["c3.csv"]
         np.testing.assert_array_equal(ds.contexts[3][1][1], [1, 10, 3])
 
@@ -549,12 +561,12 @@ class TestChunkedPath:
         if layout == "directory":
             for i in range(6):
                 _write(tmp_path / f"c{i}.csv", "".join(r + "\n" for r in _ROWS[i:i + 3]))
-            path, load = tmp_path, _load_dir
+            path, load = tmp_path, load_contexts
         else:
             path = tmp_path / "m.csv"
             lines = [f"{'ab'[i % 2]},{r}" if layout == "long" else r for i, r in enumerate(_ROWS)]
             _write(path, "".join(ln + "\n" for ln in lines))
-            load = load_matrix if layout == "matrix" else _load_long
+            load = load_matrix if layout == "matrix" else load_contexts
         want, _ = _result(load, path)
         parent = os.getpid()
         real = ingest._parse_range
