@@ -21,14 +21,11 @@ from .decompose import (
 )
 from .diagnostics import (
     Diagnostics,
-    VarianceExplained,
     compute_diagnostics,
     kl_loss,
     model_dimension,
     projection_matrix,
     score_samples,
-    uncorrelatedness_score,
-    variance_explained,
 )
 from .exceptions import (
     AsymmetricInputError,

@@ -10,16 +10,18 @@ that cannot be read or written), 3 on numerical failures (rank
 deficiency, degenerate restarts, singular Gram matrix, a linear-algebra
 routine that does not converge).
 All output tables are UTF-8, comma-delimited with a header row and LF
-line endings.  Benchmark trials run in forked workers, one trial at a
-time in each and no more workers than the CPUs hold at the BLAS thread
-count, so each recorded runtime is still the fit alone.
+line endings; ``diag`` quotes a context id that holds a comma, a quote
+or a line break, RFC 4180-style.  Benchmark trials run in forked
+workers, one trial at a time in each and no more workers than the CPUs
+hold at the BLAS thread count, so each recorded runtime is still the
+fit alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -83,6 +85,14 @@ def _apply_stored_projection(X, preprocessing: Preprocessing):
     return (X - preprocessing.pca_mean) @ proj.T
 
 
+def _quote(cell: str) -> str:
+    """``cell`` as an RFC 4180 field: quoted, with doubled quotes, only
+    when it holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_table(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -93,14 +103,14 @@ def _write_table(path, header, rows):
 def cmd_fit(args) -> int:
     if args.rank < 1:
         raise ValueError("usage: --rank must be a positive integer")
+    report_path = args.report or args.output + ".report.json"
+    if os.path.realpath(report_path) == os.path.realpath(args.output):
+        raise ValueError("usage: --report and --output name the same file")
     dataset = load_contexts(args.input)
     preprocessing = Preprocessing()
-    metadata = [("covariance", "unbiased"), ("centering", "per-context")]
     if args.pca_components is not None:
         dataset, projection, mean = global_pca_reduce(dataset, args.pca_components)
         preprocessing = Preprocessing(projection=projection, pca_mean=mean)
-        metadata.append(("pca_components", str(args.pca_components)))
-        metadata.append(("pca_whitened", "false"))
     tensor = build_tensor(dataset)
     cfg = FitConfig(
         seed=args.seed,
@@ -109,9 +119,7 @@ def cmd_fit(args) -> int:
         max_iter=args.max_iter,
     )
     model, report = fit_mcpca(tensor, args.rank, cfg)
-    report = dataclasses.replace(report, metadata=tuple(metadata))
     save_model(args.output, model, preprocessing)
-    report_path = args.report or args.output + ".report.json"
     save_report(report_path, report)
     print(f"wrote {args.output} and {report_path}")
     return 0
@@ -185,9 +193,9 @@ def cmd_diag(args) -> int:
         kl = diag.kl_loss[i]
         rows.append(
             [
-                cid,
+                _quote(cid),
                 repr(float(per_context[i])),
-                repr(float(diag.variance.ratio[i])),
+                repr(float(diag.explained_ratio[i])),
                 repr(float(diag.uncorrelatedness[i])),
                 "" if kl is None else repr(float(kl)),
                 "non-pd" if kl is None else "ok",
@@ -201,8 +209,6 @@ def cmd_diag(args) -> int:
 def cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if args.mode == "accuracy":
-        if args.trials < 1:
-            raise ValueError("usage: --trials must be >= 1")
         cfg = BenchConfig(
             p=args.p,
             k=args.k,

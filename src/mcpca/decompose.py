@@ -250,7 +250,6 @@ class FitReport:
     _fit: tuple[CovarianceTensor, McpcaModel, np.ndarray, np.ndarray] = field(
         repr=False, compare=False
     )
-    metadata: tuple[tuple[str, str], ...] = ()
 
     @cached_property
     def _residuals(self) -> tuple[float, np.ndarray]:

@@ -27,23 +27,18 @@ PD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class VarianceExplained:
-    """Explained Frobenius mass per context.
+class Diagnostics:
+    """Per-context diagnostics, one entry per context.
 
-    ``explained[i]`` is ||A B_i A^T||_F^2, computed exactly through the
-    Gram matrix of the component outer products; ``ratio[i]`` divides by
-    ||S_i||_F^2 (zero slices give ratio 0).  ``explained`` + residual =
-    ||S_i||_F^2 only holds when no non-negativity constraint is active in
-    the loadings.
+    ``explained_ratio[i]`` is ||A B_i A^T||_F^2 / ||S_i||_F^2 (0 for a zero
+    slice); the explained mass plus the residual make up ||S_i||_F^2 only
+    when no non-negativity constraint is active in the loadings.
+    ``uncorrelatedness[i]`` is the Frobenius norm of the off-diagonal of
+    A^+ S_i (A^+)^T, inf past the float limit, and ``kl_loss`` is
+    :func:`kl_loss`.
     """
 
-    explained: np.ndarray
-    ratio: np.ndarray
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    variance: VarianceExplained
+    explained_ratio: np.ndarray
     uncorrelatedness: np.ndarray
     kl_loss: tuple[float | None, ...]
 
@@ -92,20 +87,6 @@ def _projected_slices(t: CovarianceTensor, m: McpcaModel):
     return 0.5 * (projected + projected.transpose(0, 2, 1)), scale[:, 0, 0]
 
 
-def _off_diagonal_norms(projected, scale) -> np.ndarray:
-    off = projected.copy()
-    idx = np.arange(off.shape[1])
-    off[:, idx, idx] = 0.0
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(off, axis=(1, 2)) * scale
-
-
-def uncorrelatedness_score(t: CovarianceTensor, m: McpcaModel) -> np.ndarray:
-    """Frobenius norm of the off-diagonal of A^+ S_i (A^+)^T, per context;
-    inf past the float limit."""
-    return _off_diagonal_norms(*_projected_slices(t, m))
-
-
 def _log_det_gaps(projected) -> tuple[float | None, ...]:
     out: list[float | None] = []
     for s in projected:
@@ -132,34 +113,25 @@ def kl_loss(t: CovarianceTensor, m: McpcaModel) -> tuple[float | None, ...]:
     return _log_det_gaps(_projected_slices(t, m)[0])  # the gap is scale-free
 
 
-def variance_explained(t: CovarianceTensor, m: McpcaModel) -> VarianceExplained:
-    """Explained Frobenius mass ||A B_i A^T||_F^2 and its ratio to ||S_i||_F^2."""
-    if m.p != t.p or m.k != t.k:
-        raise DimensionMismatchError(
-            f"model is ({m.p}, {m.k}), tensor is ({t.p}, {t.k})"
-        )
-    gram = (m.A.T @ m.A) ** 2
-    # Both masses of context i are computed with S_i and B_i divided by
-    # the binary scale of S_i: the ratio keeps its bits, and stays finite
-    # for entries near the float limit, where ``explained`` overflows to inf.
-    scale = binary_scale(t.slices, axis=(1, 2))[:, 0, 0]
-    s = t.slices / scale[:, None, None]
-    b = m.B / scale[:, None]
-    explained = np.einsum("ij,jl,il->i", b, gram, b, optimize=True)
-    totals = np.einsum("ipq,ipq->i", s, s)
-    ratio = np.divide(
-        explained, totals, out=np.zeros_like(explained), where=totals > 0
-    )
-    with np.errstate(over="ignore"):
-        explained = explained * scale * scale
-    return VarianceExplained(explained=explained, ratio=ratio)
-
-
 def compute_diagnostics(t: CovarianceTensor, m: McpcaModel) -> Diagnostics:
     """All per-context diagnostics, from one projection of the tensor."""
     projected, scale = _projected_slices(t, m)
+    # The explained mass goes through the Gram matrix of the component
+    # outer products, with S_i and B_i divided by the binary scale of S_i:
+    # the ratio keeps its bits, and stays finite near the float limit.
+    s = t.slices / scale[:, None, None]
+    b = m.B / scale[:, None]
+    explained = np.einsum("ij,jl,il->i", b, (m.A.T @ m.A) ** 2, b, optimize=True)
+    totals = np.einsum("ipq,ipq->i", s, s)
+    off = projected.copy()
+    idx = np.arange(off.shape[1])
+    off[:, idx, idx] = 0.0
+    with np.errstate(over="ignore"):
+        uncorrelatedness = np.linalg.norm(off, axis=(1, 2)) * scale
     return Diagnostics(
-        variance=variance_explained(t, m),
-        uncorrelatedness=_off_diagonal_norms(projected, scale),
+        explained_ratio=np.divide(
+            explained, totals, out=np.zeros_like(explained), where=totals > 0
+        ),
+        uncorrelatedness=uncorrelatedness,
         kl_loss=_log_det_gaps(projected),
     )

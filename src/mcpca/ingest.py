@@ -49,14 +49,12 @@ class ContextDataset:
 
     ``contexts`` is a tuple of (context_id, X_i) pairs where every X_i is
     an n_i x p array with n_i >= 2, under a context id no other pair has.
-    ``variable_names``, when present, has length p.  The arrays are
-    read-only: a writable one is copied, so the caller can change it
-    without changing the dataset, and a read-only float64 one, as the
-    loaders hand over, is kept as it is.
+    The arrays are read-only: a writable one is copied, so the caller can
+    change it without changing the dataset, and a read-only float64 one,
+    as the loaders hand over, is kept as it is.
     """
 
     contexts: tuple[tuple[str, np.ndarray], ...]
-    variable_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.contexts:
@@ -92,13 +90,6 @@ class ContextDataset:
         if p == 0:
             raise DataFormatError("dataset has zero variables")
         object.__setattr__(self, "contexts", tuple(cleaned))
-        if self.variable_names is not None:
-            names = tuple(str(n) for n in self.variable_names)
-            if len(names) != p:
-                raise DimensionMismatchError(
-                    f"{len(names)} variable names for {p} variables"
-                )
-            object.__setattr__(self, "variable_names", names)
 
     @property
     def p(self) -> int:
@@ -228,7 +219,7 @@ def _context_column(header) -> int:
 
 
 def _walk(path, long_table: bool) -> tuple:
-    """(header, block, context ids or None) of a file from
+    """(block, context ids or None) of a file from
     ``parse_delimited`` and the cell walk, which raises every error."""
     header, lines, delim = parse_delimited(path)
     rows = [_split(ln, delim) for ln in lines]
@@ -240,11 +231,11 @@ def _walk(path, long_table: bool) -> tuple:
         if not columns:
             raise DataFormatError(f"{path}: no value columns besides the context id")
         ids = [row[ctx_col] for row in rows]
-    return header, _numeric_matrix(path, rows, columns), ids
+    return _numeric_matrix(path, rows, columns), ids
 
 
 def _parse_range(path, start, end, first, long_table) -> tuple | None:
-    """(header, block, context ids or None) of the lines in bytes
+    """(block, context ids or None) of the lines in bytes
     [``start``, ``end``) of a file, or None when a row is ragged, numpy
     rejects a cell or the bytes do not decode.
 
@@ -281,9 +272,9 @@ def _parse_range(path, start, end, first, long_table) -> tuple | None:
             return None
         ids = [ln.split(delim, ctx_col + 1)[ctx_col].strip() for ln in lines]
     if not lines:
-        return header, np.empty((0, len(columns or range(width)))), ids
+        return np.empty((0, len(columns or range(width)))), ids
     block = _parse_block(lines, delim, columns)
-    return None if block is None else (header, block, ids)
+    return None if block is None else (block, ids)
 
 
 def _file_ranges(path, size: int, n: int, long_table: bool) -> list[tuple]:
@@ -322,7 +313,7 @@ PARALLEL_MIN_BYTES = 4_000_000
 
 
 def _read(paths, long_table: bool) -> list[tuple]:
-    """(header, block, context ids or None) of each file.
+    """(block, context ids or None) of each file.
 
     The files are cut into byte ranges, each one task of
     ``fork_pool.map_in_workers``: forked workers parse them from
@@ -339,13 +330,13 @@ def _read(paths, long_table: bool) -> list[tuple]:
     out = []
     for path, file_ranges in zip(paths, per_file):
         pieces = [next(parsed) for _ in file_ranges]
-        if any(p is None for p in pieces) or not sum(len(p[1]) for p in pieces):
+        if any(p is None for p in pieces) or not sum(len(p[0]) for p in pieces):
             out.append(_walk(path, long_table))
         elif len(pieces) == 1:
             out.append(pieces[0])
         else:
-            ids = [cid for p in pieces for cid in p[2]] if long_table else None
-            out.append((pieces[0][0], np.concatenate([p[1] for p in pieces]), ids))
+            ids = [cid for p in pieces for cid in p[1]] if long_table else None
+            out.append((np.concatenate([p[0] for p in pieces]), ids))
     return out
 
 
@@ -357,21 +348,14 @@ def _load_directory(path) -> ContextDataset:
         raise DataFormatError(f"{path}: directory contains no files")
     parsed = _read([os.path.join(path, f) for f in names], long_table=False)
     contexts = []
-    variable_names = None
-    for fname, (header, matrix, _) in zip(names, parsed):
+    for fname, (matrix, _) in zip(names, parsed):
         matrix.setflags(write=False)
         contexts.append((os.path.splitext(fname)[0], matrix))
-        if header is not None and variable_names is None:
-            variable_names = tuple(header)
-    return ContextDataset(tuple(contexts), variable_names=variable_names)
+    return ContextDataset(tuple(contexts))
 
 
 def _load_long_table(path) -> ContextDataset:
-    ((header, block, ids),) = _read([path], long_table=True)
-    ctx_col = _context_column(header)
-    variable_names = None
-    if header is not None:
-        variable_names = tuple(h for j, h in enumerate(header) if j != ctx_col)
+    ((block, ids),) = _read([path], long_table=True)
     # Row indices per context id, in order of first appearance.
     groups: dict[str, list[int]] = {}
     for i, cid in enumerate(ids):
@@ -385,7 +369,7 @@ def _load_long_table(path) -> ContextDataset:
             )
         matrix.setflags(write=False)
         contexts.append((cid, matrix))
-    return ContextDataset(tuple(contexts), variable_names=variable_names)
+    return ContextDataset(tuple(contexts))
 
 
 def load_contexts(path) -> ContextDataset:
@@ -405,7 +389,7 @@ def load_matrix(path) -> np.ndarray:
     as ``1e400``) are rejected, naming the first one by data row and
     column.
     """
-    ((_, out, _),) = _read([path], long_table=False)
+    ((out, _),) = _read([path], long_table=False)
     finite = np.isfinite(out)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -468,8 +452,7 @@ def global_pca_reduce(d: ContextDataset, n_components: int):
     reduced = tuple(
         (cid, (x - mean) @ projection.T) for cid, x in d.contexts
     )
-    names = tuple(f"pc{j + 1}" for j in range(n_components))
-    return ContextDataset(reduced, variable_names=names), projection, mean
+    return ContextDataset(reduced), projection, mean
 
 
 def build_tensor(d: ContextDataset) -> CovarianceTensor:

@@ -148,6 +148,8 @@ def load_model(path) -> tuple[McpcaModel, Preprocessing]:
         if any(type(size) is not int for size in sizes):
             raise TypeError("p, k and r must be integers")
         p, k, r = sizes
+        if r < 1:
+            raise DataFormatError(f"{path}: r must be at least 1, got {r}")
         if A.shape != (p, r) or B.shape != (k, r):
             raise DataFormatError(
                 f"{path}: matrix shapes disagree with the declared p, k, r"
@@ -202,7 +204,6 @@ def report_to_dict(report: FitReport) -> dict:
         "elapsed_seconds": float(report.elapsed_seconds),
         "seed": report.seed,
         "non_identifiable_suspect": report.non_identifiable_suspect,
-        "metadata": {key: value for key, value in report.metadata},
     }
 
 

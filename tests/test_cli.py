@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -123,10 +124,42 @@ class TestFitCommand:
         assert code == 0
         report = json.loads((tmp_path / "model.json.report.json").read_text())
         assert report["non_identifiable_suspect"] is False
-        assert report["metadata"] == {
-            "covariance": "unbiased",
-            "centering": "per-context",
-        }
+
+    @pytest.mark.parametrize("extra", [[], ["--pca-components", "4"]], ids=["raw", "pca"])
+    def test_report_key_set(self, planted_dir, tmp_path, extra):
+        # The preprocessing is the model file's to record, not the report's.
+        _, data_dir = planted_dir
+        model_path = tmp_path / "model.json"
+        argv = ["fit", "--input", str(data_dir), "--rank", "3", "--output", str(model_path)]
+        assert main(argv + extra) == 0
+        report = json.loads((tmp_path / "model.json.report.json").read_text())
+        assert sorted(report) == [
+            "elapsed_seconds",
+            "iterations",
+            "non_identifiable_suspect",
+            "objective_trace",
+            "per_context_error",
+            "reconstruction_error",
+            "restarts_used",
+            "seed",
+        ]
+
+    @pytest.mark.parametrize("report", ["model.json", "./sub/../model.json", "link.json"])
+    def test_report_over_the_model_is_usage_error(self, tmp_path, capsys, report, monkeypatch):
+        # The report used to overwrite the model.  The paths are compared
+        # before any data is read: the input does not exist.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        os.symlink("model.json", tmp_path / "link.json")
+        code = main(
+            ["fit", "--input", "missing", "--rank", "3", "--output", "model.json",
+             "--report", report]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: usage: --report and --output name the same file\n"
+        )
+        assert not (tmp_path / "model.json").exists()
 
     def test_default_flags_are_the_library_defaults(self, planted_dir, tmp_path):
         # With no fit knobs on the command line, the model is the library
@@ -820,6 +853,26 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}: malformed model file (")
         assert err.count("\n") == 1 and err.endswith(")\n")
 
+    @pytest.mark.parametrize("command", ["score", "diag"])
+    def test_rank_zero_model_file_is_input_error(
+        self, command, model_path, planted_dir, tmp_path, capsys
+    ):
+        # Consistent shapes with no component: numpy's own message on an
+        # empty reduction used to name neither the file nor the field.
+        raw = json.loads(model_path.read_text())
+        raw.update(r=0, A=[[] for _ in raw["A"]], B=[[] for _ in raw["B"]], converged=[])
+        model_path.write_text(json.dumps(raw))
+        _, data_dir = planted_dir
+        data = ["--data", str(data_dir / "c00.csv")] if command == "score" else [
+            "--input", str(data_dir)]
+        capsys.readouterr()
+        code = main([command, "--model", str(model_path), *data,
+                     "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: r must be at least 1, got 0\n"
+        )
+
     @pytest.mark.parametrize(
         "block, field, value",
         [
@@ -1010,6 +1063,29 @@ class TestDiagCommand:
             tables.append(out.read_text())
         assert tables[1] == tables[0]
         assert [row.split(",")[0] for row in tables[0].splitlines()[1:]] == ["c", "b", "a"]
+
+    def test_ids_with_commas_quotes_or_line_breaks_are_quoted(self, tmp_path):
+        # An id with a comma used to give its row one cell too many.  Ids
+        # come from file stems, which may hold any of these characters.
+        rng = np.random.default_rng(6)
+        ids = ["a,b", 'say "hi"', "two\nlines", "c", "d"]
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for cid in ids:
+            np.savetxt(data_dir / f"{cid}.csv", rng.standard_normal((30, 4)), delimiter=",")
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--input", str(data_dir), "--rank", "2",
+                     "--output", str(model_path)]) == 0
+        out = tmp_path / "diag.csv"
+        assert main(["diag", "--model", str(model_path), "--input", str(data_dir),
+                     "--output", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [row[0] for row in rows] == sorted(ids)
+        assert all(len(row) == len(header) == 6 for row in rows)
+        text = out.read_text(encoding="utf-8")
+        assert '\n"a,b",' in text and '\n"say ""hi""",' in text
+        assert "\nc," in text and "\nd," in text
 
     @pytest.mark.parametrize(
         "files, model_ids, message",

@@ -17,8 +17,6 @@ from mcpca import (
     score_samples,
     stack_covariances,
     tensor_from_factors,
-    uncorrelatedness_score,
-    variance_explained,
 )
 from mcpca.decompose import McpcaModel, reconstruction_error
 
@@ -104,21 +102,23 @@ class TestScoreSamples:
 class TestUncorrelatedness:
     def test_exact_model_diagonalizes(self):
         pm, t, model = _exact_case(8, 5, 3, seed=9)
-        scores = uncorrelatedness_score(t, model)
+        scores = compute_diagnostics(t, model).uncorrelatedness
         limit = 1e-8 * max(np.trace(s) for s in t.slices)
         assert scores.max() <= limit
 
     def test_diagonal_slices_identity_model(self):
         t = stack_covariances([np.diag([2.0, 1.0]), np.diag([3.0, 0.5])])
         model = _model_from(np.eye(2), np.array([[2.0, 1.0], [3.0, 0.5]]))
-        np.testing.assert_allclose(uncorrelatedness_score(t, model), 0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            compute_diagnostics(t, model).uncorrelatedness, 0.0, atol=1e-14
+        )
 
     def test_two_by_two_correlation(self):
         rho = 0.37
         t = stack_covariances([np.array([[1.0, rho], [rho, 1.0]])])
         model = _model_from(np.eye(2), np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(
-            uncorrelatedness_score(t, model), [np.sqrt(2) * rho], atol=1e-12
+            compute_diagnostics(t, model).uncorrelatedness, [np.sqrt(2) * rho], atol=1e-12
         )
 
 
@@ -161,7 +161,7 @@ class TestKlLoss:
         )
         model = _model_from(np.eye(2), np.array([[1.0, 2.0], [1.0, 1.0]]))
         kl = kl_loss(t, model)
-        unc = uncorrelatedness_score(t, model)
+        unc = compute_diagnostics(t, model).uncorrelatedness
         assert kl[0] == pytest.approx(0.0, abs=1e-12)
         assert unc[0] == pytest.approx(0.0, abs=1e-12)
         assert kl[1] > 1e-3 and unc[1] > 1e-3
@@ -170,36 +170,36 @@ class TestKlLoss:
 class TestVarianceExplained:
     def test_exact_model_full_ratio(self):
         pm, t, model = _exact_case(8, 5, 3, seed=12)
-        ve = variance_explained(t, model)
-        np.testing.assert_allclose(ve.ratio, 1.0, atol=1e-9)
+        ratio = compute_diagnostics(t, model).explained_ratio
+        np.testing.assert_allclose(ratio, 1.0, atol=1e-9)
 
     def test_zero_loadings_explain_nothing(self):
         pm, t, _ = _exact_case(6, 3, 2, seed=13)
         model = _model_from(pm.A_true, np.zeros((3, 2)))
-        ve = variance_explained(t, model)
-        np.testing.assert_array_equal(ve.ratio, 0.0)
-        np.testing.assert_array_equal(ve.explained, 0.0)
+        ratio = compute_diagnostics(t, model).explained_ratio
+        np.testing.assert_array_equal(ratio, 0.0)
 
     def test_orthonormal_explained_is_squared_loadings(self):
-        # Oracle: direct Frobenius norms of A B_i A^T; with orthonormal A
-        # the Gram matrix is the identity so cross terms vanish.
+        # Oracle: direct Frobenius norms of A B_i A^T over those of S_i;
+        # with orthonormal A the Gram matrix is the identity so cross terms
+        # vanish.
         pm, t, model = _exact_case(8, 4, 3, seed=14, orthonormal=True)
-        ve = variance_explained(t, model)
+        ratio = compute_diagnostics(t, model).explained_ratio
         direct = np.array(
             [
                 np.linalg.norm(model.A @ np.diag(model.B[i]) @ model.A.T) ** 2
                 for i in range(4)
             ]
         )
-        np.testing.assert_allclose(ve.explained, (model.B**2).sum(axis=1), atol=1e-10)
-        np.testing.assert_allclose(ve.explained, direct, atol=1e-10)
+        totals = np.linalg.norm(t.slices, axis=(1, 2)) ** 2
+        np.testing.assert_allclose(ratio, (model.B**2).sum(axis=1) / totals, rtol=1e-10)
+        np.testing.assert_allclose(ratio, direct / totals, rtol=1e-10)
 
 
 def test_scaling_to_the_float_limit_is_exact():
     # Tensor and loadings scaled by 2^520: their squares pass the float
     # limit, but the norms scale exactly, the ratios and KL gaps keep their
-    # bits, only the explained mass overflows (to inf), and nothing warns
-    # (the suite makes RuntimeWarnings errors).
+    # bits, and nothing warns (the suite makes RuntimeWarnings errors).
     pm = generate_identifiable(6, 4, 2, 0.7, seed=3)
     rng = np.random.default_rng(0)
     noise = rng.standard_normal((4, 6, 6)) * 0.05
@@ -208,14 +208,22 @@ def test_scaling_to_the_float_limit_is_exact():
     big_t = stack_covariances(t.slices * 2.0**520)
     big_m = replace(m, B=m.B * 2.0**520)
     d, big = compute_diagnostics(t, m), compute_diagnostics(big_t, big_m)
-    assert np.array_equal(big.variance.ratio, d.variance.ratio)
-    assert np.isinf(big.variance.explained).all()
+    assert np.array_equal(big.explained_ratio, d.explained_ratio)
     assert np.array_equal(big.uncorrelatedness, d.uncorrelatedness * 2.0**520)
     assert big.kl_loss == d.kl_loss
     total, per_context = reconstruction_error(t, m)
     big_total, big_per_context = reconstruction_error(big_t, big_m)
     assert big_total == total * 2.0**520
     assert np.array_equal(big_per_context, per_context * 2.0**520)
+
+
+@pytest.mark.parametrize(
+    "name", ["VarianceExplained", "variance_explained", "uncorrelatedness_score"]
+)
+def test_removed_diagnostics_names_do_not_import(name):
+    # Every diagnostic is a field of compute_diagnostics' result.
+    with pytest.raises(ImportError):
+        exec(f"from mcpca import {name}", {})
 
 
 class TestModelDimension:
@@ -238,12 +246,13 @@ def test_compute_diagnostics_assembles_everything():
     diag = compute_diagnostics(t, model)
     assert diag.uncorrelatedness.shape == (4,)
     assert len(diag.kl_loss) == 4
-    assert diag.variance.ratio.shape == (4,)
+    assert diag.explained_ratio.shape == (4,)
 
 
 def test_compute_diagnostics_projects_once(monkeypatch):
-    # One projection serves both the uncorrelatedness and the log-det gap,
-    # which keep the bits of the public functions that project apiece.
+    # One projection serves both the uncorrelatedness and the log-det gap.
+    # The gap keeps the bits of kl_loss, which projects on its own; the
+    # uncorrelatedness matches the off-diagonal norms of A^+ S_i (A^+)^T.
     import mcpca.diagnostics as diagnostics
 
     rng = np.random.default_rng(5)
@@ -256,9 +265,13 @@ def test_compute_diagnostics_projects_once(monkeypatch):
     )
     diag = compute_diagnostics(t, model)
     assert len(calls) == 1
-    np.testing.assert_array_equal(diag.uncorrelatedness, uncorrelatedness_score(t, model))
     assert diag.kl_loss == kl_loss(t, model)
-    assert len(calls) == 3
+    assert len(calls) == 2
+    pinv = real(model)
+    off = (pinv @ t.slices @ pinv.T) * (1 - np.eye(3))
+    np.testing.assert_allclose(
+        diag.uncorrelatedness, np.linalg.norm(off, axis=(1, 2)), rtol=1e-10
+    )
 
 
 def test_fitted_model_diagnostics_match_planted(seed=17):
@@ -269,5 +282,5 @@ def test_fitted_model_diagnostics_match_planted(seed=17):
     t = tensor_from_factors(pm.A_true, pm.B_true)
     model, _ = fit_mcpca(t, 3, FitConfig(seed=0))
     diag = compute_diagnostics(t, model)
-    assert diag.variance.ratio.min() >= 1 - 1e-8
+    assert diag.explained_ratio.min() >= 1 - 1e-8
     assert all(v is not None and v <= 1e-8 for v in diag.kl_loss)

@@ -64,7 +64,7 @@ class TestLoadContexts:
         _write(f, "g1,context,g2\n1,a,2\n3,a,4\n5,b,6\n7,b,8\n")
         ds = load_contexts(f)
         assert ds.context_ids == ("a", "b")
-        assert ds.variable_names == ("g1", "g2")
+        np.testing.assert_array_equal(ds.contexts[0][1], [[1, 2], [3, 4]])
 
     def test_single_sample_context_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
@@ -111,6 +111,11 @@ class TestLoadContexts:
             ContextDataset((("a", x), ("b", x), ("a", x)))
         assert str(excinfo.value) == "duplicate context id 'a'"
 
+    def test_variable_names_are_not_a_field(self):
+        x = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(TypeError):
+            ContextDataset((("a", x),), variable_names=("g1", "g2"))
+
     def test_directory_files_with_one_stem_rejected(self, tmp_path):
         _write(tmp_path / "a.csv", "1,2\n3,4\n")
         _write(tmp_path / "a.tsv", "1\t2\n3\t5\n")
@@ -135,14 +140,14 @@ class TestEncodingAndNonFinite:
     def test_bom_header_directory(self, tmp_path):
         (tmp_path / "c1.csv").write_text("\ufeffg1,g2\n1,2\n3,5\n", encoding="utf-8")
         ds = load_contexts(tmp_path)
-        assert ds.variable_names == ("g1", "g2")
+        np.testing.assert_array_equal(ds.contexts[0][1], [[1, 2], [3, 5]])
 
     def test_bom_header_long_table(self, tmp_path):
         f = tmp_path / "data.csv"
         f.write_text("\ufeffg1,context,g2\n1,a,2\n3,a,5\n", encoding="utf-8")
         ds = load_contexts(f)
         assert ds.context_ids == ("a",)
-        assert ds.variable_names == ("g1", "g2")
+        np.testing.assert_array_equal(ds.contexts[0][1], [[1, 2], [3, 5]])
 
     def test_bom_headerless_matrix(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -217,12 +222,10 @@ def _ref_load_matrix(path):
 def _refload_contexts_table(path):
     header, rows = _ref_parse_delimited(path)
     ctx_col = 0
-    variable_names = None
     if header is not None:
         lowered = [h.lower() for h in header]
         if "context" in lowered:
             ctx_col = lowered.index("context")
-        variable_names = tuple(h for j, h in enumerate(header) if j != ctx_col)
     value_cols = [j for j in range(len(rows[0])) if j != ctx_col]
     if not value_cols:
         raise DataFormatError(f"{path}: no value columns besides the context id")
@@ -238,7 +241,7 @@ def _refload_contexts_table(path):
         if matrix.shape[0] < 2:
             raise DataFormatError(f"{path}: fewer than 2 samples in context {cid!r}")
         contexts.append((cid, matrix))
-    return ContextDataset(tuple(contexts), variable_names=variable_names)
+    return ContextDataset(tuple(contexts))
 
 
 def _outcome(load, path):
@@ -281,7 +284,6 @@ def _assert_matches_cell_walk(text):
         else:
             assert got_exc is None
             assert got.context_ids == want.context_ids
-            assert got.variable_names == want.variable_names
             for (_, x), (_, y) in zip(got.contexts, want.contexts):
                 assert _same_bits(x, y)
 
@@ -423,7 +425,6 @@ def _assert_same_as_serial(load, path, split=True):
         assert _same_bits(got, want)
     else:
         assert got.context_ids == want.context_ids
-        assert got.variable_names == want.variable_names
         for (_, x), (_, y) in zip(got.contexts, want.contexts):
             assert _same_bits(x, y)
     return None
