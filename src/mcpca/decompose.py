@@ -15,16 +15,18 @@ The fit proceeds in three stages:
    unfolding of the original subspace, from one start at a time.
    Discovery (:func:`_discover`) works on the deflated subspace: the
    coefficient directions U of the components found so far are projected
-   out of c, c <- (I - U U^T) c, until the ``tol`` test passes.
-   Refinement (:func:`_refine`) takes the best restart, unprojected, to
-   its floating-point fixed point, finishing with safeguarded Riemannian
-   Newton steps (:func:`_newton_step`) once the power steps have settled
-   and the Newton steps cost less.  A refinement that lands on an earlier
-   component keeps the discovered point.  The kept point's projected
-   coefficients, normalized, then become U's next column.  Refinement
-   matters: with non-orthogonal components the deflated subspace no
-   longer contains the remaining rank-one generators exactly, so
-   maximizers drift by an amount that grows with the component
+   out of c, c <- (I - U U^T) c, until the ``tol`` test passes.  The
+   discovered point's projected coefficients, normalized, then become
+   U's next column.  Refinement (:func:`_refine`) takes the best
+   restart, unprojected, to its floating-point fixed point, finishing
+   with safeguarded Riemannian Newton steps (:func:`_newton_step`) once
+   the power steps have settled and the Newton steps cost less.  No
+   discovery waits for a refinement, so each refinement can run in a
+   forked worker while the next component is discovered.  A refinement
+   that lands on an earlier component keeps the discovered point.
+   Refinement matters: with non-orthogonal components the deflated
+   subspace no longer contains the remaining rank-one generators exactly,
+   so maximizers drift by an amount that grows with the component
    correlations; re-running the iteration on the original subspace from
    the discovered point removes that bias.
 3. recompute all loadings globally by non-negative least squares against
@@ -43,7 +45,9 @@ gives the unfolding the power iterations contract.
 
 Fits are deterministic given (tensor, rank, config) at a fixed BLAS
 thread count: restart points are drawn in order from a seeded generator,
-and ties between restarts are broken by the earliest restart index.
+and ties between restarts are broken by the earliest restart index.  A
+refinement is a function of its start alone, so the fit does not depend
+on how many workers refine.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fork_pool
 from .exceptions import (
     DegenerateStartError,
     DimensionMismatchError,
@@ -98,6 +103,13 @@ _FIXED_POINT_STEP = 16 * np.finfo(float).eps
 # least this with an earlier component's has landed on that component,
 # and keeps its discovered point instead (see docs/decisions.md).
 _COLLISION_COS = 0.99
+
+# A fit refines its components in forked workers, while this process
+# discovers the next, once p * k * r * r reaches this: r refinements, each
+# step of which reads the p * k * r entries of the subspace's unfolding.
+# Below it the pool cost more than it overlapped in the measured shapes
+# (docs/decisions.md, "Refining in workers").
+PARALLEL_REFINE_MIN_WORK = 4_000_000
 
 # Cap on the Lawson-Hanson solves of one NNLS row, per column of A
 # (scipy.optimize.nnls uses the same 3r).
@@ -339,7 +351,7 @@ def _power_step(unfold, a, b, c):
     return a_new, b_new, m_a, max(_aligned_step(a_new, a), _aligned_step(b_new, b))
 
 
-def _discover(unfold, taken, k, a, b, tol, max_iter):
+def _discover(unfold, taken, k, a, b, tol, max_iter, direction=None):
     """Discovery: one start, by power steps, on the working subspace.
 
     ``unfold`` is the (p, k*m) unfolding of the original subspace and the
@@ -358,6 +370,9 @@ def _discover(unfold, taken, k, a, b, tol, max_iter):
     Returns (a, b, objective, iterations, trace, converged), the trace
     holding the objective at the start of every step plus the final
     value, or None, without a warning, when a contraction vanishes.
+    ``direction`` (m,), if given, receives the last projected coefficients
+    normalized: the unit direction the returned point adds to the span of
+    ``taken``, which deflates the discoveries after it.
     """
     m = unfold.shape[1] // k
     m_a = (a @ unfold).reshape(k, m)
@@ -370,6 +385,8 @@ def _discover(unfold, taken, k, a, b, tol, max_iter):
         sigma = math.sqrt(np.dot(c, c))
         trace.append(sigma * sigma)
         if converged or steps >= max_iter:
+            if direction is not None:
+                np.divide(c, sigma, out=direction)
             return a, b, trace[-1], steps, trace, converged
         if sigma <= _DEGENERATE_NORM:
             return None
@@ -723,6 +740,11 @@ def fit_mcpca(
     """Fit the rank-r model: components by deflated power iterations with
     refinement, loadings by global non-negative least squares.
 
+    Each component's refinement is one task of ``fork_pool.map_in_workers``,
+    queued as soon as its discovery ends, while this process discovers the
+    next: in forked workers once p * k * r * r reaches
+    ``PARALLEL_REFINE_MIN_WORK``, CPUs // BLAS threads of them.  The fit
+    is the same, bit for bit, whichever process refines.
     The report's residuals and identifiability flag are computed when
     they are first read (see :class:`FitReport`).
     """
@@ -731,29 +753,44 @@ def fit_mcpca(
     unfold = _unfolding(extract_subspace(t, r), p, k)
     rng = np.random.default_rng(cfg.seed)
 
+    discovered = []
+    # Row j: the unit coefficient direction component j's discovered point
+    # adds to the span of those before it, the normalized
+    # (I - U U^T) T_A(a, b, *).
+    taken = np.empty((r, r))
+
+    def discoveries():
+        for j in range(r):
+            best = None
+            used = 0
+            for _ in range(cfg.restarts_per_component):
+                a, b = _draw_start(rng, p, k)
+                direction = np.empty(r)
+                result = _discover(unfold, taken[:j], k, a, b, cfg.tol, cfg.max_iter, direction)
+                if result is None:
+                    continue
+                used += 1
+                if best is None or result[2] > best[2] + _RESTART_TIE_TOL:
+                    best = result
+                    taken[j] = direction
+            if best is None:
+                raise DegenerateStartError(
+                    f"all {cfg.restarts_per_component} restarts degenerate "
+                    f"for component {j}"
+                )
+            discovered.append((best, used))
+            yield best[:2]
+
+    refinements = fork_pool.map_in_workers(
+        lambda start: _refine(unfold, k, *start, cfg.tol, cfg.max_iter),
+        discoveries(),
+        fork_pool.fit_workers(unfold.size * r, PARALLEL_REFINE_MIN_WORK),
+    )
+
     components = []
     found = np.empty((r, p + k))
-    # Row j: the unit coefficient direction component j adds to the span
-    # of those before it, the normalized (I - U U^T) T_A(a, b, *).
-    taken = np.empty((r, r))
-    for j in range(r):
-        best = None
-        used = 0
-        for _ in range(cfg.restarts_per_component):
-            a, b = _draw_start(rng, p, k)
-            result = _discover(unfold, taken[:j], k, a, b, cfg.tol, cfg.max_iter)
-            if result is None:
-                continue
-            used += 1
-            if best is None or result[2] > best[2] + _RESTART_TIE_TOL:
-                best = result
-        if best is None:
-            raise DegenerateStartError(
-                f"all {cfg.restarts_per_component} restarts degenerate "
-                f"for component {j}"
-            )
+    for j, ((best, used), refined) in enumerate(zip(discovered, refinements)):
         a, b, _, iters, trace, conv = best
-        refined = _refine(unfold, k, a, b, cfg.tol, cfg.max_iter)
         # A refinement that climbs onto an earlier component is dropped:
         # the discovered point is kept.
         if refined is not None and _overlap(refined[0], refined[1], found[:j]) < _COLLISION_COS:
@@ -763,13 +800,6 @@ def fit_mcpca(
             conv = conv and ref_conv
         found[j] = np.concatenate([a, b])
         components.append((a, b, trace, iters, conv, used))
-        # No zero-norm case: a discovered point's projected coefficients
-        # end its loop above _DEGENERATE_NORM, and no input is known to put
-        # a kept refined point's in the span of U (docs/decisions.md,
-        # "Deflation as a projection").
-        c = b @ (a @ unfold).reshape(k, r)
-        c = c - (taken[:j] @ c) @ taken[:j]
-        taken[j] = c / math.sqrt(np.dot(c, c))
 
     A = np.column_stack([c[0] for c in components])
     B = solve_nnls(t, A)

@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +30,7 @@ from mcpca import (
     solve_nnls,
     tensor_from_factors,
 )
-from mcpca import decompose
+from mcpca import decompose, fork_pool
 from mcpca.decompose import _FIXED_POINT_STEP, _discover, _refine, _unfolding
 
 TIGHT = FitConfig(seed=0, tol=1e-14, max_iter=2000)
@@ -992,15 +995,15 @@ class TestFitMcpca:
     def test_projection_matches_householder_deflation(self, recorded):
         # The coefficient directions a fit projects out after two
         # components give, at random points, the objective of the basis
-        # with both kept components deflated by Householder reflections.
+        # with both discovered points deflated by Householder reflections.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         fit_mcpca(t, 5, FitConfig(seed=2))
         unfold, taken = recorded["_discover"][2][0][:2]
         assert taken.shape == (2, 5)
         np.testing.assert_allclose(taken @ taken.T, np.eye(2), rtol=0, atol=1e-14)
         deflated = extract_subspace(t, 5)
-        for _, kept in recorded["_refine"][:2]:
-            deflated = _deflate(deflated, _vec(kept[0], kept[1]))
+        for _, discovered in recorded["_discover"][:2]:
+            deflated = _deflate(deflated, _vec(discovered[0], discovered[1]))
         rng = np.random.default_rng(49)
         for _ in range(20):
             a, b = _unit(rng, 12), _unit(rng, 6)
@@ -1184,3 +1187,110 @@ class TestModelInvariants:
             proj = pinv @ t.slices[i] @ pinv.T
             off = proj - np.diag(np.diag(proj))
             assert np.abs(off).max() <= 1e-8 * np.trace(t.slices[i])
+
+
+# --- refinements in forked workers -------------------------------------------
+
+
+@contextmanager
+def _cpus(count):
+    """Fits on ``count`` CPUs at one BLAS thread; yields the forks of this
+    process, recorded as they are made."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fork_pool, "cpu_count", lambda: count)
+        mp.setattr(os, "fork", fork)
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        yield forks
+    assert multiprocessing.active_children() == []
+
+
+def _above_the_gate():
+    """A sampled tensor and rank whose fit refines in workers."""
+    p, k, r = 50, 40, 45
+    assert p * k * r * r >= decompose.PARALLEL_REFINE_MIN_WORK
+    pm = generate_identifiable(p, k, r, 0.3, seed=61)
+    return build_tensor(sample_dataset(pm, 200, seed=62)), r
+
+
+def _same_fit(got, want):
+    (model, report), (ref_model, ref_report) = got, want
+    np.testing.assert_array_equal(model.A, ref_model.A)
+    np.testing.assert_array_equal(model.B, ref_model.B)
+    assert model.converged == ref_model.converged
+    assert replace(report, elapsed_seconds=0.0) == replace(ref_report, elapsed_seconds=0.0)
+
+
+class TestRefinementsInWorkers:
+    def test_two_workers_give_the_same_bits(self):
+        t, r = _above_the_gate()
+        with _cpus(1) as forks:
+            want = fit_mcpca(t, r, FitConfig(seed=3))
+        assert forks == []
+        with _cpus(2) as forks:
+            got = fit_mcpca(t, r, FitConfig(seed=3))
+        assert len(forks) == 2
+        _same_fit(got, want)
+
+    def test_exiting_worker_gives_the_same_bits(self, monkeypatch):
+        # Every worker exits at its first refinement; this process runs
+        # them all.
+        t, r = _above_the_gate()
+        with _cpus(1):
+            want = fit_mcpca(t, r, FitConfig(seed=4))
+        parent = os.getpid()
+        real = decompose._refine
+
+        def refine(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(decompose, "_refine", refine)
+        with _cpus(2) as forks:
+            got = fit_mcpca(t, r, FitConfig(seed=4))
+        assert forks
+        _same_fit(got, want)
+
+    def test_discovery_error_after_queued_refinements(self, monkeypatch):
+        # The fifth component's only start is degenerate: its discovery
+        # raises once four refinements have been queued to the workers.
+        t, r = _above_the_gate()
+        real = decompose._draw_start
+        drawn = []
+
+        def draw_start(rng, p, k):
+            a, b = real(rng, p, k)
+            drawn.append(1)
+            return (np.zeros_like(a) if len(drawn) == 5 else a), b
+
+        monkeypatch.setattr(decompose, "_draw_start", draw_start)
+        with _cpus(2) as forks, pytest.raises(DegenerateStartError, match="component 4"):
+            fit_mcpca(t, r, FitConfig(seed=5))
+        assert len(forks) == 2
+        assert fork_pool._fn is None
+
+    @pytest.mark.parametrize("p, k, r, workers", [
+        (100, 50, 60, 2),  # the benchmark's desk fit
+        (100, 50, 8, 1),   # the r=8 fit of the CLI benchmark's desk data
+        (20, 10, 8, 1),    # the noiseless check of exact recovery
+    ])
+    def test_gate_by_shape(self, monkeypatch, p, k, r, workers):
+        pools = []
+        real = fork_pool.map_in_workers
+
+        def in_process(fn, tasks, count):
+            pools.append(count)
+            return real(fn, tasks, 1)
+
+        monkeypatch.setattr(fork_pool, "map_in_workers", in_process)
+        _, t = _planted_tensor(p, k, r, 0.5, seed=63)
+        with _cpus(2):
+            fit_mcpca(t, r, FitConfig(seed=0))
+        assert pools == [workers]

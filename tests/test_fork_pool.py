@@ -12,7 +12,7 @@ from mcpca import fork_pool
 def _no_process_left():
     yield
     assert multiprocessing.active_children() == []
-    assert fork_pool._fn is None and fork_pool._tasks is None
+    assert fork_pool._fn is None
 
 
 @pytest.fixture
@@ -43,10 +43,10 @@ def test_results_come_back_in_task_order(forks):
     assert len(forks) == 2
 
 
-def test_function_and_tasks_are_not_pickled():
+def test_function_is_not_pickled():
+    # The workers inherit the function; only the tasks are pickled.
     lock = threading.Lock()  # a closure over it cannot be pickled
-    tasks = [(lock, i) for i in range(4)]
-    got = fork_pool.map_in_workers(lambda task: task[1] + lock.locked(), tasks, 2)
+    got = fork_pool.map_in_workers(lambda task: task + lock.locked(), range(4), 2)
     assert got == [0, 1, 2, 3]
 
 
@@ -113,3 +113,47 @@ def test_map_inside_a_running_map_runs_in_process(forks):
     assert all(inner == {pid} for _, inner, pid in got)
     assert os.getpid() not in {pid for _, _, pid in got}
     assert len(forks) == 2
+
+
+def _yielding(log, count):
+    """The tasks 0 .. count - 1, each logged as it is yielded."""
+    for x in range(count):
+        log.append(x)
+        yield x
+
+
+@pytest.mark.parametrize("exits", [False, True])
+def test_generator_is_read_once_in_task_order(forks, exits):
+    # With ``exits`` every worker exits at its first task: the tasks read
+    # so far run here again, and the rest are read here.
+    parent = os.getpid()
+    log = []
+
+    def square(x):
+        if exits and os.getpid() != parent:
+            os._exit(1)
+        return _square_and_pid(x)[0]
+
+    got = fork_pool.map_in_workers(square, _yielding(log, 8), 2)
+    assert got == [x * x for x in range(8)]
+    assert log == list(range(8))
+    assert len(forks) == 2
+
+
+def test_generator_error_joins_the_workers(forks):
+    def tasks():
+        yield from range(4)
+        raise ValueError("after 4 tasks")
+
+    with pytest.raises(ValueError, match="after 4 tasks"):
+        fork_pool.map_in_workers(_square_and_pid, tasks(), 2)
+    assert len(forks) == 2
+
+
+def test_map_inside_an_in_process_map_runs_in_process(forks):
+    def outer(x):
+        return fork_pool.map_in_workers(_square_and_pid, [x, x + 1], 2)
+
+    got = fork_pool.map_in_workers(outer, range(3), 1)
+    assert got == [[(x * x, os.getpid()), ((x + 1) ** 2, os.getpid())] for x in range(3)]
+    assert forks == []

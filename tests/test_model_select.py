@@ -287,12 +287,14 @@ def _serial():
 @contextmanager
 def _pooled():
     """The fits in two worker processes, whatever the tensor's size; record
-    the worker count of each pool started."""
+    the worker count of each map rank selection starts (not the maps of
+    its fits, which run inside it)."""
     pools = []
     real = fork_pool.map_in_workers
 
     def counted(fn, tasks, workers):
-        pools.append(workers)
+        if fork_pool._fn is None:
+            pools.append(workers)
         return real(fn, tasks, workers)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -480,7 +482,8 @@ class TestFitsInWorkers:
         real = fork_pool.map_in_workers
 
         def counted(fn, tasks, workers):
-            pools.append(workers)
+            if fork_pool._fn is None:  # not a fit's map inside it
+                pools.append(workers)
             return real(fn, tasks, workers)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -578,10 +581,12 @@ def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
     with _serial():
         want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
     pools = []
+    real = fork_pool.map_in_workers
 
     def in_process(fn, tasks, count):
-        pools.append(count)
-        return [fn(task) for task in tasks]
+        if fork_pool._fn is None:  # not a fit's map inside it
+            pools.append(count)
+        return real(fn, tasks, 1)
 
     monkeypatch.setattr(fork_pool, "PARALLEL_MIN_ENTRIES", 0)
     monkeypatch.setattr(fork_pool, "cpu_count", lambda: cpus)

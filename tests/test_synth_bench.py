@@ -299,12 +299,14 @@ def _serial():
 @contextmanager
 def _pooled():
     """The trials in two worker processes, whatever the shape; record the
-    worker count of each map and each fork of this process."""
+    worker count of each map of trials (not the maps of their fits, which
+    run inside it) and each fork of this process."""
     pools, forks = [], []
     real_map, real_fork = fork_pool.map_in_workers, os.fork
 
     def counted(fn, tasks, workers):
-        pools.append(workers)
+        if fork_pool._fn is None:
+            pools.append(workers)
         return real_map(fn, tasks, workers)
 
     def fork():
