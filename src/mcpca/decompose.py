@@ -12,8 +12,10 @@ The fit proceeds in three stages:
    power step (:func:`_power_step`) reads the subspace's unfolding
    twice: the contraction behind one step's b-update is carried into the
    next step's c-update.  Every step of both stages runs on the one
-   unfolding of the original subspace, from one start at a time.
-   Discovery (:func:`_discover`) works on the deflated subspace: the
+   unfolding of the original subspace, for a stack of starts at once:
+   each of the two reads is one matrix product for every start of the
+   stack, and a start that finishes leaves it.  Discovery
+   (:func:`_discover`) works on the deflated subspace: the
    coefficient directions U of the components found so far are projected
    out of c, c <- (I - U U^T) c, until the ``tol`` test passes.  The
    discovered point's projected coefficients, normalized, then become
@@ -21,8 +23,9 @@ The fit proceeds in three stages:
    restart, unprojected, to its floating-point fixed point, finishing
    with safeguarded Riemannian Newton steps (:func:`_newton_step`) once
    the power steps have settled and the Newton steps cost less.  No
-   discovery waits for a refinement, so each refinement can run in a
-   forked worker while the next component is discovered.  A refinement
+   discovery waits for a refinement, so a fit's components are refined
+   together in one stack once all are discovered, or, in a large fit,
+   each in a forked worker while the next is discovered.  A refinement
    that lands on an earlier component keeps the discovered point.
    Refinement matters: with non-orthogonal components the deflated
    subspace no longer contains the remaining rank-one generators exactly,
@@ -46,8 +49,11 @@ gives the unfolding the power iterations contract.
 Fits are deterministic given (tensor, rank, config) at a fixed BLAS
 thread count: restart points are drawn in order from a seeded generator,
 and ties between restarts are broken by the earliest restart index.  A
-refinement is a function of its start alone, so the fit does not depend
-on how many workers refine.
+row's arithmetic depends on the stack it is stepped in: a stack of one
+start runs the matrix-vector products of a single start, and a larger
+stack matrix-matrix products, which round differently.  The stacks are
+fixed by the fit (and, in rank selection, by the other fits of its
+candidate, :func:`_lockstep`), never by how many workers refine.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from .exceptions import (
     DegenerateStartError,
     DimensionMismatchError,
     GramSingularityError,
+    McpcaError,
     RankDeficiencyError,
 )
 from .tensor_core import CovarianceTensor, binary_scale, fix_signs, flatten, frobenius
@@ -104,11 +111,12 @@ _FIXED_POINT_STEP = 16 * np.finfo(float).eps
 # and keeps its discovered point instead (see docs/decisions.md).
 _COLLISION_COS = 0.99
 
-# A fit refines its components in forked workers, while this process
-# discovers the next, once p * k * r * r reaches this: r refinements, each
-# step of which reads the p * k * r entries of the subspace's unfolding.
-# Below it the pool cost more than it overlapped in the measured shapes
-# (docs/decisions.md, "Refining in workers").
+# A fit refines its components one at a time in forked workers, while this
+# process discovers the next, once p * k * r * r reaches this: r
+# refinements, each step of which reads the p * k * r entries of the
+# subspace's unfolding.  Below it the pool cost more than it overlapped in
+# the measured shapes (docs/decisions.md, "Refining in workers"), and the
+# components are refined together in one lockstep ("Lockstep fits").
 PARALLEL_REFINE_MIN_WORK = 4_000_000
 
 # Cap on the Lawson-Hanson solves of one NNLS row, per column of A
@@ -126,7 +134,7 @@ class FitConfig:
     Refinement continues past that point to the floating-point fixed
     point, within ``max_iter`` iterations, power and Newton steps alike.
     ``restarts_per_component`` random starts are drawn per component
-    from ``seed`` and discovered one after another; the best goes on to
+    from ``seed`` and discovered together; the best goes on to
     refinement.  One start is the default: refinement takes it to a
     component of the original subspace, so further starts only choose
     the basin it starts from (see docs/decisions.md).
@@ -319,46 +327,81 @@ def _unfolding(flat, p, k):
     return np.ascontiguousarray(flat.reshape(m, k, p).transpose(2, 1, 0).reshape(p, k * m))
 
 
-def _aligned_step(x_new, x):
-    """||x_new - sign(x_new . x) x|| between unit vectors, as a float."""
-    d = x_new - math.copysign(1.0, np.dot(x_new, x)) * x
-    return math.sqrt(np.dot(d, d))
+def _normalize(x):
+    """The rows of ``x`` scaled to unit length, and the rows' norms as a
+    list.
+
+    A row whose norm is at most ``_DEGENERATE_NORM`` is left as it is, so
+    no division warns.  A stack of one row takes the same arithmetic
+    without the array bookkeeping.
+    """
+    if len(x) == 1:
+        norm = math.sqrt(np.dot(x[0], x[0]))
+        return (x / norm if norm > _DEGENERATE_NORM else x), [norm]
+    norm = np.sqrt(np.vecdot(x, x))
+    norms = norm.tolist()
+    if min(norms) <= _DEGENERATE_NORM:
+        norm[norm <= _DEGENERATE_NORM] = 1.0
+    return x / norm[:, None], norms
 
 
 def _power_step(unfold, a, b, c):
-    """One power step from the unit point (a, b) along unit coefficients c.
+    """One power step of every row of a stack of unit points (a, b) along
+    its unit coefficients c.
 
-    a <- normalize(T_A(*, b, c)), then b <- normalize(T_A(a, *, c)) at the
-    new a.  The contraction M = T_A(a, *, *) behind the new b is returned
-    with it, since the next step's coefficients b M come from it too: a
-    step reads the (p, k*m) unfolding twice.  Returns (a, b, M, step), with
-    the larger sign-aligned step ||x_new - sign(x_new . x) x|| of the two
-    iterates (step^2 / 2 is 1 - |cos|, computed without cancellation), or
-    None, without a warning, when a contraction vanishes.
+    Row i of a (L, p), b (L, k) and c (L, m) is one iterate:
+    a_i <- normalize(T_A(*, b_i, c_i)), then b_i <- normalize(T_A(a_i, *, c_i))
+    at the new a_i.  The contractions M_i = T_A(a_i, *, *) behind the new b
+    are returned with it, since the next step's coefficients b_i M_i come
+    from them too: a step reads the (p, k*m) unfolding twice, in one
+    product for all rows each time.  Neither iterate changes sign, as
+    a . a_new is proportional to the objective and b . b_new to
+    ||T_A(*, b, c)||, so ||x_new - x|| is the sign-aligned step, and
+    step^2 / 2 is 1 - |cos| computed without cancellation.
+
+    Returns (a, b, m_a, step, vanished): m_a is (L, k, m), ``step`` lists
+    the larger step of each row's two iterates, and ``vanished`` lists
+    the positions of the rows whose contraction vanished, whose values
+    mean nothing.
     """
-    k, m = b.shape[0], c.shape[0]
-    a_new = unfold @ (b[:, None] * c).ravel()
-    norm = math.sqrt(np.dot(a_new, a_new))
-    if norm <= _DEGENERATE_NORM:
-        return None
-    a_new = a_new / norm
-    m_a = (a_new @ unfold).reshape(k, m)
-    b_new = m_a @ c
-    norm = math.sqrt(np.dot(b_new, b_new))
-    if norm <= _DEGENERATE_NORM:
-        return None
-    b_new = b_new / norm
-    return a_new, b_new, m_a, max(_aligned_step(a_new, a), _aligned_step(b_new, b))
+    n, k = b.shape
+    m = c.shape[1]
+    # b_i (x) c_i, flattened: for one row the outer product of the two.
+    bc = b.T * c if n == 1 else b[:, :, None] * c[:, None, :]
+    a_new, norm_a = _normalize(bc.reshape(n, k * m) @ unfold.T)
+    m_a = (a_new @ unfold).reshape(n, k, m)
+    b_new, norm_b = _normalize(np.matvec(m_a, c))
+    vanished = []
+    if min(norm_a) <= _DEGENERATE_NORM or min(norm_b) <= _DEGENERATE_NORM:
+        vanished = [
+            pos for pos, norms in enumerate(zip(norm_a, norm_b))
+            if min(norms) <= _DEGENERATE_NORM
+        ]
+    return a_new, b_new, m_a, _steps(a_new, a, b_new, b), vanished
 
 
-def _discover(unfold, taken, k, a, b, tol, max_iter, direction=None):
-    """Discovery: one start, by power steps, on the working subspace.
+def _steps(a_new, a, b_new, b):
+    """Per row, the larger of the steps ||a_new - a|| and ||b_new - b||, as
+    a list of floats."""
+    d, e = a_new - a, b_new - b
+    if len(d) == 1:
+        return [math.sqrt(max(np.dot(d[0], d[0]), np.dot(e[0], e[0])))]
+    return [
+        math.sqrt(max(x, y))
+        for x, y in zip(np.vecdot(d, d).tolist(), np.vecdot(e, e).tolist())
+    ]
 
-    ``unfold`` is the (p, k*m) unfolding of the original subspace and the
-    rows of ``taken`` (j, m) are orthonormal: the coefficient directions
-    the components found so far take up.  The working subspace is the rest
+
+def _discover(unfold, taken, k, a, b, tol, max_iter):
+    """Discovery: a stack of starts, by power steps in lockstep, on the
+    working subspace.
+
+    ``unfold`` is the (p, k*m) unfolding of the original subspace; a (L, p)
+    and b (L, k) hold one unit start per row.  The rows of ``taken[i]``
+    (j, m) are orthonormal: the coefficient directions the components that
+    row i's fit has found so far take up.  Its working subspace is the rest
     of the original one, so each step's coefficients c = T_A(a, b, *) are
-    projected onto it, c <- (I - U U^T) c with U = taken^T, and the
+    projected onto it, c <- (I - U U^T) c with U = taken[i]^T, and the
     objective is ||(I - U U^T) c||^2.  That is the iteration on a deflated
     basis without building one: if the rows of Q are an orthonormal basis
     of the working subspace's coefficients, the deflated subspace
@@ -366,93 +409,154 @@ def _discover(unfold, taken, k, a, b, tol, max_iter, direction=None):
     (:func:`_power_step`) follow until step^2 / 2 falls below ``tol``, or
     for ``max_iter`` steps, converged only if that last step passed the
     test: two reads of the unfolding per step plus one before the first.
+    A row that stops leaves the stack, and the others step on.
 
-    Returns (a, b, objective, iterations, trace, converged), the trace
-    holding the objective at the start of every step plus the final
-    value, or None, without a warning, when a contraction vanishes.
-    ``direction`` (m,), if given, receives the last projected coefficients
-    normalized: the unit direction the returned point adds to the span of
-    ``taken``, which deflates the discoveries after it.
+    Returns one entry per row: (a, b, objective, iterations, trace,
+    converged, direction), the trace holding the objective at the start of
+    every step plus the final value, and ``direction`` (m,) the last
+    projected coefficients normalized: the unit direction the returned
+    point adds to the span of the row's ``taken``, which deflates the
+    discoveries after it.  The entry is None, without a warning, when a
+    contraction of the row vanishes.
     """
     m = unfold.shape[1] // k
-    m_a = (a @ unfold).reshape(k, m)
-    trace = []
-    converged = False
+    rows = list(range(a.shape[0]))
+    results = [None] * len(rows)
+    traces = [[] for _ in rows]
+    converged = [False] * len(rows)
+    m_a = (a @ unfold).reshape(len(rows), k, m)
     steps = 0
     while True:
-        c = b @ m_a
-        c = c - (taken @ c) @ taken
-        sigma = math.sqrt(np.dot(c, c))
-        trace.append(sigma * sigma)
-        if converged or steps >= max_iter:
-            if direction is not None:
-                np.divide(c, sigma, out=direction)
-            return a, b, trace[-1], steps, trace, converged
-        if sigma <= _DEGENERATE_NORM:
-            return None
-        power = _power_step(unfold, a, b, c / sigma)
-        if power is None:
-            return None
-        a, b, m_a, step = power
+        c = np.vecmat(b, m_a)
+        if taken.shape[1]:
+            c -= np.vecmat(np.matvec(taken, c), taken)
+        # c becomes the unit coefficients; sigma holds the norms.
+        c, sigma = _normalize(c)
+        for i, s in zip(rows, sigma):
+            traces[i].append(s * s)
+        if steps >= max_iter or True in converged or min(sigma) <= _DEGENERATE_NORM:
+            keep = []
+            for pos, (i, s) in enumerate(zip(rows, sigma)):
+                if converged[pos] or steps >= max_iter:
+                    results[i] = (a[pos].copy(), b[pos].copy(), s * s, steps, traces[i],
+                                  converged[pos], c[pos].copy())
+                elif s > _DEGENERATE_NORM:
+                    keep.append(pos)
+            if not keep:
+                return results
+            rows = [rows[pos] for pos in keep]
+            a, b, m_a, c, taken = (x[keep] for x in (a, b, m_a, c, taken))
+        a, b, m_a, step, vanished = _power_step(unfold, a, b, c)
         steps += 1
-        converged = 0.5 * step * step < tol
+        converged = [0.5 * s * s < tol for s in step]
+        if vanished:
+            keep = [pos for pos in range(len(rows)) if pos not in vanished]
+            if not keep:
+                return results
+            rows = [rows[pos] for pos in keep]
+            converged = [converged[pos] for pos in keep]
+            a, b, m_a, taken = (x[keep] for x in (a, b, m_a, taken))
+
+
+def _positive_definite(systems):
+    """The positions of the matrices of a stack that are positive definite,
+    by their Cholesky factors.  numpy's stacked factorization fails for the
+    whole stack when one matrix is not, so then each is factored alone."""
+    try:
+        np.linalg.cholesky(systems)
+        return list(range(len(systems)))
+    except np.linalg.LinAlgError:
+        pass
+    definite = []
+    for pos, system in enumerate(systems):
+        try:
+            np.linalg.cholesky(system)
+            definite.append(pos)
+        except np.linalg.LinAlgError:
+            pass
+    return definite
 
 
 def _newton_step(unfold, a, b, m_a, c, trust):
-    """One Riemannian Newton step for F(a, b) = ||c||^2 on S^{p-1} x S^{k-1}.
+    """One Riemannian Newton step of every row of a stack, for
+    F(a, b) = ||c||^2 on S^{p-1} x S^{k-1}.
 
-    ``c`` = T_A(a, b, *) and ``m_a`` = M = T_A(a, *, *) come from the loop.
-    With P = T_A(*, b, *), F/2 has the Euclidean gradient (P c, M c) and
-    Hessian blocks P P^T, M M^T and P M^T + T_A(*, *, c); on the spheres
-    the Hessian is shifted by -F.  Since a^T P = b^T M = c^T, projecting
-    onto the tangent spaces takes rank-one updates: P - a c^T, M - b c^T,
-    and T_A(*, *, c) less its parts along a and b.  Given the value F in
-    the normal directions, the Newton system -H xi = grad keeps xi
-    tangent.  Its a-block F I - P P^T (projected P) is -F I plus rank m,
-    so with u = -P^T xi_a / sqrt(F) the system reduces to one symmetric
-    (m + k)-square system K [u; xi_b] = r (the Woodbury identity), and
-    xi_a follows from u and xi_b.  K is positive definite exactly when -H
-    is on the tangent space (its Schur complement is that of -H), which
-    its Cholesky factor tests.  The step reads the unfolding three times:
-    for P, for T_A(*, *, c) and for M at the new a.
+    Rows are iterates as in :func:`_power_step`.  ``c`` = T_A(a, b, *) and
+    ``m_a`` = M = T_A(a, *, *) come from the loop, and ``trust`` lists each
+    row's longest step.  With P = T_A(*, b, *), F/2 has the Euclidean
+    gradient (P c, M c) and Hessian blocks P P^T, M M^T and
+    P M^T + T_A(*, *, c); on the spheres the Hessian is shifted by -F.
+    Since a^T P = b^T M = c^T, projecting onto the tangent spaces takes
+    rank-one updates: P - a c^T, M - b c^T, and T_A(*, *, c) less its parts
+    along a and b.  Given the value F in the normal directions, the Newton
+    system -H xi = grad keeps xi tangent.  Its a-block F I - P P^T
+    (projected P) is -F I plus rank m, so with u = -P^T xi_a / sqrt(F) the
+    system reduces to one symmetric (m + k)-square system K [u; xi_b] = r
+    (the Woodbury identity), and xi_a follows from u and xi_b.  K is
+    positive definite exactly when -H is on the tangent space (its Schur
+    complement is that of -H), which its Cholesky factor tests, row by row
+    (:func:`_positive_definite`).  The step reads the unfolding three
+    times: for P, for T_A(*, *, c) and for M at the new a.
 
-    Returns (a, b, m_a, length), with the step's sign-aligned length, or
-    None when the step is not taken: H is not negative definite, the step
-    is longer than ``trust`` (then without the third read), or the new
-    point lowers F by more than rounding: a relative ``_FIXED_POINT_STEP``,
-    where F between power steps at the fixed point of the desk fit falls
-    by 4 eps at most.
+    A row's step is not taken when H is not negative definite, when it is
+    longer than the row's trust (then without the third read), or when
+    the new point lowers F by more than rounding: a relative
+    ``_FIXED_POINT_STEP``, where F between power steps at the fixed point
+    of the desk fit falls by 4 eps at most.  Returns (taken, a, b, m_a,
+    length): the positions in the stack of the rows whose steps are
+    taken, and their new points, contractions M and step lengths (a list),
+    in that order.
     """
-    p, k, m = a.shape[0], b.shape[0], m_a.shape[1]
-    f = np.dot(c, c)
-    root = math.sqrt(f)
-    pt = b @ unfold.reshape(p, k, m) - np.outer(a, c)
-    mt = m_a - np.outer(b, c)
-    grad_a, grad_b = pt @ c, mt @ c
-    tc = (unfold.reshape(p * k, m) @ c).reshape(p, k)
-    h_ab = pt @ mt.T + tc - np.outer(a, grad_b + f * b) - np.outer(grad_a, b)
+    n, p = a.shape
+    k, m = b.shape[1], c.shape[1]
+    f = np.vecdot(c, c)[:, None]
+    root = np.sqrt(f)
+    pt = (b[:, None, None, :] @ unfold.reshape(p, k, m)).reshape(n, p, m) - a[:, :, None] * c[:, None, :]
+    mt = m_a - b[:, :, None] * c[:, None, :]
+    grad_a = np.matvec(pt, c)
+    grad_b = np.matvec(mt, c)
+    tc = np.matvec(unfold.reshape(p * k, m), c).reshape(n, p, k)
+    h_ab = (
+        pt @ mt.transpose(0, 2, 1)
+        + tc
+        - a[:, :, None] * (grad_b + f * b)[:, None, :]
+        - grad_a[:, :, None] * b[:, None, :]
+    )
     # K = F I - W^T W - diag(0, M M^T) with W = [P, -H_ab / sqrt(F)].
-    w = np.concatenate([pt, h_ab / -root], axis=1)
-    system = -(w.T @ w)
-    system[m:, m:] -= mt @ mt.T
-    system.flat[:: m + k + 1] += f
-    try:
-        np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        return None
-    u_xi = np.linalg.solve(system, np.concatenate([np.zeros(m), grad_b]) - w.T @ grad_a / root)
-    a_new = a + (grad_a - root * (w @ u_xi)) / f
-    b_new = b + u_xi[m:]
-    a_new /= math.sqrt(np.dot(a_new, a_new))
-    b_new /= math.sqrt(np.dot(b_new, b_new))
-    length = max(_aligned_step(a_new, a), _aligned_step(b_new, b))
-    if length > trust:
-        return None
-    m_new = (a_new @ unfold).reshape(k, m)
-    c_new = b_new @ m_new
-    if np.dot(c_new, c_new) < f * (1.0 - _FIXED_POINT_STEP):
-        return None
-    return a_new, b_new, m_new, length
+    w = np.concatenate([pt, h_ab / -root[:, :, None]], axis=2)
+    system = -(w.transpose(0, 2, 1) @ w)
+    system[:, m:, m:] -= mt @ mt.transpose(0, 2, 1)
+    system.reshape(n, -1)[:, :: m + k + 1] += f
+    taken = _positive_definite(system)
+    if not taken:
+        return taken, None, None, None, []
+    if len(taken) < n:
+        a, b, f, root, w, grad_a, grad_b, system = (
+            x[taken] for x in (a, b, f, root, w, grad_a, grad_b, system)
+        )
+        trust = [trust[pos] for pos in taken]
+    n = len(taken)
+    rhs = np.concatenate([np.zeros((n, m)), grad_b], axis=1) - np.vecmat(grad_a, w) / root
+    u_xi = np.linalg.solve(system, rhs[:, :, None]).reshape(n, m + k)
+    a_new, _ = _normalize(a + (grad_a - root * np.matvec(w, u_xi)) / f)
+    b_new, _ = _normalize(b + u_xi[:, m:])
+    length = _steps(a_new, a, b_new, b)
+    within = [q for q in range(n) if not length[q] > trust[q]]
+    if len(within) < n:
+        if not within:
+            return [], None, None, None, []
+        a_new, b_new, f = a_new[within], b_new[within], f[within]
+        taken = [taken[q] for q in within]
+        length = [length[q] for q in within]
+    m_new = (a_new @ unfold).reshape(len(taken), k, m)
+    c_new = np.vecmat(b_new, m_new)
+    lower = (np.vecdot(c_new, c_new) < f[:, 0] * (1.0 - _FIXED_POINT_STEP)).tolist()
+    if True in lower:
+        kept = [q for q, drop in enumerate(lower) if not drop]
+        a_new, b_new, m_new = a_new[kept], b_new[kept], m_new[kept]
+        taken = [taken[q] for q in kept]
+        length = [length[q] for q in kept]
+    return taken, a_new, b_new, m_new, length
 
 
 def _newton_trust(step, rho, last_rho, p, k, m, budget):
@@ -496,71 +600,135 @@ def _newton_trust(step, rho, last_rho, p, k, m, budget):
 
 
 def _refine(unfold, k, a, b, tol, max_iter):
-    """Refinement: one start to its power-iteration fixed point.
+    """Refinement: a stack of starts, in lockstep, to their power-iteration
+    fixed points.
 
-    ``unfold`` is the (p, k*m) unfolding of the original subspace, ``a``
-    (p,) and ``b`` (k,) a unit start.  The power step is discovery's
-    (:func:`_power_step`) on the unprojected coefficients: two reads of the
-    unfolding per step plus one before the first.
+    ``unfold`` is the (p, k*m) unfolding of the original subspace, and a
+    (L, p) and b (L, k) hold one unit start per row.  The power step is
+    discovery's (:func:`_power_step`) on the unprojected coefficients: two
+    reads of the unfolding per step plus one before the first.
 
-    Once the power steps have settled and Newton steps pay for themselves
-    (:func:`_newton_trust`), Newton steps (:func:`_newton_step`) follow,
-    each no longer than the one before, until one is at most the square
-    root of ``_FIXED_POINT_STEP``; power steps take over again.  A Newton
-    step that fails a safeguard is not taken, and power steps go on as
-    before; after the j-th such refusal the next try waits 2^j power
+    Each row follows its own schedule.  Once its power steps have settled
+    and Newton steps pay for themselves (:func:`_newton_trust`), Newton
+    steps (:func:`_newton_step`) follow, each no longer than the one
+    before, until one is at most the square root of
+    ``_FIXED_POINT_STEP``; power steps take over again.  A Newton step
+    that fails a safeguard is not taken, and the row takes a power step
+    instead; after its j-th such refusal the next try waits 2^j power
     steps, so at most log2(``max_iter``) refused steps are paid for.
     Either kind of step counts as an iteration and adds its starting
     objective to the trace.  ``converged`` is set once step^2 / 2 falls
-    below ``tol``, but the loop runs on until a power step is at most
+    below ``tol``, but a row runs on until a power step is at most
     ``_FIXED_POINT_STEP`` or ``max_iter`` steps are taken: the point it
-    returns is a fixed point of the power iteration, as before.
+    returns is a fixed point of the power iteration.  Every round, the
+    rows whose Newton step is due take it together, and the others, those
+    refused among them, take one power step together.
 
-    Returns (a, b, objective, iterations, trace, converged) as
-    :func:`_discover` does, or None, without a warning, when a contraction
-    vanishes.
+    Returns one entry per row, (a, b, objective, iterations, trace,
+    converged) as :func:`_discover`'s without the direction, or None,
+    without a warning, when a contraction of the row vanishes.
     """
-    p, m = a.shape[0], unfold.shape[1] // k
-    m_a = (a @ unfold).reshape(k, m)
-    trace = []
-    converged = False
+    p, m = a.shape[1], unfold.shape[1] // k
+    rows = list(range(a.shape[0]))
+    results = [None] * len(rows)
+    traces = [[] for _ in rows]
+    schedules = [_Schedule() for _ in rows]
+    m_a = (a @ unfold).reshape(len(rows), k, m)
     steps = 0
-    # The last power step and its ratio to the one before (NaN until two
-    # successive power steps give one); the longest Newton step to accept,
-    # 0 while power steps are taken; and the Newton steps refused so far,
-    # after the j-th of which 2^j power steps come before the next try.
-    step = rho = math.nan
-    trust = 0.0
-    refused = retry = 0
     while True:
-        c = b @ m_a
-        sigma = math.sqrt(np.dot(c, c))
-        trace.append(sigma * sigma)
-        if step <= _FIXED_POINT_STEP or steps >= max_iter:
-            return a, b, trace[-1], steps, trace, converged
-        if sigma <= _DEGENERATE_NORM:
-            return None
-        if trust:
-            newton = _newton_step(unfold, a, b, m_a, c, trust)
-            if newton is not None:
-                a, b, m_a, length = newton
-                steps += 1
-                converged = converged or 0.5 * length * length < tol
-                trust = length if length * length > _FIXED_POINT_STEP else 0.0
-                step = rho = math.nan
-                continue
-            refused += 1
-            retry = steps + 2**refused
-            trust = 0.0
-        power = _power_step(unfold, a, b, c / sigma)
-        if power is None:
-            return None
-        a, b, m_a, new_step = power
-        last_rho, rho, step = rho, new_step / step, new_step
+        n = len(rows)
+        c = np.vecmat(b, m_a)
+        unit, sigma = _normalize(c)
+        keep = []
+        for pos, (i, s) in enumerate(zip(rows, sigma)):
+            traces[i].append(s * s)
+            if schedules[pos].step <= _FIXED_POINT_STEP or steps >= max_iter:
+                results[i] = (a[pos].copy(), b[pos].copy(), s * s, steps, traces[i],
+                              schedules[pos].converged)
+            elif s > _DEGENERATE_NORM:
+                keep.append(pos)
+        if len(keep) < n:
+            if not keep:
+                return results
+            rows = [rows[pos] for pos in keep]
+            schedules = [schedules[pos] for pos in keep]
+            a, b, m_a, c, unit = (x[keep] for x in (a, b, m_a, c, unit))
+            n = len(keep)
+        power = range(n)
+        newton = [pos for pos in power if schedules[pos].trust]
+        if newton:
+            rows_n = (a, b, m_a, c) if len(newton) == n else (a[newton], b[newton], m_a[newton], c[newton])
+            taken, a_n, b_n, m_n, lengths = _newton_step(
+                unfold, *rows_n, [schedules[pos].trust for pos in newton]
+            )
+            taken = [newton[q] for q in taken]
+            for pos, length in zip(taken, lengths):
+                schedules[pos].newton_taken(length, tol)
+            for pos in set(newton).difference(taken):
+                schedules[pos].newton_refused(steps)
+            if len(taken) == n:
+                a, b, m_a = a_n, b_n, m_n
+                power = []
+            elif taken:
+                power = [pos for pos in power if pos not in set(taken)]
+                # Arrays this loop made (round 0 takes no Newton step), so
+                # no caller's array is written.
+                a[taken], b[taken], m_a[taken] = a_n, b_n, m_n
+        vanished = []
+        if len(power) == n:
+            a, b, m_a, step, vanished = _power_step(unfold, a, b, unit)
+        elif power:
+            a_p, b_p, m_p, step, vanished = _power_step(
+                unfold, a[power], b[power], unit[power]
+            )
+            a[power], b[power], m_a[power] = a_p, b_p, m_p
         steps += 1
-        converged = converged or 0.5 * step * step < tol
-        if steps >= retry:
-            trust = _newton_trust(step, rho, last_rho, p, k, m, max_iter - steps)
+        for pos, new_step in zip(power, step if power else ()):
+            schedules[pos].power_taken(new_step, tol, steps, p, k, m, max_iter)
+        if vanished:
+            gone = {power[q] for q in vanished}
+            keep = [pos for pos in range(n) if pos not in gone]
+            if not keep:
+                return results
+            rows = [rows[pos] for pos in keep]
+            schedules = [schedules[pos] for pos in keep]
+            a, b, m_a = (x[keep] for x in (a, b, m_a))
+
+
+class _Schedule:
+    """Where one refinement row stands between power and Newton steps.
+
+    ``step`` is its last power step and ``rho`` that step's ratio to the
+    one before (NaN until two successive power steps give one); ``trust``
+    the longest Newton step to accept, 0 while power steps are taken;
+    ``refused`` the Newton steps refused so far, after the j-th of which
+    2^j power steps come before the next try, at the step count
+    ``retry``.
+    """
+
+    __slots__ = ("converged", "step", "rho", "trust", "refused", "retry")
+
+    def __init__(self):
+        self.converged = False
+        self.step = self.rho = math.nan
+        self.trust = 0.0
+        self.refused = self.retry = 0
+
+    def power_taken(self, step, tol, steps, p, k, m, max_iter):
+        last_rho, self.rho, self.step = self.rho, step / self.step, step
+        self.converged = self.converged or 0.5 * step * step < tol
+        if steps >= self.retry:
+            self.trust = _newton_trust(step, self.rho, last_rho, p, k, m, max_iter - steps)
+
+    def newton_taken(self, length, tol):
+        self.converged = self.converged or 0.5 * length * length < tol
+        self.trust = length if length * length > _FIXED_POINT_STEP else 0.0
+        self.step = self.rho = math.nan
+
+    def newton_refused(self, steps):
+        self.refused += 1
+        self.retry = steps + 2**self.refused
+        self.trust = 0.0
 
 
 def _overlap(a, b, found):
@@ -735,66 +903,139 @@ def reconstruction_error(t: CovarianceTensor, m: McpcaModel):
 
 
 def fit_mcpca(
-    t: CovarianceTensor, r: int, cfg: FitConfig = FitConfig()
+    t: CovarianceTensor, r: int, cfg: FitConfig = FitConfig(), found=None
 ) -> tuple[McpcaModel, FitReport]:
     """Fit the rank-r model: components by deflated power iterations with
     refinement, loadings by global non-negative least squares.
 
-    Each component's refinement is one task of ``fork_pool.map_in_workers``,
-    queued as soon as its discovery ends, while this process discovers the
-    next: in forked workers once p * k * r * r reaches
-    ``PARALLEL_REFINE_MIN_WORK``, CPUs // BLAS threads of them.  The fit
-    is the same, bit for bit, whichever process refines.
-    The report's residuals and identifiability flag are computed when
-    they are first read (see :class:`FitReport`).
+    Below ``PARALLEL_REFINE_MIN_WORK`` (p * k * r * r) the components are
+    refined together, in one lockstep.  From it on, each component's
+    refinement is one task of ``fork_pool.map_in_workers``, queued as soon
+    as its discovery ends, while this process discovers the next: in
+    forked workers, CPUs // BLAS threads of them.  The fit is the same,
+    bit for bit, whichever process refines.  The report's residuals and
+    identifiability flag are computed when they are first read (see
+    :class:`FitReport`).
+
+    ``found``, when given, is this fit's entry of :func:`_lockstep` run
+    for ``cfg.seed`` among other seeds of the same ``t``, ``r`` and
+    ``cfg`` (rank selection fits a candidate's seeds so): the fit then
+    takes its components from there, or raises the error that ended
+    them, and only solves the loadings.
+    """
+    if found is None:
+        (found,) = _lockstep(t, r, cfg, [cfg.seed])
+    if isinstance(found, Exception):
+        raise found
+    return _finish(t, cfg, *found)
+
+
+def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
+    """The components of the fits of ``t`` at rank ``r`` with ``cfg`` at
+    each of ``seeds``, stepped in lockstep: the part of each fit before its
+    loadings.
+
+    Each fit draws its starts from its own generator in the order a fit
+    alone draws them.  Discovery runs the j-th components of all fits
+    together: rows are fits times restarts, each with its fit's own
+    coefficient directions to project out.  Refinement is one lockstep
+    over every discovered start of every fit, except for a single fit at
+    or above ``PARALLEL_REFINE_MIN_WORK``, which refines one component at
+    a time, each while the next is discovered (see :func:`fit_mcpca`).  A
+    row's bits depend on the stack it is stepped in, so on the seeds of
+    the lockstep, but never on the CPU count.
+
+    Returns, per seed, the (unfolding, discovered, refined, start time)
+    :func:`_finish` takes, or the ``McpcaError`` that ended the fit: a
+    degenerate start ends only its own fit, and a rank the flattening
+    cannot hold every fit.  ``ValueError`` for a rank outside [1, p].
     """
     started = time.perf_counter()
     p, k = t.p, t.k
-    unfold = _unfolding(extract_subspace(t, r), p, k)
-    rng = np.random.default_rng(cfg.seed)
+    try:
+        unfold = _unfolding(extract_subspace(t, r), p, k)
+    except RankDeficiencyError as exc:
+        return [exc] * len(seeds)
+    restarts = cfg.restarts_per_component
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # Per fit: the error that ended it, or None while it runs; per
+    # component, its best discovered restart and the restarts that did
+    # not degenerate; and in row j of its ``taken``, the unit coefficient
+    # direction component j's discovered point adds to the span of those
+    # before it, the normalized (I - U U^T) T_A(a, b, *).
+    failed = [None] * len(seeds)
+    discovered = [[] for _ in seeds]
+    taken = np.empty((len(seeds), r, r))
 
-    discovered = []
-    # Row j: the unit coefficient direction component j's discovered point
-    # adds to the span of those before it, the normalized
-    # (I - U U^T) T_A(a, b, *).
-    taken = np.empty((r, r))
-
-    def discoveries():
-        for j in range(r):
+    def discover(j):
+        live = [f for f in range(len(seeds)) if failed[f] is None]
+        starts = [_draw_start(rngs[f], p, k) for f in live for _ in range(restarts)]
+        if not starts:
+            return
+        results = _discover(
+            unfold, taken[[f for f in live for _ in range(restarts)], :j], k,
+            np.array([a for a, _ in starts]), np.array([b for _, b in starts]),
+            cfg.tol, cfg.max_iter,
+        )
+        for f, pos in zip(live, range(0, len(results), restarts)):
             best = None
             used = 0
-            for _ in range(cfg.restarts_per_component):
-                a, b = _draw_start(rng, p, k)
-                direction = np.empty(r)
-                result = _discover(unfold, taken[:j], k, a, b, cfg.tol, cfg.max_iter, direction)
+            for result in results[pos : pos + restarts]:
                 if result is None:
                     continue
                 used += 1
                 if best is None or result[2] > best[2] + _RESTART_TIE_TOL:
                     best = result
-                    taken[j] = direction
             if best is None:
-                raise DegenerateStartError(
-                    f"all {cfg.restarts_per_component} restarts degenerate "
-                    f"for component {j}"
+                failed[f] = DegenerateStartError(
+                    f"all {restarts} restarts degenerate for component {j}"
                 )
-            discovered.append((best, used))
-            yield best[:2]
+            else:
+                taken[f, j] = best[6]
+                discovered[f].append((best, used))
 
-    refinements = fork_pool.map_in_workers(
-        lambda start: _refine(unfold, k, *start, cfg.tol, cfg.max_iter),
-        discoveries(),
-        fork_pool.fit_workers(unfold.size * r, PARALLEL_REFINE_MIN_WORK),
-    )
+    if len(seeds) == 1 and unfold.size * r >= PARALLEL_REFINE_MIN_WORK:
 
+        def discoveries():
+            for j in range(r):
+                discover(j)
+                if failed[0] is not None:
+                    return
+                yield discovered[0][j][0][:2]
+
+        refined = {0: fork_pool.map_in_workers(
+            lambda start: _refine(unfold, k, start[0][None], start[1][None], cfg.tol, cfg.max_iter)[0],
+            discoveries(),
+            fork_pool.fit_workers(unfold.size * r, PARALLEL_REFINE_MIN_WORK),
+        )}
+    else:
+        for j in range(r):
+            discover(j)
+        live = [f for f in range(len(seeds)) if failed[f] is None]
+        starts = [best[:2] for f in live for best, _ in discovered[f]]
+        rows = _refine(
+            unfold, k, np.array([a for a, _ in starts]), np.array([b for _, b in starts]),
+            cfg.tol, cfg.max_iter,
+        ) if starts else []
+        refined = {f: rows[pos : pos + r] for f, pos in zip(live, range(0, len(rows), r))}
+    return [
+        (unfold, discovered[f], refined[f], started) if failed[f] is None else failed[f]
+        for f in range(len(seeds))
+    ]
+
+
+def _finish(t, cfg, unfold, discovered, refined, started):
+    """The (model, report) of one fit from its discovered and refined
+    components: a refinement that climbs onto an earlier component is
+    dropped and the discovered point kept, then the loadings are solved
+    and the columns ordered."""
+    p, k, r = t.p, t.k, len(discovered)
     components = []
     found = np.empty((r, p + k))
-    for j, ((best, used), refined) in enumerate(zip(discovered, refinements)):
-        a, b, _, iters, trace, conv = best
-        # A refinement that climbs onto an earlier component is dropped:
-        # the discovered point is kept.
-        if refined is not None and _overlap(refined[0], refined[1], found[:j]) < _COLLISION_COS:
-            a, b, _, ref_iters, ref_trace, ref_conv = refined
+    for j, ((best, used), refined_j) in enumerate(zip(discovered, refined)):
+        a, b, _, iters, trace, conv = best[:6]
+        if refined_j is not None and _overlap(refined_j[0], refined_j[1], found[:j]) < _COLLISION_COS:
+            a, b, _, ref_iters, ref_trace, ref_conv = refined_j
             trace = trace + ref_trace
             iters += ref_iters
             conv = conv and ref_conv

@@ -1,9 +1,10 @@
 """Independent tasks in forked worker processes.
 
-``ingest`` (the byte ranges of its inputs), ``model_select`` (the fits
-of rank selection), ``synth_bench`` (the trials of a benchmark) and
-``decompose`` (the refinements of a fit, as its discovery yields them)
-map their tasks here; the last three size their pools by
+``ingest`` (the byte ranges of its inputs), ``model_select`` (the
+candidates of rank selection, each the lockstep of its fits),
+``synth_bench`` (the trials of a benchmark) and ``decompose`` (the
+refinements of a large fit, as its discovery yields them) map their
+tasks here; the last three size their pools by
 :func:`fit_workers`.  This module imports ``multiprocessing`` and
 ``concurrent.futures`` only when it starts a pool: about 27 ms that no
 small CLI call should pay.
@@ -35,9 +36,9 @@ def cpu_count() -> int:
 
 # Maps whose tasks each fit a tensor of this many entries (p * p * k) or
 # more run in worker processes: below it, the pool lost or broke even on
-# 2 CPUs in nearly every measured shape of rank selection, and a
-# benchmark trial costs at least one such fit (docs/decisions.md, "Rank
-# selection in parallel").
+# 2 CPUs in most measured shapes of rank selection, whose tasks are
+# candidates, and a benchmark trial costs at least one such fit
+# (docs/decisions.md, "Rank selection in parallel").
 PARALLEL_MIN_ENTRIES = 4_000
 
 

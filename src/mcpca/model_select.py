@@ -9,10 +9,12 @@ same.
 
 Rank selection scores each candidate rank by the average match score
 over pairs of fits run from independent seeds, and picks the largest
-candidate whose average reaches the threshold.  The fits are independent
-and run in forked worker processes (``fork_pool``), as many as the CPUs
-hold at the BLAS thread count, with the same report as one after another
-(docs/decisions.md, "Rank selection in parallel").
+candidate whose average reaches the threshold.  A candidate's fits find
+their components together, as one lockstep (``decompose._lockstep``),
+then each solves its loadings in ``fit_mcpca``; the candidates run in
+forked worker processes (``fork_pool``), as many as the CPUs hold at the
+BLAS thread count, with the same report as one after another
+(docs/decisions.md, "Rank selection in parallel" and "Lockstep fits").
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fork_pool
-from .decompose import FitConfig, fit_mcpca
+from .decompose import FitConfig, _lockstep, fit_mcpca
 from .exceptions import DimensionMismatchError, McpcaError
 from .tensor_core import CovarianceTensor, flatten
 
@@ -124,35 +126,42 @@ class RankSelectionReport:
     scree: tuple[float, ...]
 
 
-def _components(t: CovarianceTensor, r: int, cfg: FitConfig):
-    """Components A of one stability fit, or None when the fit fails."""
-    try:
-        return fit_mcpca(t, r, cfg)[0].A
-    except (McpcaError, np.linalg.LinAlgError):
-        return None
+def _candidate_components(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
+    """Components A of one candidate's fits, one per seed of ``seeds``:
+    their components found in one lockstep (``decompose._lockstep``),
+    each fit's loadings solved by ``fit_mcpca``; None for a fit that
+    failed."""
+    models = []
+    for seed, found in zip(seeds, _lockstep(t, r, cfg, seeds)):
+        try:
+            models.append(fit_mcpca(t, r, replace(cfg, seed=seed), found)[0].A)
+        except (McpcaError, np.linalg.LinAlgError):
+            models.append(None)
+    return models
 
 
 def _stability_fits(t: CovarianceTensor, candidates, n_seed_pairs: int, cfg: FitConfig) -> list:
     """Per candidate, the components of its fits, run 0 then run 1 of each
     pair in pair order; None for a fit that failed.
 
-    Every fit of every candidate runs, each one task of
-    ``fork_pool.map_in_workers`` on ``fork_pool.fit_workers`` workers.
+    Each candidate is one task of ``fork_pool.map_in_workers`` on
+    ``fork_pool.fit_workers`` workers, whose fits run together in one
+    lockstep.  The largest ranks, the longest tasks, are queued first.
     """
     if n_seed_pairs < 1:
         raise ValueError("n_seed_pairs must be >= 1")
-    tasks = [
-        (r, replace(cfg, seed=mix_seed(cfg.seed, pair, run)))
-        for r in candidates
-        for pair in range(n_seed_pairs)
-        for run in range(2)
-    ]
+    seeds = [mix_seed(cfg.seed, pair, run) for pair in range(n_seed_pairs) for run in range(2)]
+    order = sorted(range(len(candidates)), key=lambda i: -candidates[i])
     flatten(t)  # forked workers inherit the cached SVD
     fits = fork_pool.map_in_workers(
-        lambda task: _components(t, *task), tasks, fork_pool.fit_workers(t.slices.size)
+        lambda i: _candidate_components(t, candidates[i], cfg, seeds),
+        order,
+        fork_pool.fit_workers(t.slices.size),
     )
-    per = 2 * n_seed_pairs
-    return [fits[i : i + per] for i in range(0, len(fits), per)]
+    per = [None] * len(candidates)
+    for i, models in zip(order, fits):
+        per[i] = models
+    return per
 
 
 def _mean_match(models) -> float:
@@ -171,7 +180,9 @@ def stability_score(
 ) -> float:
     """Mean match score over pairs of fits from independent seeds.
 
-    Pair seeds come from ``mix_seed(cfg.seed, pair, run)``.  Any fit
+    Pair seeds come from ``mix_seed(cfg.seed, pair, run)``, and the fits
+    run as one lockstep in this process, as they do for the same rank in
+    :func:`select_rank`, so the two give the same score.  Any fit
     failure (for example a rank-deficient flattening, or NNLS loadings
     that do not converge) scores 0: rank candidates near the numerical
     rank degrade instead of aborting.
@@ -192,13 +203,14 @@ def select_rank(
     The scree (singular values of the flattening) is attached for
     shortlisting candidates; no elbow detection is attempted.
 
-    All 2 * ``n_seed_pairs`` fits of every candidate run, as one batch:
-    in forked workers from ``fork_pool.PARALLEL_MIN_ENTRIES`` tensor
-    entries on, CPUs // BLAS threads of them, one fit per task.  The
-    report is ``==`` to the one the fits give one after another in this
-    process, which is how they run for a smaller tensor, when fewer than
-    two workers fit (one CPU, or BLAS not pinned to fewer threads than
-    the CPUs), without ``fork``, while other threads run, inside a
+    All 2 * ``n_seed_pairs`` fits of every candidate run, each
+    candidate's as one lockstep: in forked workers from
+    ``fork_pool.PARALLEL_MIN_ENTRIES`` tensor entries on, CPUs // BLAS
+    threads of them, one candidate per task, largest rank first.  The
+    report is ``==`` to the one the candidates give one after another in
+    this process, which is how they run for a smaller tensor, when fewer
+    than two workers fit (one CPU, or BLAS not pinned to fewer threads
+    than the CPUs), without ``fork``, while other threads run, inside a
     worker of another map or when a worker dies.
     """
     if not math.isfinite(threshold):

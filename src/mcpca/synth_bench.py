@@ -16,9 +16,10 @@ records carry N = 0.
 Each trial (a grid point of a sweep) is one task of
 ``fork_pool.map_in_workers``: from ``fork_pool.PARALLEL_MIN_ENTRIES``
 tensor entries on, the trials run in forked workers, CPUs // BLAS
-threads of them, one trial at a time in each, so a recorded runtime
-still times one fit with the CPU to itself.  The records are those of
-the trials run one after another in this process, except
+threads of them, one trial at a time in each.  Two fits running at once
+can each run slower than one alone, so compare recorded runtimes
+between runs of the same worker count.  The records are those of the
+trials run one after another in this process, except
 ``runtime_seconds`` (docs/decisions.md, "Benchmark trials in parallel").
 """
 

@@ -18,6 +18,7 @@ from mcpca import (
     DegenerateStartError,
     FitConfig,
     GramSingularityError,
+    McpcaError,
     RankDeficiencyError,
     ascore,
     build_tensor,
@@ -46,6 +47,18 @@ def _unfold(t, r):
     return _unfolding(extract_subspace(t, r), t.p, t.k)
 
 
+def _discover_one(unfold, taken, k, a0, b0, tol, max_iter):
+    """Discovery of a stack of one start; None if it degenerates."""
+    (result,) = _discover(unfold, taken[None], k, a0[None], b0[None], tol, max_iter)
+    return result
+
+
+def _refine_one(unfold, k, a0, b0, tol, max_iter):
+    """Refinement of a stack of one start; None if it degenerates."""
+    (result,) = _refine(unfold, k, a0[None], b0[None], tol, max_iter)
+    return result
+
+
 def _iterate(unfold, a0, b0, tol=1e-10, max_iter=500, taken=None):
     """(a, b, objective, iterations, trace, converged) of discovery from
     one start on the unfolding ``unfold``, with the coefficient directions
@@ -53,10 +66,10 @@ def _iterate(unfold, a0, b0, tol=1e-10, max_iter=500, taken=None):
     k = b0.shape[0]
     if taken is None:
         taken = np.empty((0, unfold.shape[1] // k))
-    result = _discover(unfold, taken, k, a0, b0, tol, max_iter)
+    result = _discover_one(unfold, taken, k, a0, b0, tol, max_iter)
     if result is None:
         raise DegenerateStartError("contraction vanished")
-    return result
+    return result[:6]
 
 
 def _deflate(flat, direction):
@@ -118,7 +131,7 @@ def _serial_power_iterate(unfold_p, k, r, a0, b0, tol, max_iter, to_fixed_point=
 
 def _next_step(unfold, k, a, b):
     """Length of one more power step from (a, b)."""
-    again = _refine(unfold, k, a, b, 1e-10, 1)
+    again = _refine_one(unfold, k, a, b, 1e-10, 1)
     return max(np.linalg.norm(again[0] - a), np.linalg.norm(again[1] - b))
 
 
@@ -136,7 +149,7 @@ def _refines_to_fixed_point(unfold, k, r, a0, b0):
     )
     if iterations >= 5_000:
         return False
-    row = _refine(unfold, k, a0, b0, 1e-10, 20_000)
+    row = _refine_one(unfold, k, a0, b0, 1e-10, 20_000)
     assert np.abs(row[0] - a).max() <= 1e-12
     assert np.abs(row[1] - b).max() <= 1e-12
     assert len(row[4]) == row[3] + 1
@@ -148,13 +161,14 @@ def _refines_to_fixed_point(unfold, k, r, a0, b0):
 
 @pytest.fixture
 def newton_steps(monkeypatch):
-    """Counts of the Newton steps _refine takes and refuses."""
+    """Counts of the Newton steps _refine takes and refuses, row by row."""
     counts = {"taken": 0, "rejected": 0}
     real = decompose._newton_step
 
-    def counted(*args):
-        out = real(*args)
-        counts["taken" if out is not None else "rejected"] += 1
+    def counted(unfold, a, *args):
+        out = real(unfold, a, *args)
+        counts["taken"] += len(out[0])
+        counts["rejected"] += a.shape[0] - len(out[0])
         return out
 
     monkeypatch.setattr(decompose, "_newton_step", counted)
@@ -183,7 +197,7 @@ class _ReadCounter(np.ndarray):
     reads = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
+        if ufunc in (np.matmul, np.matvec, np.vecmat):
             _ReadCounter.reads += 1
         inputs = [np.asarray(x) if isinstance(x, _ReadCounter) else x for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
@@ -341,7 +355,7 @@ class TestPowerIterate:
         rng = np.random.default_rng(42)
         a0 = np.array([_unit(rng, 12) for _ in range(10)])
         b0 = np.array([_unit(rng, 6) for _ in range(10)])
-        stage = (lambda a, b: _refine(unfold, 6, a, b, 1e-10, max_iter)) if to_fixed_point else (
+        stage = (lambda a, b: _refine_one(unfold, 6, a, b, 1e-10, max_iter)) if to_fixed_point else (
             lambda a, b: _iterate(unfold, a, b, 1e-10, max_iter)
         )
         rows = [stage(a0[i], b0[i]) for i in range(10)]
@@ -435,8 +449,8 @@ class TestPowerIterate:
     def test_two_unfolding_reads_per_step(self, starts):
         # The T_A(a, *, *) that gives a step its new b also gives the next
         # step its c, so the unfolding is read twice per step plus once
-        # before the first step.  Starts run one after another, as a fit's
-        # restarts do, each with 0, 1 or 2 directions projected out.
+        # before the first step.  Starts run one after another, each a
+        # stack of one with 0, 1 or 2 directions projected out.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         unfold = _unfold(t, 5)
         basis = np.linalg.qr(np.random.default_rng(48).standard_normal((5, 5)))[0]
@@ -444,18 +458,41 @@ class TestPowerIterate:
         plain, expected = [], 0
         runs = [(_unit(rng, 12), _unit(rng, 6), basis[: i % 3]) for i in range(starts)]
         for a0, b0, taken in runs:
-            plain.append(_discover(unfold, taken, 6, a0, b0, 1e-10, 300))
+            plain.append(_discover_one(unfold, taken, 6, a0, b0, 1e-10, 300))
             expected += 2 * plain[-1][3] + 1
         _ReadCounter.reads = 0
         counted = [
-            _discover(unfold.view(_ReadCounter), taken, 6, a0, b0, 1e-10, 300)
+            _discover_one(unfold.view(_ReadCounter), taken, 6, a0, b0, 1e-10, 300)
             for a0, b0, taken in runs
         ]
         assert max(row[3] for row in counted) > 1
         assert _ReadCounter.reads == expected
         for row, same in zip(counted, plain):
             assert np.array_equal(row[0], same[0])
-            assert row[3:] == same[3:]
+            assert row[3:6] == same[3:6]
+            assert np.array_equal(row[6], same[6])
+
+    def test_a_stack_reads_the_unfolding_twice_per_round(self):
+        # Ten starts discovered as one stack, each with its own directions
+        # projected out: every round reads the unfolding twice for all
+        # rows, so the reads follow the longest row, and each row ends
+        # where it ends alone to rounding.
+        pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
+        unfold = _unfold(t, 5)
+        basis = np.linalg.qr(np.random.default_rng(48).standard_normal((5, 5)))[0]
+        rng = np.random.default_rng(47)
+        a0 = np.array([_unit(rng, 12) for _ in range(10)])
+        b0 = np.array([_unit(rng, 6) for _ in range(10)])
+        taken = np.array([basis[:2] if i % 2 else basis[2:4] for i in range(10)])
+        _ReadCounter.reads = 0
+        rows = _discover(unfold.view(_ReadCounter), taken, 6, a0, b0, 1e-10, 300)
+        steps = [row[3] for row in rows]
+        assert min(steps) < max(steps)
+        assert _ReadCounter.reads == 2 * max(steps) + 1
+        for i, row in enumerate(rows):
+            alone = _discover_one(unfold, taken[i], 6, a0[i], b0[i], 1e-10, 300)
+            assert row[3:6:2] == alone[3:6:2]
+            assert np.abs(row[0] - alone[0]).max() <= 1e-12
 
     def test_refinement_reads_unfolding_twice_per_step(self, newton_steps):
         # A power step reads the unfolding twice, a Newton step taken three
@@ -466,10 +503,10 @@ class TestPowerIterate:
         rng = np.random.default_rng(48)
         for _ in range(3):
             a0, b0 = _unit(rng, 20), _unit(rng, 10)
-            plain = _refine(unfold, 10, a0, b0, 1e-10, 500)
+            plain = _refine_one(unfold, 10, a0, b0, 1e-10, 500)
             newton_steps.update(taken=0, rejected=0)
             _ReadCounter.reads = 0
-            counted = _refine(unfold.view(_ReadCounter), 10, a0, b0, 1e-10, 500)
+            counted = _refine_one(unfold.view(_ReadCounter), 10, a0, b0, 1e-10, 500)
             newton = newton_steps["taken"]
             power = counted[3] - newton
             assert power > 1 and newton_steps["rejected"] == 0
@@ -491,7 +528,7 @@ class TestPowerIterate:
             b0 = pm.B_true[:, 0] + 0.05 * pm.B_true[:, 2]
             a0, b0 = a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0)
             newton_steps.update(taken=0, rejected=0)
-            row = _refine(unfold, 10, a0, b0, 1e-10, 500)
+            row = _refine_one(unfold, 10, a0, b0, 1e-10, 500)
             assert newton_steps["taken"] == 0
             assert 1 <= newton_steps["rejected"] <= math.log2(500)
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
@@ -509,8 +546,8 @@ class TestPowerIterate:
         rng = np.random.default_rng(45)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _refine(unfold, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
-            assert _refine(unfold, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
+            assert _refine_one(unfold, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
+            assert _refine_one(unfold, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
 
     def test_degenerate_discovery_start_returns_none(self):
         # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
@@ -523,8 +560,8 @@ class TestPowerIterate:
         for taken in (np.empty((0, 2)), np.array([[0.6, 0.8]])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert _discover(unfold, taken, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
-                assert _discover(unfold, taken, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
+                assert _discover_one(unfold, taken, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
+                assert _discover_one(unfold, taken, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
 
 
 class TestSolveNnls:
@@ -999,28 +1036,30 @@ class TestFitMcpca:
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         fit_mcpca(t, 5, FitConfig(seed=2))
         unfold, taken = recorded["_discover"][2][0][:2]
-        assert taken.shape == (2, 5)
+        assert taken.shape == (1, 2, 5)
+        taken = taken[0]
         np.testing.assert_allclose(taken @ taken.T, np.eye(2), rtol=0, atol=1e-14)
         deflated = extract_subspace(t, 5)
-        for _, discovered in recorded["_discover"][:2]:
+        for _, (discovered,) in recorded["_discover"][:2]:
             deflated = _deflate(deflated, _vec(discovered[0], discovered[1]))
         rng = np.random.default_rng(49)
         for _ in range(20):
             a, b = _unit(rng, 12), _unit(rng, 6)
-            projected = _discover(unfold, taken, 6, a, b, 1e-10, 1)[4][0]
+            projected = _discover_one(unfold, taken, 6, a, b, 1e-10, 1)[4][0]
             assert abs(projected - np.sum((deflated @ _vec(a, b)) ** 2)) <= 1e-13
 
     def test_ties_go_to_earliest_restart(self, recorded):
         # Two orthogonal components with orthogonal loadings of equal
         # weight both maximize the objective at 1.  At seed 0 the first
-        # of the first component's restarts, discovered one after another,
-        # reaches one, the objective's argmax the other; the refinement
-        # must start from the first.
+        # of the first component's restarts, discovered together as one
+        # stack, reaches one, the objective's argmax the other; the
+        # refinement must start from the first.
         A = np.linalg.qr(np.random.default_rng(41).standard_normal((6, 2)))[0]
         t = tensor_from_factors(A, np.eye(2))
         fit_mcpca(t, 2, FitConfig(seed=0, restarts_per_component=8, tol=1e-12))
-        assert len(recorded["_discover"]) == 16
-        discovery = [results for _, results in recorded["_discover"][:8]]
+        assert len(recorded["_discover"]) == 2
+        discovery = recorded["_discover"][0][1]
+        assert len(discovery) == 8
         objectives = [res[2] for res in discovery]
         assert max(objectives) - min(objectives) <= 1e-9
 
@@ -1028,7 +1067,7 @@ class TestFitMcpca:
             return int(np.argmax(np.abs(A.T @ discovery[i][0])))
 
         assert direction(0) != direction(int(np.argmax(objectives)))
-        refinement_start = recorded["_refine"][0][0][2]
+        refinement_start = recorded["_refine"][0][0][2][0]
         np.testing.assert_array_equal(refinement_start, discovery[0][0])
 
 
@@ -1276,6 +1315,8 @@ class TestRefinementsInWorkers:
         assert len(forks) == 2
         assert fork_pool._fn is None
 
+    # One worker: the components are refined in one lockstep in this
+    # process, and no map starts.
     @pytest.mark.parametrize("p, k, r, workers", [
         (100, 50, 60, 2),  # the benchmark's desk fit
         (100, 50, 8, 1),   # the r=8 fit of the CLI benchmark's desk data
@@ -1293,4 +1334,174 @@ class TestRefinementsInWorkers:
         _, t = _planted_tensor(p, k, r, 0.5, seed=63)
         with _cpus(2):
             fit_mcpca(t, r, FitConfig(seed=0))
-        assert pools == [workers]
+        assert pools == ([workers] if workers > 1 else [])
+
+
+# --- fits in lockstep ---------------------------------------------------------
+
+
+def _matched(got, want, tol):
+    """Assert the model ``got`` equals ``want`` within ``tol`` (relative to
+    the largest entry of each factor) once its columns are matched."""
+    match = ascore(want.A, got.A)
+    perm = list(match.permutation)
+    signs = np.array([match.signs[j] for j in perm])
+    assert np.abs(got.A[:, perm] * signs - want.A).max() <= tol
+    scale = max(1.0, float(np.abs(want.B).max()))
+    assert np.abs(got.B[:, perm] - want.B).max() <= tol * scale
+    assert tuple(got.converged[j] for j in perm) == want.converged
+
+
+def _lockstep_fits(t, r, seeds):
+    """The fits at ``seeds`` whose components one lockstep finds, each
+    (model, report) or the error that ended it."""
+    fits = []
+    for seed, found in zip(seeds, decompose._lockstep(t, r, FitConfig(), seeds)):
+        try:
+            fits.append(fit_mcpca(t, r, FitConfig(seed=seed), found))
+        except (McpcaError, np.linalg.LinAlgError) as exc:
+            fits.append(exc)
+    return fits
+
+
+class TestLockstep:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(3, 12), st.integers(2, 8), st.integers(1, 5)),
+        seed=st.integers(0, 2**16),
+        fits=st.integers(1, 4),
+        sampled=st.booleans(),
+    )
+    def test_each_fit_matches_the_fit_alone(self, shape, seed, fits, sampled):
+        # r <= k: with more components than contexts the loading columns
+        # are dependent, and rounding differences between stacks grow past
+        # the bound (2e-12 at p=4, k=2, r=4, sampled); up to r = k a
+        # sweep of 992 fits stayed within 7e-15.
+        p, k, r = shape
+        r = min(r, p, k)
+        pm = generate_identifiable(p, k, r, 0.6, seed)
+        if sampled:
+            t = build_tensor(sample_dataset(pm, 200, seed=seed))
+        else:
+            t = tensor_from_factors(pm.A_true, pm.B_true)
+        seeds = [seed + i for i in range(fits)]
+        batch = _lockstep_fits(t, r, seeds)
+        assert len(batch) == fits
+        for s, got in zip(seeds, batch):
+            try:
+                want, want_report = fit_mcpca(t, r, FitConfig(seed=s))
+            except (McpcaError, np.linalg.LinAlgError) as exc:
+                assert type(got) is type(exc)
+                continue
+            model, report = got
+            _matched(model, want, 1e-12)
+            assert sorted(report.iterations) == sorted(want_report.iterations)
+
+    def _stack(self, t, r, fits, fail):
+        """The fits of seeds 0..fits-1 in one lockstep; the loadings of the
+        fit ``fail`` raise the NNLS cap's LinAlgError."""
+        real = decompose.solve_nnls
+        calls = []
+
+        def solve(t, A):
+            calls.append(1)
+            if len(calls) == fail + 1:
+                raise np.linalg.LinAlgError("planted failure")
+            return real(t, A)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "solve_nnls", solve)
+            return _lockstep_fits(t, r, range(fits))
+
+    def test_failing_fit_leaves_the_other_rows_unchanged(self):
+        pm = generate_identifiable(12, 6, 4, 0.6, seed=70)
+        t = build_tensor(sample_dataset(pm, 300, seed=71))
+        clean = _lockstep_fits(t, 4, range(3))
+        failed = self._stack(t, 4, 3, fail=1)
+        assert isinstance(failed[1], np.linalg.LinAlgError)
+        for f in (0, 2):
+            _same_fit(failed[f], clean[f])
+
+    def test_degenerate_fit_leaves_the_others_fitting(self, monkeypatch):
+        # The second fit's first start is an exact zero: it drops out of
+        # the lockstep, and the other fits go on to their models.
+        pm = generate_identifiable(12, 6, 4, 0.6, seed=70)
+        t = build_tensor(sample_dataset(pm, 300, seed=71))
+        clean = _lockstep_fits(t, 4, range(3))
+        real = decompose._draw_start
+        drawn = []
+
+        def draw_start(rng, p, k):
+            a, b = real(rng, p, k)
+            drawn.append(1)
+            return (np.zeros_like(a) if len(drawn) == 2 else a), b
+
+        monkeypatch.setattr(decompose, "_draw_start", draw_start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = _lockstep_fits(t, 4, range(3))
+        assert isinstance(fits[1], DegenerateStartError)
+        for f in (0, 2):
+            _matched(fits[f][0], clean[f][0], 1e-12)
+            assert fits[f][1].iterations == clean[f][1].iterations
+
+    def test_indefinite_newton_row_is_refused_alone(self, monkeypatch):
+        # Row 0 sits near a component of the duplicated-column model, where
+        # -H is positive definite; row 1 at a random point, where it is
+        # not.  The stacked Cholesky factorization fails for both, so the
+        # rows are tested one by one: row 1 is refused, and row 0 takes the
+        # step it takes alone, bit for bit.
+        pm = duplicated_column_model(20, 10, 3, 0.8, seed=700)
+        unfold = _unfold(tensor_from_factors(pm.A_true, pm.B_true), 3)
+        rng = np.random.default_rng(0)
+        points = [
+            (pm.A_true[:, 2] + 0.01 * pm.A_true[:, 0], pm.B_true[:, 2] + 0.01 * pm.B_true[:, 0]),
+            (rng.standard_normal(20), rng.standard_normal(10)),
+        ]
+        a = np.array([x / np.linalg.norm(x) for x, _ in points])
+        b = np.array([y / np.linalg.norm(y) for _, y in points])
+        m_a = (a @ unfold).reshape(2, 10, 3)
+        c = (b[:, None, :] @ m_a)[:, 0]
+        factored = []
+        real = decompose._positive_definite
+
+        def positive_definite(systems):
+            factored.append((systems.copy(), real(systems)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(decompose, "_positive_definite", positive_definite)
+        taken, a_new, b_new, m_new, length = decompose._newton_step(
+            unfold, a, b, m_a, c, [1.0, 1.0]
+        )
+        systems, definite = factored[0]
+        assert definite == [0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(systems)
+        alone = decompose._newton_step(unfold, a[:1], b[:1], m_a[:1], c[:1], [1.0])
+        assert taken == alone[0] == [0]
+        for got, want in zip((a_new, b_new, m_new), alone[1:4]):
+            np.testing.assert_array_equal(got, want)
+        assert length == alone[4]
+
+    def test_restarts_follow_the_sequential_tie_rule(self, recorded):
+        # Each component's three restarts are discovered together; the
+        # refinement starts from the restart the sequential rule picks on
+        # the same starts discovered one at a time: the first, unless a
+        # later one is higher by more than the tie tolerance.
+        pm = generate_identifiable(12, 6, 5, 0.6, seed=72)
+        t = build_tensor(sample_dataset(pm, 300, seed=73))
+        fit_mcpca(t, 5, FitConfig(seed=4, restarts_per_component=3))
+        assert len(recorded["_discover"]) == 5
+        starts = recorded["_refine"][0][0][2]
+        picks = []
+        for j, (args, stacked) in enumerate(recorded["_discover"]):
+            unfold, taken, k, a0, b0, tol, max_iter = args
+            assert a0.shape[0] == 3
+            best = None
+            for i in range(3):
+                alone = _discover_one(unfold, taken[i], k, a0[i], b0[i], tol, max_iter)
+                if best is None or alone[2] > best[1] + decompose._RESTART_TIE_TOL:
+                    best = (i, alone[2])
+            picks.append(best[0])
+            np.testing.assert_array_equal(starts[j], stacked[best[0]][0])
+        assert picks != [0] * 5

@@ -12,6 +12,7 @@ from helpers import active_set_example, generate_identifiable
 
 from mcpca import (
     CovarianceTensor,
+    DegenerateStartError,
     DimensionMismatchError,
     FitConfig,
     GramSingularityError,
@@ -155,10 +156,11 @@ class TestStabilityScore:
         import mcpca.model_select
 
         configs = []
+        real = mcpca.model_select.fit_mcpca
 
-        def record(t, r, cfg):
+        def record(t, r, cfg, found):
             configs.append(cfg)
-            return fit_mcpca(t, r, cfg)
+            return real(t, r, cfg, found)
 
         monkeypatch.setattr(mcpca.model_select, "fit_mcpca", record)
         pm = generate_identifiable(8, 5, 2, 0.8, seed=9)
@@ -332,12 +334,12 @@ def _fits_log(monkeypatch, log, fail):
     process runs it.  The fit ``fail`` == (rank, seed) raises."""
     real = model_select.fit_mcpca
 
-    def fit(t, r, cfg):
+    def fit(t, r, cfg, found):
         with open(log, "a") as fh:
             fh.write(f"{r} {cfg.seed}\n")
         if (r, cfg.seed) == fail:
-            raise RankDeficiencyError("planted failure")
-        return real(t, r, cfg)
+            raise DegenerateStartError("planted failure")
+        return real(t, r, cfg, found)
 
     monkeypatch.setattr(model_select, "fit_mcpca", fit)
 
@@ -390,6 +392,21 @@ class TestFitsInWorkers:
         assert pools == [2]
         assert got == want
 
+    def test_candidate_scores_alone_as_among_others(self):
+        # A candidate's fits run as one lockstep of its own seeds, so its
+        # stability is the same scored alone or beside other candidates,
+        # in this process or in a worker.
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = build_tensor(sample_dataset(pm, 200, seed=1))
+        cfg = FitConfig(seed=7)
+        serial, pooled = _serial_and_pooled(t, [2, 3, 4], cfg=cfg)
+        assert pooled == serial
+        for r, stability in zip(serial.candidates, serial.stability):
+            with _serial():
+                assert stability_score(t, r, n_seed_pairs=3, cfg=cfg) == stability
+            with _pooled():
+                assert stability_score(t, r, n_seed_pairs=3, cfg=cfg) == stability
+
     def test_stability_fits_compute_no_residuals(self, monkeypatch):
         # Patched before the pool forks, so a worker that read a fit's
         # residuals or identifiability flag would raise too.
@@ -432,24 +449,27 @@ class TestFitsInWorkers:
         with _serial():
             want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
         parent = os.getpid()
-        real = model_select._components
+        real = model_select._candidate_components
         victim = mix_seed(0, 1, 0)
 
         in_parent = []
 
-        def components(t, r, cfg):
-            if os.getpid() != parent and (r, cfg.seed) == (3, victim):
+        def components(t, r, cfg, seeds):
+            if os.getpid() != parent and r == 3 and victim in seeds:
                 os.kill(os.getpid(), signal.SIGKILL)
             if os.getpid() == parent:
-                in_parent.append((r, cfg.seed))
-            return real(t, r, cfg)
+                in_parent.append((r, seeds))
+            return real(t, r, cfg, seeds)
 
-        monkeypatch.setattr(model_select, "_components", components)
+        monkeypatch.setattr(model_select, "_candidate_components", components)
         with _pooled() as pools:
             got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
         assert multiprocessing.active_children() == []
         assert pools == [2]
-        assert len(in_parent) == 8  # the serial path refitted every task
+        # The serial path refitted every task: both candidates, largest
+        # first, with all eight fits.
+        seeds = [mix_seed(0, pair, run) for pair in range(2) for run in range(2)]
+        assert in_parent == [(3, seeds), (2, seeds)]
         assert got == want
 
     def test_exiting_worker_falls_back_to_serial(self, monkeypatch):
@@ -459,14 +479,14 @@ class TestFitsInWorkers:
         with _serial():
             want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
         parent = os.getpid()
-        real = model_select._components
+        real = model_select._candidate_components
 
-        def components(t, r, cfg):
+        def components(t, r, cfg, seeds):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(t, r, cfg)
+            return real(t, r, cfg, seeds)
 
-        monkeypatch.setattr(model_select, "_components", components)
+        monkeypatch.setattr(model_select, "_candidate_components", components)
         with _pooled() as pools:
             got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
         assert multiprocessing.active_children() == []
@@ -500,14 +520,14 @@ class TestFitsInWorkers:
         with _serial():
             want = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
         parent = os.getpid()
-        real = model_select._components
+        real = model_select._candidate_components
         fitted_in = []
 
-        def components(t, r, cfg):
-            fitted_in.append(os.getpid())
-            return real(t, r, cfg)
+        def components(t, r, cfg, seeds):
+            fitted_in.append((os.getpid(), r, len(seeds)))
+            return real(t, r, cfg, seeds)
 
-        monkeypatch.setattr(model_select, "_components", components)
+        monkeypatch.setattr(model_select, "_candidate_components", components)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -519,12 +539,12 @@ class TestFitsInWorkers:
             other.join(timeout=10)
         assert not other.is_alive()
         assert pools == [2]
-        assert fitted_in == [parent] * 8
+        assert fitted_in == [(parent, 3, 4), (parent, 2, 4)]
         assert multiprocessing.active_children() == []
         assert got == want
 
     def test_worker_error_propagates_and_joins(self, monkeypatch):
-        def broken(t, r, cfg):
+        def broken(t, r, cfg, found):
             raise ValueError("not a fit failure")
 
         monkeypatch.setattr(model_select, "fit_mcpca", broken)
