@@ -19,14 +19,14 @@ The fit proceeds in three stages:
    coefficient directions U of the components found so far are projected
    out of c, c <- (I - U U^T) c, until the ``tol`` test passes.  The
    discovered point's projected coefficients, normalized, then become
-   U's next column.  Refinement (:func:`_refine`) takes the best
-   restart, unprojected, to its floating-point fixed point, finishing
-   with safeguarded Riemannian Newton steps (:func:`_newton_step`) once
-   the power steps have settled and the Newton steps cost less.  No
-   discovery waits for a refinement, so a fit's components are refined
-   together in one stack once all are discovered, or, in a large fit,
-   each in a forked worker while the next is discovered.  A refinement
-   that lands on an earlier component keeps the discovered point.
+   U's next column.  In a large fit the rows of the next components step
+   with the leading one, in a window, so each reaches the lead warm.
+   Refinement (:func:`_refine`) then takes every component's best
+   restart, unprojected, in one stack, to its floating-point fixed point,
+   finishing with safeguarded Riemannian Newton steps
+   (:func:`_newton_step`) once the power steps have settled and the
+   Newton steps cost less.  A refinement that lands on an earlier
+   component keeps the discovered point.
    Refinement matters: with non-orthogonal components the deflated
    subspace no longer contains the remaining rank-one generators exactly,
    so maximizers drift by an amount that grows with the component
@@ -47,13 +47,14 @@ subspace is held as r orthonormal rows in that order; :func:`_unfolding`
 gives the unfolding the power iterations contract.
 
 Fits are deterministic given (tensor, rank, config) at a fixed BLAS
-thread count: restart points are drawn in order from a seeded generator,
-and ties between restarts are broken by the earliest restart index.  A
-row's arithmetic depends on the stack it is stepped in: a stack of one
-start runs the matrix-vector products of a single start, and a larger
-stack matrix-matrix products, which round differently.  The stacks are
-fixed by the fit (and, in rank selection, by the other fits of its
-candidate, :func:`_lockstep`), never by how many workers refine.
+thread count, and run in this process: restart points are drawn in order
+from a seeded generator, and ties between restarts are broken by the
+earliest restart index.  A row's arithmetic depends on the stack it is
+stepped in: a stack of one start runs the matrix-vector products of a
+single start, and a larger stack matrix-matrix products, which round
+differently.  The stacks are fixed by the fit's shape (the window's
+width) and, in rank selection, by the other fits of its candidate
+(:func:`_lockstep`), never by the CPU count.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fork_pool
 from .exceptions import (
     DegenerateStartError,
     DimensionMismatchError,
@@ -111,13 +111,13 @@ _FIXED_POINT_STEP = 16 * np.finfo(float).eps
 # and keeps its discovered point instead (see docs/decisions.md).
 _COLLISION_COS = 0.99
 
-# A fit refines its components one at a time in forked workers, while this
-# process discovers the next, once p * k * r * r reaches this: r
-# refinements, each step of which reads the p * k * r entries of the
-# subspace's unfolding.  Below it the pool cost more than it overlapped in
-# the measured shapes (docs/decisions.md, "Refining in workers"), and the
-# components are refined together in one lockstep ("Lockstep fits").
-PARALLEL_REFINE_MIN_WORK = 4_000_000
+# Discovery steps a fit's next WINDOW_WIDTH - 1 components with the leading
+# one from WINDOW_MIN_SIZE entries (p * k * r) of the unfolding on, where a
+# fit gains 10-45%; below it rank selection's stacks lose up to 6% and small
+# sampled fits would change their models (docs/decisions.md, "Discovery in a
+# window").
+WINDOW_MIN_SIZE = 100_000
+WINDOW_WIDTH = 8
 
 # Cap on the Lawson-Hanson solves of one NNLS row, per column of A
 # (scipy.optimize.nnls uses the same 3r).
@@ -244,8 +244,10 @@ class FitReport:
     ``iterations[j]`` counts every step of that restart, discovery and
     refinement: a power step, or a Newton step refinement takes, is one
     iteration (a Newton step it refuses is none), and adds the objective
-    at its start to the trace.  The trace holds one value per step plus
-    the final value of each stage, ``iterations[j] + 2`` in all.  When
+    at its start to the trace.  Discovery counts from when the restart
+    leads its window, not the steps it takes behind the lead.  The trace
+    holds one value per step plus the final value of each stage,
+    ``iterations[j] + 2`` in all.  When
     refinement lands on an earlier component and the discovered point is
     kept, both count discovery alone.
     ``non_identifiable_suspect`` tests each component for a loading
@@ -392,70 +394,133 @@ def _steps(a_new, a, b_new, b):
     ]
 
 
-def _discover(unfold, taken, k, a, b, tol, max_iter):
-    """Discovery: a stack of starts, by power steps in lockstep, on the
-    working subspace.
+def _discover(unfold, taken, k, a, b, cfg):
+    """Discovery: the components of a stack of fits, one after another, each
+    by power steps on the working subspace less the components before it.
 
-    ``unfold`` is the (p, k*m) unfolding of the original subspace; a (L, p)
-    and b (L, k) hold one unit start per row.  The rows of ``taken[i]``
-    (j, m) are orthonormal: the coefficient directions the components that
-    row i's fit has found so far take up.  Its working subspace is the rest
-    of the original one, so each step's coefficients c = T_A(a, b, *) are
-    projected onto it, c <- (I - U U^T) c with U = taken[i]^T, and the
-    objective is ||(I - U U^T) c||^2.  That is the iteration on a deflated
-    basis without building one: if the rows of Q are an orthonormal basis
-    of the working subspace's coefficients, the deflated subspace
-    contracts to Q c, and Q^T Q = I - U U^T.  Power steps
-    (:func:`_power_step`) follow until step^2 / 2 falls below ``tol``, or
-    for ``max_iter`` steps, converged only if that last step passed the
-    test: two reads of the unfolding per step plus one before the first.
-    A row that stops leaves the stack, and the others step on.
+    ``unfold`` is the (p, k*m) unfolding of the original subspace.  Fit f
+    starts with the orthonormal coefficient directions ``taken[f]`` (j, m)
+    projected out; a[f] (n, p) and b[f] (n, k) hold its unit starts in
+    component order, ``cfg.restarts_per_component`` per component.  Each
+    restart of a fit has a window: the rows of its next ``WINDOW_WIDTH``
+    components from ``WINDOW_MIN_SIZE`` entries of the unfolding on, else
+    of its next one.  The leading row runs the sequential iteration: its
+    coefficients c = T_A(a, b, *) are projected, c <- (I - U U^T) c with
+    U^T the fit's directions (the iteration on the deflated basis, without
+    building one), and normalized alone.  Power steps (:func:`_power_step`)
+    follow until step^2 / 2 falls below ``cfg.tol``, or for
+    ``cfg.max_iter`` steps, converged only if that last step passed the
+    test.  The rows behind the lead step on the coefficients one QR of the
+    window's block makes orthogonal to those of the rows ahead, and count
+    no step.  Once every lead has stopped, :func:`_pick` chooses among each
+    fit's restarts, the unit coefficients join the fit's directions, and
+    each window's next row leads, projected and normalized alone in the
+    same round.  A round reads the unfolding twice, and the start of a
+    component once more for the rows that enter.
 
-    Returns one entry per row: (a, b, objective, iterations, trace,
-    converged, direction), the trace holding the objective at the start of
-    every step plus the final value, and ``direction`` (m,) the last
-    projected coefficients normalized: the unit direction the returned
-    point adds to the span of the row's ``taken``, which deflates the
-    discoveries after it.  The entry is None, without a warning, when a
-    contraction of the row vanishes.
+    Returns per fit, per component, its restarts' results (a, b,
+    objective, iterations, trace, converged, direction), the trace holding
+    the objective at the start of each step as lead plus the final value
+    and ``direction`` the unit coefficients; or None, without a warning,
+    when the leading row's contraction vanishes.  A fit's list ends at the
+    first component whose restarts all vanish.
     """
+    fits, n, p = a.shape
     m = unfold.shape[1] // k
-    rows = list(range(a.shape[0]))
-    results = [None] * len(rows)
-    traces = [[] for _ in rows]
-    converged = [False] * len(rows)
-    m_a = (a @ unfold).reshape(len(rows), k, m)
-    steps = 0
+    restarts, tol, max_iter = cfg.restarts_per_component, cfg.tol, cfg.max_iter
+    comps = n // restarts
+    width = WINDOW_WIDTH if unfold.size >= WINDOW_MIN_SIZE else 1
+    # Window w is restart w % restarts of fit w // restarts: its starts, in
+    # component order, and the rows behind its lead once the lead stops.
+    # The stack holds each window's rows in turn, its lead first.
+    starts = [
+        x.reshape(fits, comps, restarts, -1).swapaxes(1, 2).reshape(fits * restarts, comps, -1)
+        for x in (a, b)
+    ]
+    wins = list(range(len(starts[0])))
+    parked = {}
+    j0 = taken.shape[1]
+    taken = np.concatenate([taken, np.empty((fits, comps, m))], axis=1)
+    found = [[] for _ in range(fits)]
+    j, live = -1, []
     while True:
-        c = np.vecmat(b, m_a)
-        if taken.shape[1]:
-            c -= np.vecmat(np.matvec(taken, c), taken)
-        # c becomes the unit coefficients; sigma holds the norms.
-        c, sigma = _normalize(c)
-        for i, s in zip(rows, sigma):
-            traces[i].append(s * s)
-        if steps >= max_iter or True in converged or min(sigma) <= _DEGENERATE_NORM:
+        if not live:
+            if j >= 0:
+                best = {w // restarts: _pick(found[w // restarts][j]) for w in wins}
+                wins = [w for w in wins if best[w // restarts] is not None]
+                for f, result in best.items():
+                    if result is not None:
+                        taken[f, j0 + j] = result[6]
+            j += 1
+            if j == comps or not wins:
+                return found
+            for w in wins[::restarts]:
+                found[w // restarts].append([None] * restarts)
+            held = min(width - 1, comps - j) if j else 0
+            entering = slice(j + held, min(comps, j + width))
+            new_a, new_b = starts[0][wins, entering], starts[1][wins, entering]
+            new_m = (new_a.reshape(-1, p) @ unfold).reshape(*new_a.shape[:2], k, m)
+            if held:
+                new_a, new_b, new_m = (
+                    np.concatenate([np.stack([parked[w][x] for w in wins]), new], 1)
+                    for x, new in enumerate((new_a, new_b, new_m))
+                )
+            rows = new_a.shape[1]
+            a_s, b_s, m_a = new_a.reshape(-1, p), new_b.reshape(-1, k), new_m.reshape(-1, k, m)
+            u = np.repeat(taken[[w // restarts for w in wins], : j0 + j], rows, axis=0)
+            live, traces, converged = wins, [[] for _ in wins], [False] * len(wins)
+            vanished, steps = set(), 0
+        c = np.vecmat(b_s, m_a)
+        if j0 + j:
+            c -= np.vecmat(np.matvec(u, c), u)
+        unit, sigma = _normalize(c[::rows])
+        for trace, s in zip(traces, sigma):
+            trace.append(s * s)
+        if True in converged or vanished or steps >= max_iter or min(sigma) <= _DEGENERATE_NORM:
             keep = []
-            for pos, (i, s) in enumerate(zip(rows, sigma)):
-                if converged[pos] or steps >= max_iter:
-                    results[i] = (a[pos].copy(), b[pos].copy(), s * s, steps, traces[i],
-                                  converged[pos], c[pos].copy())
-                elif s > _DEGENERATE_NORM:
+            for pos, (w, s) in enumerate(zip(live, sigma)):
+                finished = converged[pos] or steps >= max_iter
+                if not (w in vanished or finished or s <= _DEGENERATE_NORM):
                     keep.append(pos)
-            if not keep:
-                return results
-            rows = [rows[pos] for pos in keep]
-            a, b, m_a, c, taken = (x[keep] for x in (a, b, m_a, c, taken))
-        a, b, m_a, step, vanished = _power_step(unfold, a, b, c)
+                    continue
+                lead = pos * rows
+                if finished and w not in vanished:
+                    found[w // restarts][j][w % restarts] = (
+                        a_s[lead].copy(), b_s[lead].copy(), s * s, steps, traces[pos],
+                        converged[pos], unit[pos].copy(),
+                    )
+                parked[w] = tuple(x[lead + 1 : lead + rows] for x in (a_s, b_s, m_a))
+            live, traces = [live[pos] for pos in keep], [traces[pos] for pos in keep]
+            if not live:
+                continue
+            unit, vanished = unit[keep], set()
+            keep = [pos * rows + i for pos in keep for i in range(rows)]
+            a_s, b_s, m_a, c, u = (x[keep] for x in (a_s, b_s, m_a, c, u))
+        if rows > 1:
+            q, r = np.linalg.qr(c.reshape(len(live), rows, m).transpose(0, 2, 1))
+            q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+            q[:, :, 0] = unit
+            unit = q.transpose(0, 2, 1).reshape(-1, m)
+        a_p, b_p, m_p, step, gone = _power_step(unfold, a_s, b_s, unit)
+        for row in gone:
+            if row % rows:  # a row behind the lead keeps its point
+                a_p[row], b_p[row], m_p[row] = a_s[row], b_s[row], m_a[row]
+            else:
+                vanished.add(live[row // rows])
+        a_s, b_s, m_a = a_p, b_p, m_p
         steps += 1
-        converged = [0.5 * s * s < tol for s in step]
-        if vanished:
-            keep = [pos for pos in range(len(rows)) if pos not in vanished]
-            if not keep:
-                return results
-            rows = [rows[pos] for pos in keep]
-            converged = [converged[pos] for pos in keep]
-            a, b, m_a, taken = (x[keep] for x in (a, b, m_a, taken))
+        converged = [0.5 * s * s < tol for s in step[::rows]]
+
+
+def _pick(results):
+    """The best of a component's restart results, None if all vanished: a
+    later restart replaces the best so far only when its objective is
+    higher by more than ``_RESTART_TIE_TOL``, so ties go to the earliest."""
+    best = None
+    for result in results:
+        if result is not None and (best is None or result[2] > best[2] + _RESTART_TIE_TOL):
+            best = result
+    return best
 
 
 def _positive_definite(systems):
@@ -908,14 +973,10 @@ def fit_mcpca(
     """Fit the rank-r model: components by deflated power iterations with
     refinement, loadings by global non-negative least squares.
 
-    Below ``PARALLEL_REFINE_MIN_WORK`` (p * k * r * r) the components are
-    refined together, in one lockstep.  From it on, each component's
-    refinement is one task of ``fork_pool.map_in_workers``, queued as soon
-    as its discovery ends, while this process discovers the next: in
-    forked workers, CPUs // BLAS threads of them.  The fit is the same,
-    bit for bit, whichever process refines.  The report's residuals and
-    identifiability flag are computed when they are first read (see
-    :class:`FitReport`).
+    The fit runs in this process, its components discovered in windows
+    (:func:`_discover`) and refined together in one stack.  The report's
+    residuals and identifiability flag are computed when they are first
+    read (see :class:`FitReport`).
 
     ``found``, when given, is this fit's entry of :func:`_lockstep` run
     for ``cfg.seed`` among other seeds of the same ``t``, ``r`` and
@@ -932,21 +993,19 @@ def fit_mcpca(
 
 def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     """The components of the fits of ``t`` at rank ``r`` with ``cfg`` at
-    each of ``seeds``, stepped in lockstep: the part of each fit before its
+    each of ``seeds``, found together: the part of each fit before its
     loadings.
 
-    Each fit draws its starts from its own generator in the order a fit
-    alone draws them.  Discovery runs the j-th components of all fits
-    together: rows are fits times restarts, each with its fit's own
-    coefficient directions to project out.  Refinement is one lockstep
-    over every discovered start of every fit, except for a single fit at
-    or above ``PARALLEL_REFINE_MIN_WORK``, which refines one component at
-    a time, each while the next is discovered (see :func:`fit_mcpca`).  A
-    row's bits depend on the stack it is stepped in, so on the seeds of
-    the lockstep, but never on the CPU count.
+    Each fit draws all its starts up front from its own generator, in
+    component order, the order in which a fit alone draws them.  One
+    :func:`_discover` stack discovers every fit's components, and one
+    :func:`_refine` stack refines the best restart of each, in this
+    process.  A row's bits depend on the stack it is stepped in, so on the
+    seeds of the lockstep, but never on the CPU count.
 
     Returns, per seed, the (unfolding, discovered, refined, start time)
-    :func:`_finish` takes, or the ``McpcaError`` that ended the fit: a
+    :func:`_finish` takes, ``discovered`` holding each component's restart
+    results, or the ``McpcaError`` that ended the fit: a
     degenerate start ends only its own fit, and a rank the flattening
     cannot hold every fit.  ``ValueError`` for a rank outside [1, p].
     """
@@ -957,83 +1016,42 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     except RankDeficiencyError as exc:
         return [exc] * len(seeds)
     restarts = cfg.restarts_per_component
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    # Per fit: the error that ended it, or None while it runs; per
-    # component, its best discovered restart and the restarts that did
-    # not degenerate; and in row j of its ``taken``, the unit coefficient
-    # direction component j's discovered point adds to the span of those
-    # before it, the normalized (I - U U^T) T_A(a, b, *).
-    failed = [None] * len(seeds)
-    discovered = [[] for _ in seeds]
-    taken = np.empty((len(seeds), r, r))
-
-    def discover(j):
-        live = [f for f in range(len(seeds)) if failed[f] is None]
-        starts = [_draw_start(rngs[f], p, k) for f in live for _ in range(restarts)]
-        if not starts:
-            return
-        results = _discover(
-            unfold, taken[[f for f in live for _ in range(restarts)], :j], k,
-            np.array([a for a, _ in starts]), np.array([b for _, b in starts]),
-            cfg.tol, cfg.max_iter,
+    draws = [
+        [_draw_start(rng, p, k) for _ in range(r * restarts)]
+        for rng in map(np.random.default_rng, seeds)
+    ]
+    fits = [
+        components if _pick(components[-1]) else DegenerateStartError(
+            f"all {restarts} restarts degenerate for component {len(components) - 1}"
         )
-        for f, pos in zip(live, range(0, len(results), restarts)):
-            best = None
-            used = 0
-            for result in results[pos : pos + restarts]:
-                if result is None:
-                    continue
-                used += 1
-                if best is None or result[2] > best[2] + _RESTART_TIE_TOL:
-                    best = result
-            if best is None:
-                failed[f] = DegenerateStartError(
-                    f"all {restarts} restarts degenerate for component {j}"
-                )
-            else:
-                taken[f, j] = best[6]
-                discovered[f].append((best, used))
-
-    if len(seeds) == 1 and unfold.size * r >= PARALLEL_REFINE_MIN_WORK:
-
-        def discoveries():
-            for j in range(r):
-                discover(j)
-                if failed[0] is not None:
-                    return
-                yield discovered[0][j][0][:2]
-
-        refined = {0: fork_pool.map_in_workers(
-            lambda start: _refine(unfold, k, start[0][None], start[1][None], cfg.tol, cfg.max_iter)[0],
-            discoveries(),
-            fork_pool.fit_workers(unfold.size * r, PARALLEL_REFINE_MIN_WORK),
-        )}
-    else:
-        for j in range(r):
-            discover(j)
-        live = [f for f in range(len(seeds)) if failed[f] is None]
-        starts = [best[:2] for f in live for best, _ in discovered[f]]
-        rows = _refine(
-            unfold, k, np.array([a for a, _ in starts]), np.array([b for _, b in starts]),
-            cfg.tol, cfg.max_iter,
-        ) if starts else []
-        refined = {f: rows[pos : pos + r] for f, pos in zip(live, range(0, len(rows), r))}
+        for components in _discover(
+            unfold, np.empty((len(seeds), 0, r)), k,
+            *(np.array([[start[x] for start in fit] for fit in draws]) for x in (0, 1)), cfg,
+        )
+    ]
+    best = [_pick(results)[:2] for fit in fits if isinstance(fit, list) for results in fit]
+    rows = _refine(
+        unfold, k, np.array([a for a, _ in best]), np.array([b for _, b in best]),
+        cfg.tol, cfg.max_iter,
+    ) if best else []
+    refined = iter(rows[pos : pos + r] for pos in range(0, len(rows), r))
     return [
-        (unfold, discovered[f], refined[f], started) if failed[f] is None else failed[f]
-        for f in range(len(seeds))
+        f if isinstance(f, Exception) else (unfold, f, next(refined), started)
+        for f in fits
     ]
 
 
 def _finish(t, cfg, unfold, discovered, refined, started):
     """The (model, report) of one fit from its discovered and refined
-    components: a refinement that climbs onto an earlier component is
-    dropped and the discovered point kept, then the loadings are solved
-    and the columns ordered."""
+    components: each component's best restart (:func:`_pick`), unless its
+    refinement climbs onto an earlier component, is replaced by its
+    refinement, then the loadings are solved and the columns ordered."""
     p, k, r = t.p, t.k, len(discovered)
     components = []
     found = np.empty((r, p + k))
-    for j, ((best, used), refined_j) in enumerate(zip(discovered, refined)):
-        a, b, _, iters, trace, conv = best[:6]
+    for j, (results, refined_j) in enumerate(zip(discovered, refined)):
+        a, b, _, iters, trace, conv = _pick(results)[:6]
+        used = sum(x is not None for x in results)
         if refined_j is not None and _overlap(refined_j[0], refined_j[1], found[:j]) < _COLLISION_COS:
             a, b, _, ref_iters, ref_trace, ref_conv = refined_j
             trace = trace + ref_trace

@@ -48,8 +48,11 @@ def _unfold(t, r):
 
 
 def _discover_one(unfold, taken, k, a0, b0, tol, max_iter):
-    """Discovery of a stack of one start; None if it degenerates."""
-    (result,) = _discover(unfold, taken[None], k, a0[None], b0[None], tol, max_iter)
+    """Discovery of one component from one start, with the coefficient
+    directions in the rows of ``taken`` projected out; None if it
+    degenerates."""
+    cfg = FitConfig(tol=tol, max_iter=max_iter)
+    (((result,),),) = _discover(unfold, taken[None], k, a0[None, None], b0[None, None], cfg)
     return result
 
 
@@ -177,7 +180,7 @@ def newton_steps(monkeypatch):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """The (args, result) of every _discover and _refine call of a fit."""
+    """The (args, result) of every _discover and _refine call."""
     calls = {"_discover": [], "_refine": []}
     for name, log in calls.items():
         real = getattr(decompose, name)
@@ -485,7 +488,9 @@ class TestPowerIterate:
         b0 = np.array([_unit(rng, 6) for _ in range(10)])
         taken = np.array([basis[:2] if i % 2 else basis[2:4] for i in range(10)])
         _ReadCounter.reads = 0
-        rows = _discover(unfold.view(_ReadCounter), taken, 6, a0, b0, 1e-10, 300)
+        cfg = FitConfig(tol=1e-10, max_iter=300)
+        fits = _discover(unfold.view(_ReadCounter), taken, 6, a0[:, None], b0[:, None], cfg)
+        rows = [result for ((result,),) in fits]
         steps = [row[3] for row in rows]
         assert min(steps) < max(steps)
         assert _ReadCounter.reads == 2 * max(steps) + 1
@@ -1035,13 +1040,15 @@ class TestFitMcpca:
         # with both discovered points deflated by Householder reflections.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         fit_mcpca(t, 5, FitConfig(seed=2))
-        unfold, taken = recorded["_discover"][2][0][:2]
-        assert taken.shape == (1, 2, 5)
-        taken = taken[0]
+        [(args, (components,))] = recorded["_discover"]
+        unfold = args[0]
+        discovered = [results[0] for results in components[:2]]
+        taken = np.array([result[6] for result in discovered])
+        assert taken.shape == (2, 5)
         np.testing.assert_allclose(taken @ taken.T, np.eye(2), rtol=0, atol=1e-14)
         deflated = extract_subspace(t, 5)
-        for _, (discovered,) in recorded["_discover"][:2]:
-            deflated = _deflate(deflated, _vec(discovered[0], discovered[1]))
+        for result in discovered:
+            deflated = _deflate(deflated, _vec(result[0], result[1]))
         rng = np.random.default_rng(49)
         for _ in range(20):
             a, b = _unit(rng, 12), _unit(rng, 6)
@@ -1057,8 +1064,9 @@ class TestFitMcpca:
         A = np.linalg.qr(np.random.default_rng(41).standard_normal((6, 2)))[0]
         t = tensor_from_factors(A, np.eye(2))
         fit_mcpca(t, 2, FitConfig(seed=0, restarts_per_component=8, tol=1e-12))
-        assert len(recorded["_discover"]) == 2
-        discovery = recorded["_discover"][0][1]
+        [(_, (components,))] = recorded["_discover"]
+        assert len(components) == 2
+        discovery = components[0]
         assert len(discovery) == 8
         objectives = [res[2] for res in discovery]
         assert max(objectives) - min(objectives) <= 1e-9
@@ -1228,7 +1236,7 @@ class TestModelInvariants:
             assert np.abs(off).max() <= 1e-8 * np.trace(t.slices[i])
 
 
-# --- refinements in forked workers -------------------------------------------
+# --- one in-process route ----------------------------------------------------
 
 
 @contextmanager
@@ -1250,14 +1258,6 @@ def _cpus(count):
     assert multiprocessing.active_children() == []
 
 
-def _above_the_gate():
-    """A sampled tensor and rank whose fit refines in workers."""
-    p, k, r = 50, 40, 45
-    assert p * k * r * r >= decompose.PARALLEL_REFINE_MIN_WORK
-    pm = generate_identifiable(p, k, r, 0.3, seed=61)
-    return build_tensor(sample_dataset(pm, 200, seed=62)), r
-
-
 def _same_fit(got, want):
     (model, report), (ref_model, ref_report) = got, want
     np.testing.assert_array_equal(model.A, ref_model.A)
@@ -1266,75 +1266,75 @@ def _same_fit(got, want):
     assert replace(report, elapsed_seconds=0.0) == replace(ref_report, elapsed_seconds=0.0)
 
 
-class TestRefinementsInWorkers:
-    def test_two_workers_give_the_same_bits(self):
-        t, r = _above_the_gate()
-        with _cpus(1) as forks:
-            want = fit_mcpca(t, r, FitConfig(seed=3))
-        assert forks == []
-        with _cpus(2) as forks:
-            got = fit_mcpca(t, r, FitConfig(seed=3))
-        assert len(forks) == 2
-        _same_fit(got, want)
+def test_desk_fit_never_forks():
+    # The benchmark's desk shape, sampled, with two CPUs to fork on: the
+    # fit discovers in a window and refines in one stack, in this process.
+    p, k, r = 100, 50, 60
+    assert p * k * r >= decompose.WINDOW_MIN_SIZE
+    pm = generate_identifiable(p, k, r, 0.2, seed=61)
+    t = build_tensor(sample_dataset(pm, 1000, seed=62))
+    with _cpus(2) as forks:
+        fit_mcpca(t, r, FitConfig(seed=3))
+    assert forks == []
 
-    def test_exiting_worker_gives_the_same_bits(self, monkeypatch):
-        # Every worker exits at its first refinement; this process runs
-        # them all.
-        t, r = _above_the_gate()
-        with _cpus(1):
-            want = fit_mcpca(t, r, FitConfig(seed=4))
-        parent = os.getpid()
-        real = decompose._refine
 
-        def refine(*args):
-            if os.getpid() != parent:
-                os._exit(1)
-            return real(*args)
+class TestWindow:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(4, 20), st.integers(2, 10), st.integers(1, 10)),
+        seed=st.integers(0, 2**16),
+        width=st.sampled_from([2, 8]),
+        restarts=st.integers(1, 2),
+    )
+    def test_open_window_matches_the_closed_one(self, shape, seed, width, restarts):
+        # On noiseless data every component is exact, whether the rows
+        # behind the lead step or wait: the fits agree after column
+        # matching, and the open window's traces start where each row
+        # takes the lead, nondecreasing.
+        p, k, r = shape
+        r = min(r, p, k)
+        pm = generate_identifiable(p, k, r, 0.6, seed)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        cfg = FitConfig(seed=seed, restarts_per_component=restarts)
+        try:
+            closed, _ = fit_mcpca(t, r, cfg)
+        except RankDeficiencyError:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "WINDOW_MIN_SIZE", 0)
+            mp.setattr(decompose, "WINDOW_WIDTH", width)
+            opened, report = fit_mcpca(t, r, cfg)
+        _matched(opened, closed, 1e-12)
+        for trace, iterations in zip(report.objective_trace, report.iterations):
+            assert len(trace) == iterations + 2
+            assert np.all(np.diff(trace) >= -1e-9)
 
-        monkeypatch.setattr(decompose, "_refine", refine)
-        with _cpus(2) as forks:
-            got = fit_mcpca(t, r, FitConfig(seed=4))
-        assert forks
-        _same_fit(got, want)
-
-    def test_discovery_error_after_queued_refinements(self, monkeypatch):
-        # The fifth component's only start is degenerate: its discovery
-        # raises once four refinements have been queued to the workers.
-        t, r = _above_the_gate()
+    @pytest.mark.parametrize("zeros, restarts_used", [({3}, [1, 2, 2, 2]), ({2, 3}, None)])
+    def test_only_a_leading_row_degenerates(self, monkeypatch, zeros, restarts_used):
+        # A zero start of the second component waits behind the first
+        # without moving, and degenerates once it takes the lead: with a
+        # second restart left the component goes on, and without one the
+        # fit ends there, as in a closed window.
+        _, t = _planted_tensor(12, 6, 4, 0.6, seed=74)
         real = decompose._draw_start
         drawn = []
 
         def draw_start(rng, p, k):
             a, b = real(rng, p, k)
             drawn.append(1)
-            return (np.zeros_like(a) if len(drawn) == 5 else a), b
+            return (np.zeros_like(a) if len(drawn) - 1 in zeros else a), b
 
         monkeypatch.setattr(decompose, "_draw_start", draw_start)
-        with _cpus(2) as forks, pytest.raises(DegenerateStartError, match="component 4"):
-            fit_mcpca(t, r, FitConfig(seed=5))
-        assert len(forks) == 2
-        assert fork_pool._fn is None
-
-    # One worker: the components are refined in one lockstep in this
-    # process, and no map starts.
-    @pytest.mark.parametrize("p, k, r, workers", [
-        (100, 50, 60, 2),  # the benchmark's desk fit
-        (100, 50, 8, 1),   # the r=8 fit of the CLI benchmark's desk data
-        (20, 10, 8, 1),    # the noiseless check of exact recovery
-    ])
-    def test_gate_by_shape(self, monkeypatch, p, k, r, workers):
-        pools = []
-        real = fork_pool.map_in_workers
-
-        def in_process(fn, tasks, count):
-            pools.append(count)
-            return real(fn, tasks, 1)
-
-        monkeypatch.setattr(fork_pool, "map_in_workers", in_process)
-        _, t = _planted_tensor(p, k, r, 0.5, seed=63)
-        with _cpus(2):
-            fit_mcpca(t, r, FitConfig(seed=0))
-        assert pools == ([workers] if workers > 1 else [])
+        monkeypatch.setattr(decompose, "WINDOW_MIN_SIZE", 0)
+        cfg = FitConfig(seed=5, restarts_per_component=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if restarts_used is None:
+                with pytest.raises(DegenerateStartError, match="component 1"):
+                    fit_mcpca(t, 4, cfg)
+                return
+            _, report = fit_mcpca(t, 4, cfg)
+        assert sorted(report.restarts_used) == restarts_used
 
 
 # --- fits in lockstep ---------------------------------------------------------
@@ -1423,8 +1423,9 @@ class TestLockstep:
             _same_fit(failed[f], clean[f])
 
     def test_degenerate_fit_leaves_the_others_fitting(self, monkeypatch):
-        # The second fit's first start is an exact zero: it drops out of
-        # the lockstep, and the other fits go on to their models.
+        # The second fit's first start, its generator's fifth draw as each
+        # fit draws its four starts up front, is an exact zero: it drops
+        # out of the lockstep, and the other fits go on to their models.
         pm = generate_identifiable(12, 6, 4, 0.6, seed=70)
         t = build_tensor(sample_dataset(pm, 300, seed=71))
         clean = _lockstep_fits(t, 4, range(3))
@@ -1434,7 +1435,7 @@ class TestLockstep:
         def draw_start(rng, p, k):
             a, b = real(rng, p, k)
             drawn.append(1)
-            return (np.zeros_like(a) if len(drawn) == 2 else a), b
+            return (np.zeros_like(a) if len(drawn) == 5 else a), b
 
         monkeypatch.setattr(decompose, "_draw_start", draw_start)
         with warnings.catch_warnings():
@@ -1486,22 +1487,27 @@ class TestLockstep:
     def test_restarts_follow_the_sequential_tie_rule(self, recorded):
         # Each component's three restarts are discovered together; the
         # refinement starts from the restart the sequential rule picks on
-        # the same starts discovered one at a time: the first, unless a
-        # later one is higher by more than the tie tolerance.
+        # the same starts discovered one at a time, each with the picked
+        # directions of the components before it projected out: the
+        # first, unless a later one is higher by more than the tie
+        # tolerance.
         pm = generate_identifiable(12, 6, 5, 0.6, seed=72)
         t = build_tensor(sample_dataset(pm, 300, seed=73))
         fit_mcpca(t, 5, FitConfig(seed=4, restarts_per_component=3))
-        assert len(recorded["_discover"]) == 5
+        [(args, (components,))] = recorded["_discover"]
+        unfold, _, k, a0, b0, cfg = args
+        assert len(components) == 5 and a0.shape[:2] == (1, 15)
         starts = recorded["_refine"][0][0][2]
-        picks = []
-        for j, (args, stacked) in enumerate(recorded["_discover"]):
-            unfold, taken, k, a0, b0, tol, max_iter = args
-            assert a0.shape[0] == 3
+        picks, taken = [], np.empty((0, 5))
+        for j, stacked in enumerate(components):
+            assert len(stacked) == 3
             best = None
             for i in range(3):
-                alone = _discover_one(unfold, taken[i], k, a0[i], b0[i], tol, max_iter)
+                start = a0[0, 3 * j + i], b0[0, 3 * j + i]
+                alone = _discover_one(unfold, taken, k, *start, cfg.tol, cfg.max_iter)
                 if best is None or alone[2] > best[1] + decompose._RESTART_TIE_TOL:
                     best = (i, alone[2])
             picks.append(best[0])
             np.testing.assert_array_equal(starts[j], stacked[best[0]][0])
+            taken = np.vstack([taken, stacked[best[0]][6]])
         assert picks != [0] * 5

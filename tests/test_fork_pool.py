@@ -115,41 +115,6 @@ def test_map_inside_a_running_map_runs_in_process(forks):
     assert len(forks) == 2
 
 
-def _yielding(log, count):
-    """The tasks 0 .. count - 1, each logged as it is yielded."""
-    for x in range(count):
-        log.append(x)
-        yield x
-
-
-@pytest.mark.parametrize("exits", [False, True])
-def test_generator_is_read_once_in_task_order(forks, exits):
-    # With ``exits`` every worker exits at its first task: the tasks read
-    # so far run here again, and the rest are read here.
-    parent = os.getpid()
-    log = []
-
-    def square(x):
-        if exits and os.getpid() != parent:
-            os._exit(1)
-        return _square_and_pid(x)[0]
-
-    got = fork_pool.map_in_workers(square, _yielding(log, 8), 2)
-    assert got == [x * x for x in range(8)]
-    assert log == list(range(8))
-    assert len(forks) == 2
-
-
-def test_generator_error_joins_the_workers(forks):
-    def tasks():
-        yield from range(4)
-        raise ValueError("after 4 tasks")
-
-    with pytest.raises(ValueError, match="after 4 tasks"):
-        fork_pool.map_in_workers(_square_and_pid, tasks(), 2)
-    assert len(forks) == 2
-
-
 def test_map_inside_an_in_process_map_runs_in_process(forks):
     def outer(x):
         return fork_pool.map_in_workers(_square_and_pid, [x, x + 1], 2)
