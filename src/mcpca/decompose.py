@@ -106,6 +106,19 @@ IDENTIFIABILITY_GAP_TOL = 1e-8
 # would leave an error of the same order as the last step.
 _FIXED_POINT_STEP = 16 * np.finfo(float).eps
 
+# Refinement prices its steps per row of a fit's stack of m rows
+# (:func:`_step_prices`).  A power step's two reads of the unfolding take
+# this share of its time at one row; the rows of a stack share them.  The
+# per-row time by stack size fits shared / L + own with a share of 0.85 at
+# the desk shape and 0.91 at p=200, k=100, r=80 (docs/decisions.md).
+_SHARED_READ = 0.85
+# Work of one row's power step that does not grow with the sizes (the
+# calls' fixed cost and the loop's bookkeeping), in flops; a Newton step's
+# is four times it, the ratio of the two steps' one-row times where the
+# flops are negligible (p=20, k=10).  The smallest value that keeps the
+# p=40, k=20, r=20 fits on their Newton steps (docs/decisions.md).
+_STEP_WORK = 250_000
+
 # A refined component whose rank-one element a (x) b has a cosine of at
 # least this with an earlier component's has landed on that component,
 # and keeps its discovered point instead (see docs/decisions.md).
@@ -624,7 +637,27 @@ def _newton_step(unfold, a, b, m_a, c, trust):
     return taken, a_new, b_new, m_new, length
 
 
-def _newton_trust(step, rho, last_rho, p, k, m, budget):
+def _step_prices(p, k, m):
+    """The prices (power, Newton) of one row's step in a fit's refinement
+    stack of m rows, in flops counted from the sizes.
+
+    A power step reads the (p, k*m) unfolding twice, 4pkm at one row; the
+    rows of a stack share the reads, the ``_SHARED_READ`` part of it, so a
+    row pays 4pkm * (_SHARED_READ / m + 1 - _SHARED_READ).  A Newton step's
+    products and (m + k)-square factorizations are paid per row: it reads
+    the unfolding three times and forms, factors and solves the system of
+    :func:`_newton_step`, 8pkm + p(m + k)^2 + k^2 m + (m + k)^3.  Each
+    adds its fixed work: ``_STEP_WORK`` for a power step, four times it
+    for a Newton step.  The price depends on the fit's sizes alone, not on
+    how many rows step together, so a fit refined among other fits follows
+    the schedule it follows alone.
+    """
+    power = 4 * p * k * m * (_SHARED_READ / m + 1.0 - _SHARED_READ)
+    newton = 8 * p * k * m + p * (m + k) ** 2 + k * k * m + (m + k) ** 3
+    return power + _STEP_WORK, newton + 4 * _STEP_WORK
+
+
+def _newton_trust(step, rho, last_rho, prices, budget):
     """The longest Newton step to accept after a power step of length
     ``step``, or 0 to go on with power steps.
 
@@ -632,34 +665,33 @@ def _newton_trust(step, rho, last_rho, p, k, m, budget):
     successive power steps.  The power iteration has settled in its basin
     once rho < 1 and the ratios agree to within (1 - rho) / 2.  It then
     predicts a distance d = step * rho / (1 - rho) to its fixed point and
-    log(_FIXED_POINT_STEP / step) / log(rho) further steps, capped by the
-    ``budget`` of steps left.  j Newton steps take a distance below
-    _FIXED_POINT_STEP ** 2**-j to the floor, and one power step confirms
-    the fixed point.  Of the plans "t more power steps, then Newton" and
-    "power steps only", the cheapest is chosen by floating-point
-    operations counted from the sizes: a power step reads the (p, k*m)
-    unfolding twice (4pkm); a Newton step reads it three times and forms,
-    factors and solves the (m + k)-square system of :func:`_newton_step`
-    (8pkm + p(m + k)^2 + k^2 m + (m + k)^3).  Newton steps start when the
-    cheapest plan has t = 0.  A step may be as long as
-    2 * step / (1 - rho): twice the distance to the fixed point from the
-    point before the last power step.
+    log(_FIXED_POINT_STEP / step) / log(rho) further steps.  j Newton
+    steps take a distance below _FIXED_POINT_STEP ** 2**-j to the floor,
+    and one power step confirms the fixed point.  Of the plans "t more
+    power steps, then Newton" and "power steps only" that reach the floor
+    within the ``budget`` of steps left, the cheapest at ``prices``
+    (:func:`_step_prices`) is chosen; power steps that would stop at the
+    budget short of the floor are no plan.  Newton steps start when the
+    cheapest plan has t = 0: at the desk shape a power step costs a row of
+    the stack about a sixth of what it costs alone, so only slow rows
+    (rho near 1) switch.  A step may be as long as 2 * step / (1 - rho):
+    twice the distance to the fixed point from the point before the last
+    power step.
     """
     if not (rho < 1.0 and abs(rho - last_rho) <= 0.5 * (1.0 - rho)):
         return 0.0
     distance = step * rho / (1.0 - rho)
     if not _FIXED_POINT_STEP < distance < 1.0:
         return 0.0
-    power_cost = 4 * p * k * m
-    newton_cost = 8 * p * k * m + p * (m + k) ** 2 + k * k * m + (m + k) ** 3
+    power_cost, newton_cost = prices
     newton_steps = max(1, math.ceil(math.log2(math.log(_FIXED_POINT_STEP) / math.log(distance))))
     cost = power_cost + newton_steps * newton_cost
-    power_steps = min(math.log(_FIXED_POINT_STEP / step) / math.log(rho), budget)
-    if newton_steps + 1 > budget or cost >= power_steps * power_cost:
+    power_steps = math.log(_FIXED_POINT_STEP / step) / math.log(rho)
+    if newton_steps + 1 > budget or power_steps <= budget and cost >= power_steps * power_cost:
         return 0.0
     for j in range(1, newton_steps):
         wait = math.ceil(math.log(_FIXED_POINT_STEP ** 0.5**j / distance) / math.log(rho))
-        if (wait + 1) * power_cost + j * newton_cost < cost:
+        if wait + 1 + j <= budget and (wait + 1) * power_cost + j * newton_cost < cost:
             return 0.0
     return 2.0 * step / (1.0 - rho)
 
@@ -674,7 +706,9 @@ def _refine(unfold, k, a, b, tol, max_iter):
     reads of the unfolding per step plus one before the first.
 
     Each row follows its own schedule.  Once its power steps have settled
-    and Newton steps pay for themselves (:func:`_newton_trust`), Newton
+    and Newton steps pay for themselves (:func:`_newton_trust`, at the
+    prices of :func:`_step_prices` for a stack of m rows, the fit's own
+    rank, however many rows this stack holds), Newton
     steps (:func:`_newton_step`) follow, each no longer than the one
     before, until one is at most the square root of
     ``_FIXED_POINT_STEP``; power steps take over again.  A Newton step
@@ -693,7 +727,8 @@ def _refine(unfold, k, a, b, tol, max_iter):
     converged) as :func:`_discover`'s without the direction, or None,
     without a warning, when a contraction of the row vanishes.
     """
-    p, m = a.shape[1], unfold.shape[1] // k
+    m = unfold.shape[1] // k
+    prices = _step_prices(a.shape[1], k, m)
     rows = list(range(a.shape[0]))
     results = [None] * len(rows)
     traces = [[] for _ in rows]
@@ -749,7 +784,7 @@ def _refine(unfold, k, a, b, tol, max_iter):
             a[power], b[power], m_a[power] = a_p, b_p, m_p
         steps += 1
         for pos, new_step in zip(power, step if power else ()):
-            schedules[pos].power_taken(new_step, tol, steps, p, k, m, max_iter)
+            schedules[pos].power_taken(new_step, tol, steps, prices, max_iter)
         if vanished:
             gone = {power[q] for q in vanished}
             keep = [pos for pos in range(n) if pos not in gone]
@@ -779,11 +814,11 @@ class _Schedule:
         self.trust = 0.0
         self.refused = self.retry = 0
 
-    def power_taken(self, step, tol, steps, p, k, m, max_iter):
+    def power_taken(self, step, tol, steps, prices, max_iter):
         last_rho, self.rho, self.step = self.rho, step / self.step, step
         self.converged = self.converged or 0.5 * step * step < tol
         if steps >= self.retry:
-            self.trust = _newton_trust(step, self.rho, last_rho, p, k, m, max_iter - steps)
+            self.trust = _newton_trust(step, self.rho, last_rho, prices, max_iter - steps)
 
     def newton_taken(self, length, tol):
         self.converged = self.converged or 0.5 * length * length < tol

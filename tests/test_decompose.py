@@ -347,12 +347,12 @@ class TestPowerIterate:
             pytest.param(True, 3, id="True-max_iter3"),
         ],
     )
-    def test_discovery_and_refinement_match_serial_loop(self, to_fixed_point, max_iter):
+    def test_discovery_and_refinement_match_serial_loop(self, to_fixed_point, max_iter, newton_steps):
         # Discovery with nothing projected out is the one-start loop from
-        # the same start.  Refinement reaches the loop's fixed point, in
-        # fewer steps (Newton steps replace power steps), and converges
-        # wherever it does.  In three steps no Newton step fits, so those
-        # refinements match step for step.
+        # the same start.  Refinement reaches the loop's fixed point.  A
+        # refinement that takes no Newton step is the loop step for step;
+        # one that takes Newton steps takes fewer steps than the loop and
+        # converges wherever it does.  In three steps no Newton step fits.
         pm, t = _planted_tensor(12, 6, 5, 0.6, seed=41)
         unfold = _unfold(t, 5)
         rng = np.random.default_rng(42)
@@ -361,9 +361,14 @@ class TestPowerIterate:
         stage = (lambda a, b: _refine_one(unfold, 6, a, b, 1e-10, max_iter)) if to_fixed_point else (
             lambda a, b: _iterate(unfold, a, b, 1e-10, max_iter)
         )
-        rows = [stage(a0[i], b0[i]) for i in range(10)]
+        rows, newton = [], []
+        for i in range(10):
+            newton_steps.update(taken=0)
+            rows.append(stage(a0[i], b0[i]))
+            newton.append(newton_steps["taken"])
         if max_iter == 3:
             assert all(row[3] == 3 and not row[5] for row in rows)
+            assert not any(newton)
         for i, row in enumerate(rows):
             a, b, obj, iterations, trace, converged = _serial_power_iterate(
                 unfold, 6, 5, a0[i], b0[i], 1e-10, max_iter, to_fixed_point
@@ -372,7 +377,7 @@ class TestPowerIterate:
             assert np.abs(row[1] - b).max() <= 1e-13
             assert abs(row[2] - obj) <= 1e-13
             assert len(row[4]) == row[3] + 1
-            if to_fixed_point and max_iter > 3:
+            if newton[i]:
                 assert row[3] < iterations
                 assert row[5] or not converged
                 continue
@@ -541,6 +546,46 @@ class TestPowerIterate:
             )
             assert np.array_equal(row[0], a) and np.array_equal(row[1], b)
             assert (row[3], row[5], len(row[4])) == (iterations, converged, len(trace))
+
+    def test_newton_trust_prices_power_steps_in_a_stack(self):
+        # At the desk sizes a power step costs a row of the fit's 60-row
+        # stack a fraction of what it costs alone, so a settled fast row
+        # goes on with power steps where the one-row price (4pkm against
+        # the Newton step's flop count) switched it to Newton steps.  A
+        # slow row still switches, also with 30 steps left, where power
+        # steps cost less but would stop at max_iter short of the floor.
+        p, k, m = 100, 50, 60
+        alone = (4 * p * k * m, 8 * p * k * m + p * (m + k) ** 2 + k * k * m + (m + k) ** 3)
+        prices = decompose._step_prices(p, k, m)
+        assert prices[0] < alone[0]
+        assert decompose._newton_trust(1e-5, 0.4, 0.4, alone, 480) > 0
+        assert decompose._newton_trust(1e-5, 0.4, 0.4, prices, 480) == 0
+        assert decompose._newton_trust(1e-5, 0.99, 0.99, prices, 480) > 0
+        assert 30 * prices[0] < prices[0] + 3 * prices[1]
+        assert decompose._newton_trust(1e-5, 0.99, 0.99, prices, 30) > 0
+
+    def test_newton_steps_rescue_slow_components(self, recorded, newton_steps, monkeypatch):
+        # Criterion 7's perturbed model (column 1 of the duplicated model
+        # 700 perturbed by 10%): two of the components of the fit at seed
+        # 0 contract with rho near 1.  Refinement takes Newton steps and
+        # reaches their fixed points below max_iter; power steps alone
+        # stop them at the cap.
+        pm = duplicated_column_model(20, 10, 3, 0.8, seed=700)
+        rng = np.random.default_rng(800)
+        B = pm.B_true.copy()
+        B[:, 1] = np.abs(B[:, 1] * (1.0 + 0.1 * rng.standard_normal(10)))
+        fit_mcpca(tensor_from_factors(pm.A_true, B), 3, FitConfig(seed=0))
+        ((args, rows),) = recorded["_refine"]
+        unfold, k, max_iter = args[0], args[1], args[5]
+        assert newton_steps["taken"] > 0
+        slow = [i for i, row in enumerate(rows) if row[3] > 100]
+        assert len(slow) == 2
+        for i in slow:
+            assert rows[i][3] < max_iter and rows[i][5]
+            assert _next_step(unfold, k, rows[i][0], rows[i][1]) <= _FIXED_POINT_STEP
+        monkeypatch.setattr(decompose, "_newton_trust", lambda *trust_args: 0.0)
+        power_only = _refine(*args)
+        assert all(power_only[i][3] == max_iter for i in slow)
 
     def test_degenerate_refinement_start_returns_none(self):
         # The basis of test_degenerate_discovery_start_returns_none: a = e_2
