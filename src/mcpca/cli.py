@@ -20,6 +20,7 @@ fit alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -137,16 +138,8 @@ def cmd_select_rank(args) -> int:
         n_seed_pairs=args.n_seed_pairs,
         cfg=FitConfig(seed=args.seed),
     )
-    payload = {
-        "candidates": list(report.candidates),
-        "stability": list(report.stability),
-        "chosen": report.chosen,
-        "threshold": report.threshold,
-        "n_seed_pairs": report.n_seed_pairs,
-        "scree": list(report.scree),
-    }
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     print(f"chosen rank: {report.chosen}")
     return 0
 

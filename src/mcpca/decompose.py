@@ -377,7 +377,14 @@ def _power_step(unfold, a, b, c):
     Returns (a, b, m_a, step, vanished): m_a is (L, k, m), ``step`` lists
     the larger step of each row's two iterates, and ``vanished`` lists
     the positions of the rows whose contraction vanished, whose values
-    mean nothing.
+    mean nothing.  When c is the row's own coefficients T_A(a, b, *),
+    projected or not, normalized, both norms are at least
+    s = <T_A(a, b, *), c>, the norm of what was normalized:
+    ||T_A(*, b, c)|| >= <a, T_A(*, b, c)> = s and
+    ||T_A(a_new, *, c)|| >= <b, T_A(a_new, *, c)> = ||T_A(*, b, c)||.
+    So the row cannot vanish once s exceeds ``_DEGENERATE_NORM``; only
+    discovery's rows behind a lead, which step along other coefficients,
+    can.
     """
     n, k = b.shape
     m = c.shape[1]
@@ -435,8 +442,11 @@ def _discover(unfold, taken, k, a, b, cfg):
     objective, iterations, trace, converged, direction), the trace holding
     the objective at the start of each step as lead plus the final value
     and ``direction`` the unit coefficients; or None, without a warning,
-    when the leading row's contraction vanishes.  A fit's list ends at the
-    first component whose restarts all vanish.
+    when a row's projected contraction vanishes as it takes the lead.  A
+    lead's power steps never lower its objective (:func:`_power_step`),
+    so a lead that has started cannot degenerate; a row behind the lead
+    whose step vanishes keeps its point.  A fit's list ends at the first
+    component whose restarts all vanish.
     """
     fits, n, p = a.shape
     m = unfold.shape[1] // k
@@ -482,22 +492,22 @@ def _discover(unfold, taken, k, a, b, cfg):
             a_s, b_s, m_a = new_a.reshape(-1, p), new_b.reshape(-1, k), new_m.reshape(-1, k, m)
             u = np.repeat(taken[[w // restarts for w in wins], : j0 + j], rows, axis=0)
             live, traces, converged = wins, [[] for _ in wins], [False] * len(wins)
-            vanished, steps = set(), 0
+            steps = 0
         c = np.vecmat(b_s, m_a)
         if j0 + j:
             c -= np.vecmat(np.matvec(u, c), u)
         unit, sigma = _normalize(c[::rows])
         for trace, s in zip(traces, sigma):
             trace.append(s * s)
-        if True in converged or vanished or steps >= max_iter or min(sigma) <= _DEGENERATE_NORM:
+        if True in converged or steps >= max_iter or min(sigma) <= _DEGENERATE_NORM:
             keep = []
             for pos, (w, s) in enumerate(zip(live, sigma)):
                 finished = converged[pos] or steps >= max_iter
-                if not (w in vanished or finished or s <= _DEGENERATE_NORM):
+                if not (finished or s <= _DEGENERATE_NORM):
                     keep.append(pos)
                     continue
                 lead = pos * rows
-                if finished and w not in vanished:
+                if finished:
                     found[w // restarts][j][w % restarts] = (
                         a_s[lead].copy(), b_s[lead].copy(), s * s, steps, traces[pos],
                         converged[pos], unit[pos].copy(),
@@ -506,7 +516,7 @@ def _discover(unfold, taken, k, a, b, cfg):
             live, traces = [live[pos] for pos in keep], [traces[pos] for pos in keep]
             if not live:
                 continue
-            unit, vanished = unit[keep], set()
+            unit = unit[keep]
             keep = [pos * rows + i for pos in keep for i in range(rows)]
             a_s, b_s, m_a, c, u = (x[keep] for x in (a_s, b_s, m_a, c, u))
         if rows > 1:
@@ -515,11 +525,8 @@ def _discover(unfold, taken, k, a, b, cfg):
             q[:, :, 0] = unit
             unit = q.transpose(0, 2, 1).reshape(-1, m)
         a_p, b_p, m_p, step, gone = _power_step(unfold, a_s, b_s, unit)
-        for row in gone:
-            if row % rows:  # a row behind the lead keeps its point
-                a_p[row], b_p[row], m_p[row] = a_s[row], b_s[row], m_a[row]
-            else:
-                vanished.add(live[row // rows])
+        for row in gone:  # only rows behind a lead: each keeps its point
+            a_p[row], b_p[row], m_p[row] = a_s[row], b_s[row], m_a[row]
         a_s, b_s, m_a = a_p, b_p, m_p
         steps += 1
         converged = [0.5 * s * s < tol for s in step[::rows]]
@@ -701,9 +708,11 @@ def _refine(unfold, k, a, b, tol, max_iter):
     fixed points.
 
     ``unfold`` is the (p, k*m) unfolding of the original subspace, and a
-    (L, p) and b (L, k) hold one unit start per row.  The power step is
-    discovery's (:func:`_power_step`) on the unprojected coefficients: two
-    reads of the unfolding per step plus one before the first.
+    (L, p) and b (L, k) hold one unit start per row, each where a
+    discovery lead stopped, with a contraction above ``_DEGENERATE_NORM``.
+    The power step is discovery's (:func:`_power_step`) on the unprojected
+    coefficients: two reads of the unfolding per step plus one before the
+    first.
 
     Each row follows its own schedule.  Once its power steps have settled
     and Newton steps pay for themselves (:func:`_newton_trust`, at the
@@ -724,8 +733,11 @@ def _refine(unfold, k, a, b, tol, max_iter):
     refused among them, take one power step together.
 
     Returns one entry per row, (a, b, objective, iterations, trace,
-    converged) as :func:`_discover`'s without the direction, or None,
-    without a warning, when a contraction of the row vanishes.
+    converged) as :func:`_discover`'s without the direction.  No row's
+    contraction vanishes: the unprojected contraction is at least the
+    projected one discovery stopped at, a power step never lowers it
+    (:func:`_power_step`), and :func:`_newton_step` refuses a step that
+    lowers it by more than rounding.
     """
     m = unfold.shape[1] // k
     prices = _step_prices(a.shape[1], k, m)
@@ -745,7 +757,7 @@ def _refine(unfold, k, a, b, tol, max_iter):
             if schedules[pos].step <= _FIXED_POINT_STEP or steps >= max_iter:
                 results[i] = (a[pos].copy(), b[pos].copy(), s * s, steps, traces[i],
                               schedules[pos].converged)
-            elif s > _DEGENERATE_NORM:
+            else:
                 keep.append(pos)
         if len(keep) < n:
             if not keep:
@@ -774,25 +786,14 @@ def _refine(unfold, k, a, b, tol, max_iter):
                 # Arrays this loop made (round 0 takes no Newton step), so
                 # no caller's array is written.
                 a[taken], b[taken], m_a[taken] = a_n, b_n, m_n
-        vanished = []
         if len(power) == n:
-            a, b, m_a, step, vanished = _power_step(unfold, a, b, unit)
+            a, b, m_a, step, _ = _power_step(unfold, a, b, unit)
         elif power:
-            a_p, b_p, m_p, step, vanished = _power_step(
-                unfold, a[power], b[power], unit[power]
-            )
+            a_p, b_p, m_p, step, _ = _power_step(unfold, a[power], b[power], unit[power])
             a[power], b[power], m_a[power] = a_p, b_p, m_p
         steps += 1
         for pos, new_step in zip(power, step if power else ()):
             schedules[pos].power_taken(new_step, tol, steps, prices, max_iter)
-        if vanished:
-            gone = {power[q] for q in vanished}
-            keep = [pos for pos in range(n) if pos not in gone]
-            if not keep:
-                return results
-            rows = [rows[pos] for pos in keep]
-            schedules = [schedules[pos] for pos in keep]
-            a, b, m_a = (x[keep] for x in (a, b, m_a))
 
 
 class _Schedule:
@@ -1087,7 +1088,7 @@ def _finish(t, cfg, unfold, discovered, refined, started):
     for j, (results, refined_j) in enumerate(zip(discovered, refined)):
         a, b, _, iters, trace, conv = _pick(results)[:6]
         used = sum(x is not None for x in results)
-        if refined_j is not None and _overlap(refined_j[0], refined_j[1], found[:j]) < _COLLISION_COS:
+        if _overlap(refined_j[0], refined_j[1], found[:j]) < _COLLISION_COS:
             a, b, _, ref_iters, ref_trace, ref_conv = refined_j
             trace = trace + ref_trace
             iters += ref_iters

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -327,6 +328,19 @@ class TestSelectRankCommand:
         assert report["threshold"] == 0.8
         assert report["n_seed_pairs"] == 5
         assert len(report["scree"]) == 10
+
+    def test_report_file_is_the_library_report(self, planted_dir, tmp_path):
+        pm, data_dir = planted_dir
+        out = tmp_path / "rank.json"
+        code = main(
+            ["select-rank", "--input", str(data_dir), "--candidates", "2,3,4",
+             "--seed", "7", "--output", str(out)]
+        )
+        assert code == 0
+        report = model_select.select_rank(
+            build_tensor(load_contexts(data_dir)), [2, 3, 4], cfg=FitConfig(seed=7)
+        )
+        assert out.read_text() == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
 
     def test_nan_threshold_is_input_error(self, planted_dir, tmp_path, capsys):
         pm, data_dir = planted_dir
