@@ -38,7 +38,11 @@ The fit proceeds in three stages:
    equations G b = h_i, b >= 0, with G = (A^T A) o (A^T A) and
    h_i = diag(A^T S_i A), which have the same minimizer as the p^2 x r
    least-squares problem.  A Lawson-Hanson active-set solver in numpy
-   works on (G, h_i) directly: no Cholesky factor, no scipy.
+   works on (G, h_i) directly: no Cholesky factor, no scipy.  The
+   loadings of every fit of a lockstep are solved together
+   (:func:`_loadings`): one slice product gives every h_i, one batched
+   solve warm-starts every context, and only the contexts whose warm
+   start fails the KKT test go on to Lawson-Hanson.
 
 Vectorization convention: a p x k matrix D and a vector in R^{p*k} are
 identified by vec(D)[i*p + alpha] = D[alpha, i] (variable index fastest,
@@ -52,7 +56,7 @@ from a seeded generator, and ties between restarts are broken by the
 earliest restart index.  A row's arithmetic depends on the stack it is
 stepped in: a stack of one start runs the matrix-vector products of a
 single start, and a larger stack matrix-matrix products, which round
-differently.  The stacks are fixed by the fit's shape (the window's
+differently.  So do a fit's loadings, on the fits they are solved with.  The stacks are fixed by the fit's shape (the window's
 width) and, in rank selection, by the other fits of its candidate
 (:func:`_lockstep`), never by the CPU count.
 """
@@ -901,39 +905,100 @@ def _lawson_hanson(G, h, x, passive, tol, max_iter):
 
 
 def _nnls_gram(G, H):
-    """Solutions of G x = h over x >= 0, one per row h of H.
+    """Solutions of G_f x = h over x >= 0 for a stack of fits f, one per row
+    h of H_f: G is (n, r, r) and H (n, k, r).
 
-    Each row minimizes x^T G x / 2 - h^T x for symmetric positive definite
-    G, the normal equations of a non-negative least-squares problem.  A
+    Each row minimizes x^T G_f x / 2 - h^T x for symmetric positive definite
+    G_f, the normal equations of a non-negative least-squares problem.  A
     warm start solves on all indices and drops those with a non-positive
-    solution until the rest are positive.  It runs for all rows at once:
-    outside a row's passive set its matrix holds identity rows and
-    columns, so one batched solve serves every row.  The warm start ends
-    at a feasible point, from which :func:`_lawson_hanson` reaches the KKT
-    conditions.  The dual tolerance scales with h and G x (G = (A^T A) o
-    (A^T A) and x are non-negative, so G x is the size of its own terms),
-    so x(c h) = c x(h) for every c > 0.  Each row's Lawson-Hanson loop
-    may take ``_NNLS_SOLVES_PER_COLUMN`` * r solves.
+    solution until the rest are positive.  It runs for every row of every
+    fit at once: outside a row's passive set its matrix holds identity rows
+    and columns, so one batched solve serves every row.  The warm start
+    ends at a feasible point.  One stacked test of the KKT conditions,
+    whose G_f x is per row the product ``G_f @ x`` (``np.matvec``), finds
+    the rows the warm start left short of their minimizer, and
+    :func:`_nnls_fit` takes those, and only those, on to
+    :func:`_lawson_hanson`.  The dual tolerance scales with h and G x
+    (G = (A^T A) o (A^T A) and x are non-negative, so G x is the size of
+    its own terms), so x(c h) = c x(h) for every c > 0.
+
+    Returns per fit its (k, r) solutions, or the ``LinAlgError`` that ended
+    them: a fit's failure leaves the other fits' solutions as they are.
     """
-    k, r = H.shape
-    max_iter = _NNLS_SOLVES_PER_COLUMN * r
-    X = np.zeros((k, r))
-    passive = np.ones((k, r), dtype=bool)
-    rows = np.arange(k)
+    n, k, r = H.shape
+    X = np.zeros((n * k, r))
+    passive = np.ones((n * k, r), dtype=bool)
+    rows = np.arange(n * k)
     while rows.size:
         P = passive[rows]
-        M = np.where(P[:, :, None] & P[:, None, :], G, np.eye(r))
-        S = np.linalg.solve(M, np.where(P, H[rows], 0.0)[:, :, None])[:, :, 0]
+        M = np.where(P[:, :, None] & P[:, None, :], G[rows // k], np.eye(r))
+        S = np.linalg.solve(M, np.where(P, H.reshape(n * k, r)[rows], 0.0)[:, :, None])[:, :, 0]
         done = ((S > 0) | ~P).all(axis=1)
         X[rows[done]] = np.where(P, S, 0.0)[done]
         passive[rows] &= S > 0
         rows = rows[~done & passive[rows].any(axis=1)]
+    X, passive = X.reshape(n, k, r), passive.reshape(n, k, r)
     tol = 10 * np.finfo(float).eps * r * np.maximum(
-        np.abs(H).max(axis=1), (X @ G).max(axis=1)
+        np.abs(H).max(axis=2), (X @ G).max(axis=2)
     )
-    return np.array(
-        [_lawson_hanson(G, H[i], X[i], passive[i], tol[i], max_iter) for i in range(k)]
-    )
+    short = np.where(passive, -np.inf, H - np.matvec(G[:, None], X)).max(axis=2) > tol
+    results = []
+    for f in range(n):
+        try:
+            results.append(_nnls_fit(G[f], H[f], X[f], passive[f], tol[f], short[f]))
+        except np.linalg.LinAlgError as exc:
+            results.append(exc)
+    return results
+
+
+def _nnls_fit(G, H, X, passive, tol, short):
+    """One fit's solutions from its warm start X: each row ``short`` marks
+    goes on to :func:`_lawson_hanson`, which may take
+    ``_NNLS_SOLVES_PER_COLUMN`` * r solves, and the others keep X's."""
+    max_iter = _NNLS_SOLVES_PER_COLUMN * G.shape[0]
+    for i in np.flatnonzero(short):
+        X[i] = _lawson_hanson(G, H[i], X[i], passive[i], tol[i], max_iter)
+    return X
+
+
+def _loadings(t: CovarianceTensor, A) -> list:
+    """The NNLS loadings of every fit of a stack: per unit-column A_f of
+    A (n, p, r), its (k, r) loadings, or the error that ended them.
+
+    Each fit's Gram matrix G_f = (A_f^T A_f) o (A_f^T A_f) is checked by
+    one batched condition number: a fit whose G_f is numerically singular
+    gets a ``GramSingularityError`` naming its most collinear column pair.
+    For the other fits, one product of the (k*p, p) slices with their A_f
+    side by side gives every h_i = diag(A_f^T S_i A_f), and
+    :func:`_nnls_gram` solves all of them together; a Lawson-Hanson
+    ``LinAlgError`` is the entry of its own fit.  A stack of one runs the
+    products of a fit alone.  A larger stack's slice product can round
+    differently from the fits' own products, so a fit's loadings depend
+    on the stack it is solved in, as its components do.
+    """
+    n, p, r = A.shape
+    cross = A.transpose(0, 2, 1) @ A
+    gram = cross**2
+    results = [None] * n
+    for f in np.flatnonzero(np.linalg.cond(gram) > GRAM_COND_LIMIT) if r > 1 else ():
+        off = np.abs(cross[f]) - 2.0 * np.eye(r)
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        pair = (min(i, j), max(i, j))
+        results[f] = GramSingularityError(
+            f"components {pair[0]} and {pair[1]} are near-duplicates "
+            f"(|cos| = {abs(cross[f, i, j]):.6f}); loadings are not determined",
+            columns=pair,
+        )
+    fine = [f for f in range(n) if results[f] is None]
+    if fine:
+        if len(fine) < n:
+            A, gram = A[fine], gram[fine]
+        cols = A.transpose(1, 0, 2).reshape(p, len(fine) * r)
+        sa = (t.slices.reshape(t.k * p, p) @ cols).reshape(t.k, p, len(fine), r)
+        h = np.einsum("ipfj,pfj->fij", sa, cols.reshape(p, len(fine), r))
+        for f, B in zip(fine, _nnls_gram(gram, h)):
+            results[f] = B
+    return results
 
 
 def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
@@ -945,8 +1010,10 @@ def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
     diag(A^T S_i A) enter: ||D b - vec(S_i)||^2 = b^T G b - 2 b^T h_i +
     ||S_i||^2, so each row is the solution of G b = h_i over b >= 0,
     found by the numpy active-set solver :func:`_nnls_gram` on (G, h_i),
-    and D is never built.  Raises ``GramSingularityError`` naming the
-    most collinear column pair when G is numerically singular.
+    and D is never built.  This is the one-fit case of :func:`_loadings`,
+    which a fit calls directly.  Raises ``GramSingularityError`` naming
+    the most collinear column pair when G is numerically singular, and
+    ``np.linalg.LinAlgError`` when a Lawson-Hanson loop reaches its cap.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != t.p:
@@ -954,21 +1021,10 @@ def solve_nnls(t: CovarianceTensor, A) -> np.ndarray:
     norms = np.linalg.norm(A, axis=0)
     if np.abs(norms - 1.0).max() > 1e-8:
         raise ValueError("columns of A must have unit norm")
-    r = A.shape[1]
-    cross = A.T @ A
-    gram = cross**2
-    if r > 1 and np.linalg.cond(gram) > GRAM_COND_LIMIT:
-        off = np.abs(cross) - 2.0 * np.eye(r)
-        i, j = np.unravel_index(np.argmax(off), off.shape)
-        pair = (min(i, j), max(i, j))
-        raise GramSingularityError(
-            f"components {pair[0]} and {pair[1]} are near-duplicates "
-            f"(|cos| = {abs(cross[i, j]):.6f}); loadings are not determined",
-            columns=pair,
-        )
-    sa = (t.slices.reshape(t.k * t.p, t.p) @ A).reshape(t.k, t.p, r)
-    h = np.einsum("ipj,pj->ij", sa, A)
-    return _nnls_gram(gram, h)
+    (B,) = _loadings(t, A[None])
+    if isinstance(B, Exception):
+        raise B
+    return B
 
 
 def _identifiability_gap(unfold_p, k, r, b):
@@ -1017,8 +1073,8 @@ def fit_mcpca(
     ``found``, when given, is this fit's entry of :func:`_lockstep` run
     for ``cfg.seed`` among other seeds of the same ``t``, ``r`` and
     ``cfg`` (rank selection fits a candidate's seeds so): the fit then
-    takes its components from there, or raises the error that ended
-    them, and only solves the loadings.
+    takes its components and loadings from there, or raises the error
+    that ended them, and only orders the columns.
     """
     if found is None:
         (found,) = _lockstep(t, r, cfg, [cfg.seed])
@@ -1028,22 +1084,24 @@ def fit_mcpca(
 
 
 def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
-    """The components of the fits of ``t`` at rank ``r`` with ``cfg`` at
-    each of ``seeds``, found together: the part of each fit before its
-    loadings.
+    """The fits of ``t`` at rank ``r`` with ``cfg`` at each of ``seeds``,
+    run together: everything a fit does before it orders its columns.
 
     Each fit draws all its starts up front from its own generator, in
     component order, the order in which a fit alone draws them.  One
     :func:`_discover` stack discovers every fit's components, and one
     :func:`_refine` stack refines the best restart of each, in this
-    process.  A row's bits depend on the stack it is stepped in, so on the
-    seeds of the lockstep, but never on the CPU count.
+    process.  Each fit's collision guard (:func:`_guard`) then keeps or
+    drops each refinement, and one :func:`_loadings` stack solves every
+    fit's loadings.  A row's bits depend on the stack it is stepped or
+    solved in, so on the seeds of the lockstep, but never on the CPU
+    count.
 
-    Returns, per seed, the (unfolding, discovered, refined, start time)
-    :func:`_finish` takes, ``discovered`` holding each component's restart
-    results, or the ``McpcaError`` that ended the fit: a
-    degenerate start ends only its own fit, and a rank the flattening
-    cannot hold every fit.  ``ValueError`` for a rank outside [1, p].
+    Returns, per seed, the (unfolding, components, loadings, start time)
+    :func:`_finish` takes, or the error that ended the fit: a degenerate
+    start, a singular Gram matrix or a Lawson-Hanson ``LinAlgError`` ends
+    only its own fit, and a rank the flattening cannot hold every fit.
+    ``ValueError`` for a rank outside [1, p].
     """
     started = time.perf_counter()
     p, k = t.p, t.k
@@ -1066,25 +1124,28 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
         )
     ]
     best = [_pick(results)[:2] for fit in fits if isinstance(fit, list) for results in fit]
+    if not best:
+        return fits
     rows = _refine(
         unfold, k, np.array([a for a, _ in best]), np.array([b for _, b in best]),
         cfg.tol, cfg.max_iter,
-    ) if best else []
+    )
     refined = iter(rows[pos : pos + r] for pos in range(0, len(rows), r))
-    return [
-        f if isinstance(f, Exception) else (unfold, f, next(refined), started)
-        for f in fits
-    ]
+    fits = [f if isinstance(f, Exception) else _guard(f, next(refined), p + k) for f in fits]
+    alive = [pos for pos, f in enumerate(fits) if not isinstance(f, Exception)]
+    A = np.array([np.column_stack([c[0] for c in fits[pos]]) for pos in alive])
+    for pos, B in zip(alive, _loadings(t, A)):
+        fits[pos] = B if isinstance(B, Exception) else (unfold, fits[pos], B, started)
+    return fits
 
 
-def _finish(t, cfg, unfold, discovered, refined, started):
-    """The (model, report) of one fit from its discovered and refined
-    components: each component's best restart (:func:`_pick`), unless its
-    refinement climbs onto an earlier component, is replaced by its
-    refinement, then the loadings are solved and the columns ordered."""
-    p, k, r = t.p, t.k, len(discovered)
+def _guard(discovered, refined, size):
+    """The components of one fit: each component's best restart
+    (:func:`_pick`), replaced by its refinement unless that climbs onto an
+    earlier component, as (a, b, trace, iterations, converged, restarts
+    used)."""
     components = []
-    found = np.empty((r, p + k))
+    found = np.empty((len(discovered), size))
     for j, (results, refined_j) in enumerate(zip(discovered, refined)):
         a, b, _, iters, trace, conv = _pick(results)[:6]
         used = sum(x is not None for x in results)
@@ -1095,10 +1156,14 @@ def _finish(t, cfg, unfold, discovered, refined, started):
             conv = conv and ref_conv
         found[j] = np.concatenate([a, b])
         components.append((a, b, trace, iters, conv, used))
+    return components
 
+
+def _finish(t, cfg, unfold, components, B, started):
+    """The (model, report) of one fit from its components (:func:`_guard`)
+    and loadings: the columns sign-fixed and ordered."""
+    k, r = t.k, len(components)
     A = np.column_stack([c[0] for c in components])
-    B = solve_nnls(t, A)
-
     fix_signs(A)
     # Exactly scaled, as the sums of B itself can overflow.
     colsums = (B / binary_scale(B)).sum(axis=0)

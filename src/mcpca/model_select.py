@@ -9,9 +9,9 @@ same.
 
 Rank selection scores each candidate rank by the average match score
 over pairs of fits run from independent seeds, and picks the largest
-candidate whose average reaches the threshold.  A candidate's fits find
-their components together, as one lockstep (``decompose._lockstep``),
-then each solves its loadings in ``fit_mcpca``; the candidates run in
+candidate whose average reaches the threshold.  A candidate's fits run
+together, loadings included, as one lockstep (``decompose._lockstep``),
+and ``fit_mcpca`` then finishes each; the candidates run in
 forked worker processes (``fork_pool``), as many as the CPUs hold at the
 BLAS thread count, with the same report as one after another
 (docs/decisions.md, "Rank selection in parallel" and "Lockstep fits").
@@ -128,9 +128,9 @@ class RankSelectionReport:
 
 def _candidate_components(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     """Components A of one candidate's fits, one per seed of ``seeds``:
-    their components found in one lockstep (``decompose._lockstep``),
-    each fit's loadings solved by ``fit_mcpca``; None for a fit that
-    failed."""
+    their components and loadings found in one lockstep
+    (``decompose._lockstep``), each fit finished by ``fit_mcpca``; None
+    for a fit that failed."""
     models = []
     for seed, found in zip(seeds, _lockstep(t, r, cfg, seeds)):
         try:

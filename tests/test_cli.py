@@ -354,14 +354,15 @@ class TestSelectRankCommand:
         assert not out.exists()
 
     def test_nnls_failure_scores_zero(self, planted_dir, tmp_path, monkeypatch):
-        # The NNLS cap raises LinAlgError: every candidate scores 0, and
-        # the command still writes its report.
+        # The NNLS cap raises LinAlgError in each fit's solve of the stacked
+        # loadings: every candidate scores 0, and the command still writes
+        # its report.
         import mcpca.decompose
 
         def capped(*args):
             raise np.linalg.LinAlgError("NNLS did not converge")
 
-        monkeypatch.setattr(mcpca.decompose, "_lawson_hanson", capped)
+        monkeypatch.setattr(mcpca.decompose, "_nnls_fit", capped)
         pm, data_dir = planted_dir
         out = tmp_path / "rank.json"
         code = main(

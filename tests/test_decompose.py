@@ -672,7 +672,7 @@ class TestSolveNnls:
         # The dual tolerance follows the scale of h: at 1e-30 a fixed one
         # would accept the (wrong) warm start.
         for c in (1e-30, 2.0**-60, 1e30):
-            (x,) = decompose._nnls_gram(gram, c * h[None])
+            ((x,),) = decompose._nnls_gram(gram[None], c * h[None, None])
             assert np.abs(x - c * oracle[0]).max() <= 1e-12 * c * oracle.max()
         monkeypatch.setattr(decompose, "_NNLS_SOLVES_PER_COLUMN", 0)
         with pytest.raises(np.linalg.LinAlgError, match="in 0 active-set solves"):
@@ -690,7 +690,7 @@ class TestSolveNnls:
         gram = (A.T @ A) ** 2
         x = np.abs(rng.standard_normal(6)) * (rng.random(6) < 0.6)
         assert np.any(x == 0.0)
-        (solution,) = decompose._nnls_gram(gram, (gram @ x)[None])
+        ((solution,),) = decompose._nnls_gram(gram[None], (gram @ x)[None, None])
         assert np.abs(solution - x).max() <= 1e-8 * x.max()
 
     def test_zero_slice_gets_zero_row(self):
@@ -759,6 +759,99 @@ class TestSolveNnlsProperties:
         extended = np.concatenate([slices, slices[i : i + 1]])
         doubled = solve_nnls(CovarianceTensor(extended), A)
         assert _close(doubled, np.concatenate([B, B[i : i + 1]]))
+
+
+def _unit_columns(rng, n, p, r):
+    """A stack of n random (p, r) matrices with unit columns."""
+    A = rng.standard_normal((n, p, r))
+    return A / np.linalg.norm(A, axis=1, keepdims=True)
+
+
+def _orthonormal(rng, p, r):
+    """Orthonormal columns: G = I, so the warm start is every row's minimizer."""
+    return np.ascontiguousarray(np.linalg.qr(rng.standard_normal((p, r)))[0])
+
+
+class TestStackedLoadings:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 12), st.integers(1, 8), st.integers(1, 5)),
+        fits=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_fit_matches_its_loadings_alone(self, shape, fits, seed):
+        # Where a fit's block of the stacked slice product rounds like its
+        # own product, its loadings are bit-identical to the fit's alone.
+        # At r = 1 the h_i of several fits reduce over p in another einsum
+        # loop than one fit's, so there, and wherever the products round
+        # differently, the loadings agree to rounding.
+        p, k, r = shape
+        r = min(r, p)
+        rng = np.random.default_rng(seed)
+        A = _unit_columns(rng, fits, p, r)
+        w = rng.standard_normal((k, r)) + 0.5
+        noise = 0.1 * rng.standard_normal((k, p, p))
+        slices = np.einsum("pj,qj,ij->ipq", A[0], A[0], w) + noise + noise.transpose(0, 2, 1)
+        t = CovarianceTensor(slices)
+        stacked = decompose._loadings(t, A)
+        assert len(stacked) == fits
+        product = t.slices.reshape(k * p, p) @ A.transpose(1, 0, 2).reshape(p, fits * r)
+        for f, got in enumerate(stacked):
+            try:
+                alone = solve_nnls(t, A[f])
+            except (GramSingularityError, np.linalg.LinAlgError) as exc:
+                assert type(got) is type(exc)
+                continue
+            alike = np.array_equal(product[:, f * r : (f + 1) * r], t.slices.reshape(k * p, p) @ A[f])
+            if alike and (r > 1 or fits == 1):
+                np.testing.assert_array_equal(got, alone)
+            else:
+                assert np.abs(got - alone).max() <= 1e-13 * max(1.0, np.abs(alone).max())
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(fits=st.integers(2, 5), data=st.data())
+    def test_singular_gram_ends_its_own_fit(self, fits, data):
+        # The duplicated fit is left out before the slice product, so the
+        # others solve exactly as a stack without it.
+        dup = data.draw(st.integers(0, fits - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A, slices = _nnls_problem(6, int(rng.integers(2**32)))
+        t = CovarianceTensor(slices)
+        stack = _unit_columns(rng, fits, 7, 4)
+        stack[dup, :, 1] = stack[dup, :, 0]
+        got = decompose._loadings(t, stack)
+        assert isinstance(got[dup], GramSingularityError)
+        assert got[dup].columns == (0, 1)
+        rest = decompose._loadings(t, np.delete(stack, dup, axis=0))
+        for want, B in zip(rest, got[:dup] + got[dup + 1 :]):
+            np.testing.assert_array_equal(B, want)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(fits=st.integers(1, 5), data=st.data())
+    def test_capped_lawson_hanson_ends_its_own_fit(self, fits, data):
+        # Fit ``slow`` is active_set_example()'s A, whose warm start is not
+        # optimal on the off-model context; the others have orthonormal
+        # columns, whose warm start is.  With the cap at no solve, only the
+        # slow fit fails, and the others keep their loadings bit for bit.
+        # Uncapped, the slow fit reaches the design-matrix oracle.
+        slow = data.draw(st.integers(0, fits - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A_slow = active_set_example()[0]
+        t = _active_set_tensor()
+        stack = np.array([A_slow if f == slow else _orthonormal(rng, 10, 4) for f in range(fits)])
+        solved = decompose._loadings(t, stack)
+        oracle = _design_nnls(t, A_slow)
+        assert np.any(oracle == 0.0)
+        assert np.abs(solved[slow] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "_NNLS_SOLVES_PER_COLUMN", 0)
+            capped = decompose._loadings(t, stack)
+        for f in range(fits):
+            if f == slow:
+                assert isinstance(capped[f], np.linalg.LinAlgError)
+                assert "in 0 active-set solves" in str(capped[f])
+            else:
+                np.testing.assert_array_equal(capped[f], solved[f])
 
 
 def _metamorphic_tensor(seed):
@@ -1456,18 +1549,19 @@ class TestLockstep:
 
     def _stack(self, t, r, fits, fail):
         """The fits of seeds 0..fits-1 in one lockstep; the loadings of the
-        fit ``fail`` raise the NNLS cap's LinAlgError."""
-        real = decompose.solve_nnls
+        fit ``fail`` raise the NNLS cap's LinAlgError, from the stacked
+        loadings' per-fit solve, which runs once per fit in fit order."""
+        real = decompose._nnls_fit
         calls = []
 
-        def solve(t, A):
+        def solve(*args):
             calls.append(1)
             if len(calls) == fail + 1:
                 raise np.linalg.LinAlgError("planted failure")
-            return real(t, A)
+            return real(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decompose, "solve_nnls", solve)
+            mp.setattr(decompose, "_nnls_fit", solve)
             return _lockstep_fits(t, r, range(fits))
 
     def test_failing_fit_leaves_the_other_rows_unchanged(self):

@@ -430,12 +430,13 @@ class TestFitsInWorkers:
         assert pools == [2]
 
     def test_nnls_failure_scores_zero(self, monkeypatch):
-        # The solver's cap raises LinAlgError, not an McpcaError; patched
-        # before the pool forks, so the workers fail the same way.
+        # The solver's cap raises LinAlgError, not an McpcaError, here in
+        # each fit's solve of the stacked loadings; patched before the pool
+        # forks, so the workers fail the same way.
         def capped(*args):
             raise np.linalg.LinAlgError("NNLS did not converge")
 
-        monkeypatch.setattr(decompose, "_lawson_hanson", capped)
+        monkeypatch.setattr(decompose, "_nnls_fit", capped)
         pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
         t = tensor_from_factors(pm.A_true, pm.B_true)
         serial, pooled = _serial_and_pooled(t, [2, 3])

@@ -130,14 +130,15 @@ class TestAccuracyTrials:
         assert record.converged
 
     def test_nnls_failure_scores_zero(self, monkeypatch):
-        # The NNLS cap raises LinAlgError, not an McpcaError: the fit's
-        # record scores 0 and the other methods still run.
+        # The NNLS cap raises LinAlgError, not an McpcaError, in the fit's
+        # solve of its loadings: the fit's record scores 0 and the other
+        # methods still run.
         import mcpca.decompose
 
         def capped(*args):
             raise np.linalg.LinAlgError("NNLS did not converge")
 
-        monkeypatch.setattr(mcpca.decompose, "_lawson_hanson", capped)
+        monkeypatch.setattr(mcpca.decompose, "_nnls_fit", capped)
         cfg = BenchConfig(
             p=12, k=6, r=3, density=0.7, N=100, n_trials=1,
             methods=("mcpca", "pca_stack"), seed=11, noiseless=True,
