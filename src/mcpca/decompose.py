@@ -585,7 +585,8 @@ def _newton_step(unfold, a, b, m_a, c, trust):
     positive definite exactly when -H is on the tangent space (its Schur
     complement is that of -H), which its Cholesky factor tests, row by row
     (:func:`_positive_definite`).  The step reads the unfolding three
-    times: for P, for T_A(*, *, c) and for M at the new a.
+    times, each one product for the whole stack: for P, for T_A(*, *, c)
+    and for M at the new a.
 
     A row's step is not taken when H is not negative definite, when it is
     longer than the row's trust (then without the third read), or when
@@ -600,11 +601,11 @@ def _newton_step(unfold, a, b, m_a, c, trust):
     k, m = b.shape[1], c.shape[1]
     f = np.vecdot(c, c)[:, None]
     root = np.sqrt(f)
-    pt = (b[:, None, None, :] @ unfold.reshape(p, k, m)).reshape(n, p, m) - a[:, :, None] * c[:, None, :]
+    pt = (b @ unfold.reshape(p, k, m)).transpose(1, 0, 2) - a[:, :, None] * c[:, None, :]
     mt = m_a - b[:, :, None] * c[:, None, :]
     grad_a = np.matvec(pt, c)
     grad_b = np.matvec(mt, c)
-    tc = np.matvec(unfold.reshape(p * k, m), c).reshape(n, p, k)
+    tc = (c @ unfold.reshape(p * k, m).T).reshape(n, p, k)
     h_ab = (
         pt @ mt.transpose(0, 2, 1)
         + tc

@@ -1602,7 +1602,10 @@ class TestLockstep:
         # -H is positive definite; row 1 at a random point, where it is
         # not.  The stacked Cholesky factorization fails for both, so the
         # rows are tested one by one: row 1 is refused, and row 0 takes the
-        # step it takes alone, bit for bit.
+        # step it takes alone.  P and T_A(*, *, c) are one product for the
+        # whole stack, which rounds with the stack's size: row 0 differs
+        # from its step alone by 1.1e-16 at most here, and by 3.0e-16 at
+        # most over 100 such pairs of points.
         pm = duplicated_column_model(20, 10, 3, 0.8, seed=700)
         unfold = _unfold(tensor_from_factors(pm.A_true, pm.B_true), 3)
         rng = np.random.default_rng(0)
@@ -1632,8 +1635,8 @@ class TestLockstep:
         alone = decompose._newton_step(unfold, a[:1], b[:1], m_a[:1], c[:1], [1.0])
         assert taken == alone[0] == [0]
         for got, want in zip((a_new, b_new, m_new), alone[1:4]):
-            np.testing.assert_array_equal(got, want)
-        assert length == alone[4]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert length == pytest.approx(alone[4], rel=0, abs=1e-15)
 
     def test_restarts_follow_the_sequential_tie_rule(self, recorded):
         # Each component's three restarts are discovered together; the
