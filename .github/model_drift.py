@@ -1,0 +1,137 @@
+"""Model drift: the fits of a base revision against those of the work tree.
+
+usage: python .github/model_drift.py BASE
+
+Writes fixed inputs once, with the work tree's generators: sampled
+tensors at the desk shape (p=100, k=50, r=60) and at the rank-selection
+shape (p=100, k=50, r=12), at two seeds each.  Then fits every input in
+one child process per tree, the package imported from that tree's
+``src/``: the base revision is checked out in a temporary ``git
+worktree``.  Each desk tensor is fitted at its rank; each rank-selection
+tensor is fitted at rank 12 and goes through ``select_rank`` over ranks
+4, 8, 12 and 16.
+
+Prints, per fit, the largest |dA| and |dB| between the trees (columns
+matched by their largest |cos|), whether the ``converged`` flags and the
+column order are equal, and, per rank-selection tensor, whether the two
+reports are equal.  Drift is reported, never judged: the exit status is
+non-zero only when a child process fails.  The BLAS thread count is
+inherited, so pin it for bits that repeat.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+# (name, p, k, r, samples per context, seeds); density 0.2 for every model.
+INPUTS = (("desk", 100, 50, 60, 1000, (101, 102)), ("select-rank", 100, 50, 12, 1000, (101, 102)))
+CANDIDATES = (4, 8, 12, 16)
+
+
+def generate(work):
+    """Child: write every input tensor's slices to ``work``."""
+    from mcpca import build_tensor, generate_planted, sample_dataset
+
+    for name, p, k, r, n, seeds in INPUTS:
+        for seed in seeds:
+            pm = generate_planted(p, k, r, 0.2, seed=seed)
+            t = build_tensor(sample_dataset(pm, n, seed=seed + 1000))
+            np.save(os.path.join(work, f"{name}-{seed}.npy"), t.slices)
+
+
+def fit(work, out):
+    """Child: fit every input with the package on ``sys.path`` and write
+    the models to ``out``.npz and the rank-selection reports to
+    ``out``.json."""
+    from dataclasses import asdict
+
+    from mcpca import CovarianceTensor, FitConfig, fit_mcpca, select_rank
+
+    models, reports = {}, {}
+    for name, _, _, r, _, seeds in INPUTS:
+        for seed in seeds:
+            key = f"{name}-{seed}"
+            t = CovarianceTensor(np.load(os.path.join(work, f"{key}.npy")))
+            model, _ = fit_mcpca(t, r, FitConfig(seed=seed))
+            models[f"{key}-A"], models[f"{key}-B"] = model.A, model.B
+            models[f"{key}-converged"] = np.array(model.converged)
+            if name == "select-rank":
+                reports[key] = asdict(select_rank(t, CANDIDATES, cfg=FitConfig(seed=seed)))
+    np.savez(out + ".npz", **models)
+    with open(out + ".json", "w", encoding="utf-8") as fh:
+        json.dump(reports, fh)
+
+
+def child(mode, tree, *args):
+    """Run this script in ``mode`` with ``tree``'s package; True if it exited 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), mode, *args], env=env)
+    if proc.returncode:
+        print(f"model drift: the {mode} child for {tree} exited {proc.returncode}")
+    return proc.returncode == 0
+
+
+def compare(base_out, head_out):
+    base, head = np.load(base_out + ".npz"), np.load(head_out + ".npz")
+    for name, _, _, r, _, seeds in INPUTS:
+        for seed in seeds:
+            key = f"{name}-{seed}"
+            A0, A1 = base[f"{key}-A"], head[f"{key}-A"]
+            order = np.argmax(np.abs(A0.T @ A1), axis=1)
+            signs = np.sign(np.sum(A0 * A1[:, order], axis=0))
+            dA = np.abs(A1[:, order] * signs - A0).max()
+            dB = np.abs(head[f"{key}-B"][:, order] - base[f"{key}-B"]).max()
+            same = np.array_equal(head[f"{key}-converged"][order], base[f"{key}-converged"])
+            print(
+                f"{key} r={r}: max |dA| {dA:.3g}, max |dB| {dB:.3g}, "
+                f"converged {'equal' if same else 'DIFFERENT'}, column order "
+                f"{'equal' if np.array_equal(order, np.arange(r)) else 'DIFFERENT'}"
+            )
+    reports = []
+    for out in (base_out, head_out):
+        with open(out + ".json", encoding="utf-8") as fh:
+            reports.append(json.load(fh))
+    for key, report in reports[0].items():
+        other = reports[1][key]
+        if report == other:
+            print(f"{key} select_rank report: equal")
+        else:
+            diff = max(abs(x - y) for x, y in zip(report["stability"], other["stability"]))
+            print(
+                f"{key} select_rank report: DIFFERENT (chosen {report['chosen']} -> "
+                f"{other['chosen']}, largest stability change {diff:.3g})"
+            )
+
+
+def main(base):
+    root = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as work:
+        tree = os.path.join(work, "base")
+        subprocess.run(["git", "-C", root, "worktree", "add", "--quiet", "--detach", tree, base],
+                       check=True)
+        try:
+            ok = child("generate", root, work)
+            outs = [os.path.join(work, "base-fits"), os.path.join(work, "head-fits")]
+            ok = ok and child("fit", tree, work, outs[0]) and child("fit", root, work, outs[1])
+            if ok:
+                print(f"model drift, {base} -> work tree:")
+                compare(*outs)
+        finally:
+            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", tree], check=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["generate"]:
+        generate(sys.argv[2])
+    elif sys.argv[1:2] == ["fit"]:
+        fit(*sys.argv[2:4])
+    elif len(sys.argv) == 2:
+        sys.exit(main(sys.argv[1]))
+    else:
+        sys.exit(__doc__)

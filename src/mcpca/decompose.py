@@ -56,7 +56,8 @@ from a seeded generator, and ties between restarts are broken by the
 earliest restart index.  A row's arithmetic depends on the stack it is
 stepped in: a stack of one start runs the matrix-vector products of a
 single start, and a larger stack matrix-matrix products, which round
-differently.  So do a fit's loadings, on the fits they are solved with.  The stacks are fixed by the fit's shape (the window's
+differently; a fit's loadings likewise depend on the fits they are
+solved with.  The stacks are fixed by the fit's shape (the window's
 width) and, in rank selection, by the other fits of its candidate
 (:func:`_lockstep`), never by the CPU count.
 """
