@@ -9,12 +9,13 @@ one child process per tree, the package imported from that tree's
 ``src/``: the base revision is checked out in a temporary ``git
 worktree``.  Each desk tensor is fitted at its rank; each rank-selection
 tensor is fitted at rank 12 and goes through ``select_rank`` over ranks
-4, 8, 12 and 16.
+4, 8, 12 and 16.  The seed-101 desk tensor is also fitted with two
+restarts per component, the one fit that takes the restart path.
 
 Prints, per fit, the largest |dA| and |dB| between the trees (columns
 matched by their largest |cos|), whether the ``converged`` flags and the
-column order are equal, and, per rank-selection tensor, whether the two
-reports are equal.  Drift is reported, never judged: the exit status is
+column order are equal (and, for the restart fit, ``restarts_used``),
+and, per rank-selection tensor, whether the two reports are equal.  Drift is reported, never judged: the exit status is
 non-zero only when a child process fails.  The BLAS thread count is
 inherited, so pin it for bits that repeat.
 """
@@ -30,6 +31,8 @@ import numpy as np
 # (name, p, k, r, samples per context, seeds); density 0.2 for every model.
 INPUTS = (("desk", 100, 50, 60, 1000, (101, 102)), ("select-rank", 100, 50, 12, 1000, (101, 102)))
 CANDIDATES = (4, 8, 12, 16)
+# (input, rank, restarts per component) of the fit with more than one restart.
+RESTART_FIT = ("desk-101", 60, 2)
 
 
 def generate(work):
@@ -61,6 +64,13 @@ def fit(work, out):
             models[f"{key}-converged"] = np.array(model.converged)
             if name == "select-rank":
                 reports[key] = asdict(select_rank(t, CANDIDATES, cfg=FitConfig(seed=seed)))
+    key, r, restarts = RESTART_FIT
+    t = CovarianceTensor(np.load(os.path.join(work, f"{key}.npy")))
+    model, report = fit_mcpca(t, r, FitConfig(seed=101, restarts_per_component=restarts))
+    key = f"{key}-restarts-{restarts}"
+    models[f"{key}-A"], models[f"{key}-B"] = model.A, model.B
+    models[f"{key}-converged"] = np.array(model.converged)
+    models[f"{key}-restarts_used"] = np.array(report.restarts_used)
     np.savez(out + ".npz", **models)
     with open(out + ".json", "w", encoding="utf-8") as fh:
         json.dump(reports, fh)
@@ -75,22 +85,29 @@ def child(mode, tree, *args):
     return proc.returncode == 0
 
 
+def drift(base, head, key, r, fields=("converged",)):
+    """One line: the drift of the fit ``key`` at rank ``r``, and whether each
+    per-column array of ``fields`` and the column order are equal."""
+    A0, A1 = base[f"{key}-A"], head[f"{key}-A"]
+    order = np.argmax(np.abs(A0.T @ A1), axis=1)
+    signs = np.sign(np.sum(A0 * A1[:, order], axis=0))
+    dA = np.abs(A1[:, order] * signs - A0).max()
+    dB = np.abs(head[f"{key}-B"][:, order] - base[f"{key}-B"]).max()
+    equal = [np.array_equal(head[f"{key}-{x}"][order], base[f"{key}-{x}"]) for x in fields]
+    equal.append(np.array_equal(order, np.arange(r)))
+    same = ", ".join(
+        f"{x} {'equal' if eq else 'DIFFERENT'}" for x, eq in zip((*fields, "column order"), equal)
+    )
+    return f"{key} r={r}: max |dA| {dA:.3g}, max |dB| {dB:.3g}, {same}"
+
+
 def compare(base_out, head_out):
     base, head = np.load(base_out + ".npz"), np.load(head_out + ".npz")
     for name, _, _, r, _, seeds in INPUTS:
         for seed in seeds:
-            key = f"{name}-{seed}"
-            A0, A1 = base[f"{key}-A"], head[f"{key}-A"]
-            order = np.argmax(np.abs(A0.T @ A1), axis=1)
-            signs = np.sign(np.sum(A0 * A1[:, order], axis=0))
-            dA = np.abs(A1[:, order] * signs - A0).max()
-            dB = np.abs(head[f"{key}-B"][:, order] - base[f"{key}-B"]).max()
-            same = np.array_equal(head[f"{key}-converged"][order], base[f"{key}-converged"])
-            print(
-                f"{key} r={r}: max |dA| {dA:.3g}, max |dB| {dB:.3g}, "
-                f"converged {'equal' if same else 'DIFFERENT'}, column order "
-                f"{'equal' if np.array_equal(order, np.arange(r)) else 'DIFFERENT'}"
-            )
+            print(drift(base, head, f"{name}-{seed}", r))
+    key, r, restarts = RESTART_FIT
+    print(drift(base, head, f"{key}-restarts-{restarts}", r, ("converged", "restarts_used")))
     reports = []
     for out in (base_out, head_out):
         with open(out + ".json", encoding="utf-8") as fh:

@@ -31,7 +31,6 @@ from .exceptions import (
     AsymmetricInputError,
     DataFormatError,
     DegeneracyError,
-    DegenerateStartError,
     DimensionMismatchError,
     GramSingularityError,
     McpcaError,

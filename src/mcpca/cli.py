@@ -7,8 +7,8 @@ them); ``diag`` pairs the data's contexts with the model's by id.
 
 Exit codes: 0 on success, 2 on usage or input errors (including files
 that cannot be read or written), 3 on numerical failures (rank
-deficiency, degenerate restarts, singular Gram matrix, a linear-algebra
-routine that does not converge).
+deficiency, singular Gram matrix, a linear-algebra routine that does not
+converge).
 All output tables are UTF-8, comma-delimited with a header row and LF
 line endings; ``diag`` quotes a context id that holds a comma, a quote
 or a line break, RFC 4180-style.  Benchmark trials run in forked
@@ -32,7 +32,6 @@ from .diagnostics import compute_diagnostics, score_samples
 from .decompose import FitConfig, fit_mcpca, reconstruction_error
 from .exceptions import (
     DataFormatError,
-    DegenerateStartError,
     DegeneracyError,
     DimensionMismatchError,
     AsymmetricInputError,
@@ -66,7 +65,6 @@ _INPUT_ERRORS = (
 # LinAlgError subclasses ValueError, so main() tests these first.
 _NUMERICAL_ERRORS = (
     RankDeficiencyError,
-    DegenerateStartError,
     GramSingularityError,
     DegeneracyError,
     np.linalg.LinAlgError,

@@ -19,8 +19,9 @@ The fit proceeds in three stages:
    coefficient directions U of the components found so far are projected
    out of c, c <- (I - U U^T) c, until the ``tol`` test passes.  The
    discovered point's projected coefficients, normalized, then become
-   U's next column.  In a large fit the rows of the next components step
-   with the leading one, in a window, so each reaches the lead warm.
+   U's next column.  In a large fit of one restart per component the rows
+   of the next components step with the leading one, in a window, so each
+   reaches the lead warm.
    Refinement (:func:`_refine`) then takes every component's best
    restart, unprojected, in one stack, to its floating-point fixed point,
    finishing with safeguarded Riemannian Newton steps
@@ -72,7 +73,6 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import (
-    DegenerateStartError,
     DimensionMismatchError,
     GramSingularityError,
     McpcaError,
@@ -83,10 +83,6 @@ from .tensor_core import CovarianceTensor, binary_scale, fix_signs, flatten, fro
 # Singular values below RANK_RTOL * sigma_1 do not count toward the
 # numerical rank of the flattening.
 RANK_RTOL = 1e-12
-
-# Contractions with norm at or below this are treated as exactly zero
-# (degenerate start), not as tiny-but-usable directions.
-_DEGENERATE_NORM = 1e-150
 
 # Maximum admissible condition number of the NNLS Gram matrix.
 GRAM_COND_LIMIT = 1e12
@@ -129,11 +125,11 @@ _STEP_WORK = 250_000
 # and keeps its discovered point instead (see docs/decisions.md).
 _COLLISION_COS = 0.99
 
-# Discovery steps a fit's next WINDOW_WIDTH - 1 components with the leading
-# one from WINDOW_MIN_SIZE entries (p * k * r) of the unfolding on, where a
-# fit gains 10-45%; below it rank selection's stacks lose up to 6% and small
-# sampled fits would change their models (docs/decisions.md, "Discovery in a
-# window").
+# At one restart per component, discovery steps a fit's next WINDOW_WIDTH - 1
+# components with the leading one from WINDOW_MIN_SIZE entries (p * k * r) of
+# the unfolding on, where a fit gains 10-45%; below it rank selection's stacks
+# lose up to 6% and small sampled fits would change their models
+# (docs/decisions.md, "Discovery in a window").
 WINDOW_MIN_SIZE = 100_000
 WINDOW_WIDTH = 8
 
@@ -152,10 +148,11 @@ class FitConfig:
     Refinement continues past that point to the floating-point fixed
     point, within ``max_iter`` iterations, power and Newton steps alike.
     ``restarts_per_component`` random starts are drawn per component
-    from ``seed`` and discovered together; the best goes on to
-    refinement.  One start is the default: refinement takes it to a
-    component of the original subspace, so further starts only choose
-    the basin it starts from (see docs/decisions.md).
+    from ``seed`` and discovered together, each lead from its own start
+    (no window, :func:`_discover`); the best goes on to refinement.  One
+    start is the default: refinement takes it to a component of the
+    original subspace, so further starts only choose the basin it starts
+    from (see docs/decisions.md).
     """
 
     seed: int = 0
@@ -256,6 +253,8 @@ class FitReport:
     the fit without them.  ``dataclasses.replace`` carries these over,
     and the copy computes the same values on its own first read; ``==``
     and the repr leave them out.
+    ``restarts_used[j]`` counts component j's restarts, all of which are
+    kept: ``restarts_per_component`` of its config.
     ``objective_trace[j]`` lists the objective value at every iteration
     of component j's best restart (discovery followed by refinement, in
     final column order); it is nondecreasing within floating-point slack.
@@ -349,20 +348,13 @@ def _unfolding(flat, p, k):
 
 def _normalize(x):
     """The rows of ``x`` scaled to unit length, and the rows' norms as a
-    list.
-
-    A row whose norm is at most ``_DEGENERATE_NORM`` is left as it is, so
-    no division warns.  A stack of one row takes the same arithmetic
-    without the array bookkeeping.
-    """
+    list.  A stack of one row takes the same arithmetic without the array
+    bookkeeping."""
     if len(x) == 1:
         norm = math.sqrt(np.dot(x[0], x[0]))
-        return (x / norm if norm > _DEGENERATE_NORM else x), [norm]
+        return x / norm, [norm]
     norm = np.sqrt(np.vecdot(x, x))
-    norms = norm.tolist()
-    if min(norms) <= _DEGENERATE_NORM:
-        norm[norm <= _DEGENERATE_NORM] = 1.0
-    return x / norm[:, None], norms
+    return x / norm[:, None], norm.tolist()
 
 
 def _power_step(unfold, a, b, c):
@@ -379,32 +371,24 @@ def _power_step(unfold, a, b, c):
     ||T_A(*, b, c)||, so ||x_new - x|| is the sign-aligned step, and
     step^2 / 2 is 1 - |cos| computed without cancellation.
 
-    Returns (a, b, m_a, step, vanished): m_a is (L, k, m), ``step`` lists
-    the larger step of each row's two iterates, and ``vanished`` lists
-    the positions of the rows whose contraction vanished, whose values
-    mean nothing.  When c is the row's own coefficients T_A(a, b, *),
-    projected or not, normalized, both norms are at least
-    s = <T_A(a, b, *), c>, the norm of what was normalized:
+    Returns (a, b, m_a, step): m_a is (L, k, m) and ``step`` lists the
+    larger step of each row's two iterates.  When c is the row's own
+    coefficients T_A(a, b, *), projected or not, normalized, both norms
+    are at least s = <T_A(a, b, *), c>, the norm of what was normalized:
     ||T_A(*, b, c)|| >= <a, T_A(*, b, c)> = s and
     ||T_A(a_new, *, c)|| >= <b, T_A(a_new, *, c)> = ||T_A(*, b, c)||.
-    So the row cannot vanish once s exceeds ``_DEGENERATE_NORM``; only
-    discovery's rows behind a lead, which step along other coefficients,
-    can.
+    So a row with s > 0 cannot vanish.  The bound does not cover
+    discovery's rows behind a lead, which step along other coefficients
+    (:func:`_discover`).
     """
     n, k = b.shape
     m = c.shape[1]
     # b_i (x) c_i, flattened: for one row the outer product of the two.
     bc = b.T * c if n == 1 else b[:, :, None] * c[:, None, :]
-    a_new, norm_a = _normalize(bc.reshape(n, k * m) @ unfold.T)
+    a_new, _ = _normalize(bc.reshape(n, k * m) @ unfold.T)
     m_a = (a_new @ unfold).reshape(n, k, m)
-    b_new, norm_b = _normalize(np.matvec(m_a, c))
-    vanished = []
-    if min(norm_a) <= _DEGENERATE_NORM or min(norm_b) <= _DEGENERATE_NORM:
-        vanished = [
-            pos for pos, norms in enumerate(zip(norm_a, norm_b))
-            if min(norms) <= _DEGENERATE_NORM
-        ]
-    return a_new, b_new, m_a, _steps(a_new, a, b_new, b), vanished
+    b_new, _ = _normalize(np.matvec(m_a, c))
+    return a_new, b_new, m_a, _steps(a_new, a, b_new, b)
 
 
 def _steps(a_new, a, b_new, b):
@@ -427,12 +411,17 @@ def _discover(unfold, taken, k, a, b, cfg):
     starts with the orthonormal coefficient directions ``taken[f]`` (j, m)
     projected out; a[f] (n, p) and b[f] (n, k) hold its unit starts in
     component order, ``cfg.restarts_per_component`` per component.  Each
-    restart of a fit has a window: the rows of its next ``WINDOW_WIDTH``
-    components from ``WINDOW_MIN_SIZE`` entries of the unfolding on, else
-    of its next one.  The leading row runs the sequential iteration: its
-    coefficients c = T_A(a, b, *) are projected, c <- (I - U U^T) c with
-    U^T the fit's directions (the iteration on the deflated basis, without
-    building one), and normalized alone.  Power steps (:func:`_power_step`)
+    restart of a fit has a window: at one restart per component, the rows
+    of its next ``WINDOW_WIDTH`` components from ``WINDOW_MIN_SIZE``
+    entries of the unfolding on, else of its next one.  With more
+    restarts, a losing restart's rows behind its lead could sit on the
+    direction the winner takes and contract to exactly nothing once
+    projected; in a window of one, every lead starts from its own random
+    draw, whose contraction vanishes only on a null set.  The leading row
+    runs the sequential iteration: its coefficients c = T_A(a, b, *) are
+    projected, c <- (I - U U^T) c with U^T the fit's directions (the
+    iteration on the deflated basis, without building one), and
+    normalized alone.  Power steps (:func:`_power_step`)
     follow until step^2 / 2 falls below ``cfg.tol``, or for
     ``cfg.max_iter`` steps, converged only if that last step passed the
     test.  The rows behind the lead step on the coefficients one QR of the
@@ -446,18 +435,14 @@ def _discover(unfold, taken, k, a, b, cfg):
     Returns per fit, per component, its restarts' results (a, b,
     objective, iterations, trace, converged, direction), the trace holding
     the objective at the start of each step as lead plus the final value
-    and ``direction`` the unit coefficients; or None, without a warning,
-    when a row's projected contraction vanishes as it takes the lead.  A
-    lead's power steps never lower its objective (:func:`_power_step`),
-    so a lead that has started cannot degenerate; a row behind the lead
-    whose step vanishes keeps its point.  A fit's list ends at the first
-    component whose restarts all vanish.
+    and ``direction`` the unit coefficients.  A lead's power steps never
+    lower its objective (:func:`_power_step`).
     """
     fits, n, p = a.shape
     m = unfold.shape[1] // k
     restarts, tol, max_iter = cfg.restarts_per_component, cfg.tol, cfg.max_iter
     comps = n // restarts
-    width = WINDOW_WIDTH if unfold.size >= WINDOW_MIN_SIZE else 1
+    width = WINDOW_WIDTH if unfold.size >= WINDOW_MIN_SIZE and restarts == 1 else 1
     # Window w is restart w % restarts of fit w // restarts: its starts, in
     # component order, and the rows behind its lead once the lead stops.
     # The stack holds each window's rows in turn, its lead first.
@@ -465,8 +450,8 @@ def _discover(unfold, taken, k, a, b, cfg):
         x.reshape(fits, comps, restarts, -1).swapaxes(1, 2).reshape(fits * restarts, comps, -1)
         for x in (a, b)
     ]
-    wins = list(range(len(starts[0])))
-    parked = {}
+    windows = fits * restarts
+    parked = [None] * windows
     j0 = taken.shape[1]
     taken = np.concatenate([taken, np.empty((fits, comps, m))], axis=1)
     found = [[] for _ in range(fits)]
@@ -474,29 +459,27 @@ def _discover(unfold, taken, k, a, b, cfg):
     while True:
         if not live:
             if j >= 0:
-                best = {w // restarts: _pick(found[w // restarts][j]) for w in wins}
-                wins = [w for w in wins if best[w // restarts] is not None]
-                for f, result in best.items():
-                    if result is not None:
-                        taken[f, j0 + j] = result[6]
+                for f in range(fits):
+                    taken[f, j0 + j] = _pick(found[f][j])[6]
             j += 1
-            if j == comps or not wins:
+            if j == comps:
                 return found
-            for w in wins[::restarts]:
-                found[w // restarts].append([None] * restarts)
+            for f in range(fits):
+                found[f].append([None] * restarts)
             held = min(width - 1, comps - j) if j else 0
             entering = slice(j + held, min(comps, j + width))
-            new_a, new_b = starts[0][wins, entering], starts[1][wins, entering]
+            new_a, new_b = starts[0][:, entering], starts[1][:, entering]
             new_m = (new_a.reshape(-1, p) @ unfold).reshape(*new_a.shape[:2], k, m)
             if held:
                 new_a, new_b, new_m = (
-                    np.concatenate([np.stack([parked[w][x] for w in wins]), new], 1)
+                    np.concatenate([np.stack([rest[x] for rest in parked]), new], 1)
                     for x, new in enumerate((new_a, new_b, new_m))
                 )
             rows = new_a.shape[1]
             a_s, b_s, m_a = new_a.reshape(-1, p), new_b.reshape(-1, k), new_m.reshape(-1, k, m)
-            u = np.repeat(taken[[w // restarts for w in wins], : j0 + j], rows, axis=0)
-            live, traces, converged = wins, [[] for _ in wins], [False] * len(wins)
+            u = np.repeat(taken[:, : j0 + j], restarts * rows, axis=0)
+            live, converged = list(range(windows)), [False] * windows
+            traces = [[] for _ in live]
             steps = 0
         c = np.vecmat(b_s, m_a)
         if j0 + j:
@@ -504,19 +487,17 @@ def _discover(unfold, taken, k, a, b, cfg):
         unit, sigma = _normalize(c[::rows])
         for trace, s in zip(traces, sigma):
             trace.append(s * s)
-        if True in converged or steps >= max_iter or min(sigma) <= _DEGENERATE_NORM:
+        if True in converged or steps >= max_iter:
             keep = []
             for pos, (w, s) in enumerate(zip(live, sigma)):
-                finished = converged[pos] or steps >= max_iter
-                if not (finished or s <= _DEGENERATE_NORM):
+                if not (converged[pos] or steps >= max_iter):
                     keep.append(pos)
                     continue
                 lead = pos * rows
-                if finished:
-                    found[w // restarts][j][w % restarts] = (
-                        a_s[lead].copy(), b_s[lead].copy(), s * s, steps, traces[pos],
-                        converged[pos], unit[pos].copy(),
-                    )
+                found[w // restarts][j][w % restarts] = (
+                    a_s[lead].copy(), b_s[lead].copy(), s * s, steps, traces[pos],
+                    converged[pos], unit[pos].copy(),
+                )
                 parked[w] = tuple(x[lead + 1 : lead + rows] for x in (a_s, b_s, m_a))
             live, traces = [live[pos] for pos in keep], [traces[pos] for pos in keep]
             if not live:
@@ -529,21 +510,18 @@ def _discover(unfold, taken, k, a, b, cfg):
             q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
             q[:, :, 0] = unit
             unit = q.transpose(0, 2, 1).reshape(-1, m)
-        a_p, b_p, m_p, step, gone = _power_step(unfold, a_s, b_s, unit)
-        for row in gone:  # only rows behind a lead: each keeps its point
-            a_p[row], b_p[row], m_p[row] = a_s[row], b_s[row], m_a[row]
-        a_s, b_s, m_a = a_p, b_p, m_p
+        a_s, b_s, m_a, step = _power_step(unfold, a_s, b_s, unit)
         steps += 1
         converged = [0.5 * s * s < tol for s in step[::rows]]
 
 
 def _pick(results):
-    """The best of a component's restart results, None if all vanished: a
-    later restart replaces the best so far only when its objective is
-    higher by more than ``_RESTART_TIE_TOL``, so ties go to the earliest."""
-    best = None
-    for result in results:
-        if result is not None and (best is None or result[2] > best[2] + _RESTART_TIE_TOL):
+    """The best of a component's restart results: a later restart replaces
+    the best so far only when its objective is higher by more than
+    ``_RESTART_TIE_TOL``, so ties go to the earliest."""
+    best = results[0]
+    for result in results[1:]:
+        if result[2] > best[2] + _RESTART_TIE_TOL:
             best = result
     return best
 
@@ -715,7 +693,7 @@ def _refine(unfold, k, a, b, tol, max_iter):
 
     ``unfold`` is the (p, k*m) unfolding of the original subspace, and a
     (L, p) and b (L, k) hold one unit start per row, each where a
-    discovery lead stopped, with a contraction above ``_DEGENERATE_NORM``.
+    discovery lead stopped.
     The power step is discovery's (:func:`_power_step`) on the unprojected
     coefficients: two reads of the unfolding per step plus one before the
     first.
@@ -793,9 +771,9 @@ def _refine(unfold, k, a, b, tol, max_iter):
                 # no caller's array is written.
                 a[taken], b[taken], m_a[taken] = a_n, b_n, m_n
         if len(power) == n:
-            a, b, m_a, step, _ = _power_step(unfold, a, b, unit)
+            a, b, m_a, step = _power_step(unfold, a, b, unit)
         elif power:
-            a_p, b_p, m_p, step, _ = _power_step(unfold, a[power], b[power], unit[power])
+            a_p, b_p, m_p, step = _power_step(unfold, a[power], b[power], unit[power])
             a[power], b[power], m_a[power] = a_p, b_p, m_p
         steps += 1
         for pos, new_step in zip(power, step if power else ()):
@@ -1100,10 +1078,10 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     count.
 
     Returns, per seed, the (unfolding, components, loadings, start time)
-    :func:`_finish` takes, or the error that ended the fit: a degenerate
-    start, a singular Gram matrix or a Lawson-Hanson ``LinAlgError`` ends
-    only its own fit, and a rank the flattening cannot hold every fit.
-    ``ValueError`` for a rank outside [1, p].
+    :func:`_finish` takes, or the error that ended the fit: a singular
+    Gram matrix or a Lawson-Hanson ``LinAlgError`` ends only its own fit,
+    and a rank the flattening cannot hold every fit.  ``ValueError`` for a
+    rank outside [1, p].
     """
     started = time.perf_counter()
     p, k = t.p, t.k
@@ -1116,29 +1094,21 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
         [_draw_start(rng, p, k) for _ in range(r * restarts)]
         for rng in map(np.random.default_rng, seeds)
     ]
-    fits = [
-        components if _pick(components[-1]) else DegenerateStartError(
-            f"all {restarts} restarts degenerate for component {len(components) - 1}"
-        )
-        for components in _discover(
-            unfold, np.empty((len(seeds), 0, r)), k,
-            *(np.array([[start[x] for start in fit] for fit in draws]) for x in (0, 1)), cfg,
-        )
-    ]
-    best = [_pick(results)[:2] for fit in fits if isinstance(fit, list) for results in fit]
-    if not best:
-        return fits
+    fits = _discover(
+        unfold, np.empty((len(seeds), 0, r)), k,
+        *(np.array([[start[x] for start in fit] for fit in draws]) for x in (0, 1)), cfg,
+    )
+    best = [_pick(results)[:2] for fit in fits for results in fit]
     rows = _refine(
         unfold, k, np.array([a for a, _ in best]), np.array([b for _, b in best]),
         cfg.tol, cfg.max_iter,
     )
-    refined = iter(rows[pos : pos + r] for pos in range(0, len(rows), r))
-    fits = [f if isinstance(f, Exception) else _guard(f, next(refined), p + k) for f in fits]
-    alive = [pos for pos, f in enumerate(fits) if not isinstance(f, Exception)]
-    A = np.array([np.column_stack([c[0] for c in fits[pos]]) for pos in alive])
-    for pos, B in zip(alive, _loadings(t, A)):
-        fits[pos] = B if isinstance(B, Exception) else (unfold, fits[pos], B, started)
-    return fits
+    fits = [_guard(f, rows[pos * r : (pos + 1) * r], p + k) for pos, f in enumerate(fits)]
+    A = np.array([np.column_stack([c[0] for c in f]) for f in fits])
+    return [
+        B if isinstance(B, Exception) else (unfold, f, B, started)
+        for f, B in zip(fits, _loadings(t, A))
+    ]
 
 
 def _guard(discovered, refined, size):
@@ -1150,14 +1120,13 @@ def _guard(discovered, refined, size):
     found = np.empty((len(discovered), size))
     for j, (results, refined_j) in enumerate(zip(discovered, refined)):
         a, b, _, iters, trace, conv = _pick(results)[:6]
-        used = sum(x is not None for x in results)
         if _overlap(refined_j[0], refined_j[1], found[:j]) < _COLLISION_COS:
             a, b, _, ref_iters, ref_trace, ref_conv = refined_j
             trace = trace + ref_trace
             iters += ref_iters
             conv = conv and ref_conv
         found[j] = np.concatenate([a, b])
-        components.append((a, b, trace, iters, conv, used))
+        components.append((a, b, trace, iters, conv, len(results)))
     return components
 
 

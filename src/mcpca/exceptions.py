@@ -34,10 +34,6 @@ class RankDeficiencyError(McpcaError):
         self.max_rank = max_rank
 
 
-class DegenerateStartError(McpcaError):
-    """A power-iteration contraction vanished; the start point is degenerate."""
-
-
 class GramSingularityError(McpcaError):
     """The Gram matrix of component outer products is numerically singular.
 

@@ -708,6 +708,29 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_all_zero_tensor_is_a_rank_error(self, tmp_path, capsys):
+        # Constant columns have zero covariance in every context: the
+        # flattening is identically zero, a rank error found before any
+        # start is drawn.  Rank selection scores each candidate 0.
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for i in range(4):
+            np.savetxt(data_dir / f"c{i}.csv", np.full((5, 3), i + 1.0), delimiter=",")
+        model = tmp_path / "model.json"
+        code = main(["fit", "--input", str(data_dir), "--rank", "2", "--output", str(model)])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: flattening is identically zero\n"
+        assert not model.exists()
+        out = tmp_path / "rank.json"
+        code = main(
+            ["select-rank", "--input", str(data_dir), "--candidates", "1,2", "--output", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["stability"] == [0.0, 0.0]
+        assert report["chosen"] is None
+        assert report["scree"] == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("command", ["fit", "select-rank"])
     def test_covariance_overflow_is_input_error(self, command, tmp_path, capsys):
         # Every cell is finite, but context a's covariance passes the float

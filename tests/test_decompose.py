@@ -15,7 +15,6 @@ from helpers import active_set_example, duplicated_column_model, generate_identi
 
 from mcpca import (
     CovarianceTensor,
-    DegenerateStartError,
     FitConfig,
     GramSingularityError,
     McpcaError,
@@ -49,8 +48,7 @@ def _unfold(t, r):
 
 def _discover_one(unfold, taken, k, a0, b0, tol, max_iter):
     """Discovery of one component from one start, with the coefficient
-    directions in the rows of ``taken`` projected out; None if it
-    degenerates."""
+    directions in the rows of ``taken`` projected out."""
     cfg = FitConfig(tol=tol, max_iter=max_iter)
     (((result,),),) = _discover(unfold, taken[None], k, a0[None, None], b0[None, None], cfg)
     return result
@@ -69,10 +67,7 @@ def _iterate(unfold, a0, b0, tol=1e-10, max_iter=500, taken=None):
     k = b0.shape[0]
     if taken is None:
         taken = np.empty((0, unfold.shape[1] // k))
-    result = _discover_one(unfold, taken, k, a0, b0, tol, max_iter)
-    if result is None:
-        raise DegenerateStartError("contraction vanished")
-    return result[:6]
+    return _discover_one(unfold, taken, k, a0, b0, tol, max_iter)[:6]
 
 
 def _deflate(flat, direction):
@@ -99,8 +94,7 @@ def _vec(a, b):
 
 def _serial_unit(v):
     norm = float(np.linalg.norm(v))
-    if norm <= 1e-150:
-        raise DegenerateStartError("contraction vanished during power iteration")
+    assert norm > 0
     return v / norm, norm
 
 
@@ -313,10 +307,7 @@ class TestPowerIterate:
         rng = np.random.default_rng(8)
         best = None
         for _ in range(20):
-            try:
-                res = _iterate(unfold, _unit(rng, 6), _unit(rng, 4), tol=1e-12)
-            except DegenerateStartError:
-                continue
+            res = _iterate(unfold, _unit(rng, 6), _unit(rng, 4), tol=1e-12)
             if best is None or res[2] > best[2]:
                 best = res
         best_a, _, best_objective, _, _, _ = best
@@ -587,19 +578,6 @@ class TestPowerIterate:
         power_only = _refine(*args)
         assert all(power_only[i][3] == max_iter for i in slow)
 
-    def test_degenerate_discovery_start_returns_none(self):
-        # Basis e_0 (x) e_0, e_1 (x) e_1: a start a = e_2 contracts to an
-        # exact zero, which returns None without a warning, with or
-        # without a direction projected out.
-        flat = np.zeros((2, 12))
-        flat[0, 0] = flat[1, 5] = 1.0
-        unfold = _unfolding(flat, 4, 3)
-        rng = np.random.default_rng(45)
-        for taken in (np.empty((0, 2)), np.array([[0.6, 0.8]])):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert _discover_one(unfold, taken, 3, np.eye(4)[2], _unit(rng, 3), 1e-10, 100) is None
-                assert _discover_one(unfold, taken, 3, _unit(rng, 4), _unit(rng, 3), 1e-10, 100) is not None
 
 
 class TestSolveNnls:
@@ -1115,23 +1093,6 @@ class TestFitMcpca:
         _, report = fit_mcpca(t, 2, FitConfig(seed=3, restarts_per_component=4))
         assert report.restarts_used == (4, 4)
 
-    def _zero_start(self, monkeypatch, restarts):
-        """Make the a-starts of the given restart indices exact zeros,
-        which contract to nothing: a degenerate start.  Restarts are
-        counted over the whole fit, so indices below restarts_per_component
-        belong to the first component."""
-        real = decompose._draw_start
-        drawn = [0]
-
-        def draw_start(rng, p, k):
-            a, b = real(rng, p, k)
-            if drawn[0] in restarts:
-                a = np.zeros_like(a)
-            drawn[0] += 1
-            return a, b
-
-        monkeypatch.setattr(decompose, "_draw_start", draw_start)
-
     @pytest.mark.parametrize("restarts", [1, 10])
     def test_starts_match_separate_draws(self, restarts):
         # Each start's one draw of p + k normals continues the generator
@@ -1141,24 +1102,6 @@ class TestFitMcpca:
             a, b = decompose._draw_start(drawn, 20, 10)
             np.testing.assert_array_equal(a, _unit(rng, 20))
             np.testing.assert_array_equal(b, _unit(rng, 10))
-
-    def test_degenerate_restart_masked(self, monkeypatch):
-        pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
-        cfg = FitConfig(seed=3, restarts_per_component=4)
-        reference, _ = fit_mcpca(t, 2, cfg)
-        self._zero_start(monkeypatch, {1})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            model, report = fit_mcpca(t, 2, cfg)
-        # Reported in final column order, which sorts by loading weight.
-        assert sorted(report.restarts_used) == [3, 4]
-        assert ascore(reference.A, model.A).ascore >= 1 - 1e-9
-
-    def test_all_restarts_degenerate_raises(self, monkeypatch):
-        pm, t = _planted_tensor(6, 4, 2, 0.9, seed=23)
-        self._zero_start(monkeypatch, set(range(4)))
-        with pytest.raises(DegenerateStartError, match="all 4 restarts degenerate"):
-            fit_mcpca(t, 2, FitConfig(seed=3, restarts_per_component=4))
 
     def test_projection_matches_householder_deflation(self, recorded):
         # The coefficient directions a fit projects out after two
@@ -1289,14 +1232,19 @@ class TestModelInvariants:
     @given(
         shape=st.tuples(st.integers(3, 20), st.integers(2, 10), st.integers(1, 10)),
         seed=st.integers(0, 2**16),
-        kind=st.sampled_from(["noiseless", "sampled", "duplicated"]),
-        restarts=st.integers(1, 2),
+        kind=st.sampled_from(["noiseless", "sampled", "duplicated", "coordinate"]),
+        restarts=st.integers(1, 3),
         window=st.booleans(),
     )
     def test_objective_traces_monotone(self, shape, seed, kind, restarts, window):
         # Neither a power step nor an accepted Newton step lowers the
-        # objective by more than rounding, a relative _FIXED_POINT_STEP:
-        # the bound that lets a contraction vanish only at a start.
+        # objective by more than rounding, a relative _FIXED_POINT_STEP, so
+        # a contraction that is not zero where a lead starts never vanishes.
+        # A lead starts from its own random draw, or, in a window of one
+        # restart, where it stepped behind the lead before it; coordinate
+        # components (identity columns) give exact sparse tensors, where a
+        # row parked on a direction another restart took would contract to
+        # exactly zero.  Every restart of every component is kept.
         p, k, r = shape
         r = min(r, p, k)
         if kind == "duplicated":
@@ -1306,12 +1254,15 @@ class TestModelInvariants:
             pm = generate_identifiable(p, k, r, 0.6, seed)
         if kind == "sampled":
             t = build_tensor(sample_dataset(pm, 200, seed=seed))
+        elif kind == "coordinate":
+            t = tensor_from_factors(np.eye(p)[:, :r], pm.B_true)
         else:
             t = tensor_from_factors(pm.A_true, pm.B_true)
         with pytest.MonkeyPatch.context() as mp:
             if window:
                 mp.setattr(decompose, "WINDOW_MIN_SIZE", 0)
             _, report = fit_mcpca(t, r, FitConfig(seed=seed, restarts_per_component=restarts))
+        assert report.restarts_used == (restarts,) * r
         for trace in report.objective_trace:
             trace = np.asarray(trace)
             assert np.all(trace[1:] >= trace[:-1] * (1.0 - _FIXED_POINT_STEP))
@@ -1434,18 +1385,18 @@ class TestWindow:
         shape=st.tuples(st.integers(4, 20), st.integers(2, 10), st.integers(1, 10)),
         seed=st.integers(0, 2**16),
         width=st.sampled_from([2, 8]),
-        restarts=st.integers(1, 2),
     )
-    def test_open_window_matches_the_closed_one(self, shape, seed, width, restarts):
+    def test_open_window_matches_the_closed_one(self, shape, seed, width):
         # On noiseless data every component is exact, whether the rows
         # behind the lead step or wait: the fits agree after column
         # matching, and the open window's traces start where each row
-        # takes the lead, nondecreasing.
+        # takes the lead, nondecreasing.  One restart per component, the
+        # only count at which the window opens.
         p, k, r = shape
         r = min(r, p, k)
         pm = generate_identifiable(p, k, r, 0.6, seed)
         t = tensor_from_factors(pm.A_true, pm.B_true)
-        cfg = FitConfig(seed=seed, restarts_per_component=restarts)
+        cfg = FitConfig(seed=seed)
         try:
             closed, _ = fit_mcpca(t, r, cfg)
         except RankDeficiencyError:
@@ -1459,32 +1410,23 @@ class TestWindow:
             assert len(trace) == iterations + 2
             assert np.all(np.diff(trace) >= -1e-9)
 
-    @pytest.mark.parametrize("zeros, restarts_used", [({3}, [1, 2, 2, 2]), ({2, 3}, None)])
-    def test_only_a_leading_row_degenerates(self, monkeypatch, zeros, restarts_used):
-        # A zero start of the second component waits behind the first
-        # without moving, and degenerates once it takes the lead: with a
-        # second restart left the component goes on, and without one the
-        # fit ends there, as in a closed window.
-        _, t = _planted_tensor(12, 6, 4, 0.6, seed=74)
-        real = decompose._draw_start
-        drawn = []
-
-        def draw_start(rng, p, k):
-            a, b = real(rng, p, k)
-            drawn.append(1)
-            return (np.zeros_like(a) if len(drawn) - 1 in zeros else a), b
-
-        monkeypatch.setattr(decompose, "_draw_start", draw_start)
+    def test_more_restarts_keep_the_window_closed(self, monkeypatch):
+        # Coordinate components give an exact sparse tensor.  In a window,
+        # the second restart's row behind its losing lead would park on the
+        # direction the first restart takes, and contract to exactly zero
+        # when it leads; with two restarts per component the window stays
+        # closed, so both restarts of each component are kept and the fit
+        # is the one below WINDOW_MIN_SIZE, bit for bit.
+        pm = generate_identifiable(12, 2, 2, 0.6, 57358)
+        t = tensor_from_factors(np.eye(12)[:, :2], pm.B_true)
+        cfg = FitConfig(seed=57358, restarts_per_component=2)
+        closed = fit_mcpca(t, 2, cfg)
         monkeypatch.setattr(decompose, "WINDOW_MIN_SIZE", 0)
-        cfg = FitConfig(seed=5, restarts_per_component=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if restarts_used is None:
-                with pytest.raises(DegenerateStartError, match="component 1"):
-                    fit_mcpca(t, 4, cfg)
-                return
-            _, report = fit_mcpca(t, 4, cfg)
-        assert sorted(report.restarts_used) == restarts_used
+            opened = fit_mcpca(t, 2, cfg)
+        assert opened[1].restarts_used == (2, 2)
+        _same_fit(opened, closed)
 
 
 # --- fits in lockstep ---------------------------------------------------------
@@ -1572,30 +1514,6 @@ class TestLockstep:
         assert isinstance(failed[1], np.linalg.LinAlgError)
         for f in (0, 2):
             _same_fit(failed[f], clean[f])
-
-    def test_degenerate_fit_leaves_the_others_fitting(self, monkeypatch):
-        # The second fit's first start, its generator's fifth draw as each
-        # fit draws its four starts up front, is an exact zero: it drops
-        # out of the lockstep, and the other fits go on to their models.
-        pm = generate_identifiable(12, 6, 4, 0.6, seed=70)
-        t = build_tensor(sample_dataset(pm, 300, seed=71))
-        clean = _lockstep_fits(t, 4, range(3))
-        real = decompose._draw_start
-        drawn = []
-
-        def draw_start(rng, p, k):
-            a, b = real(rng, p, k)
-            drawn.append(1)
-            return (np.zeros_like(a) if len(drawn) == 5 else a), b
-
-        monkeypatch.setattr(decompose, "_draw_start", draw_start)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fits = _lockstep_fits(t, 4, range(3))
-        assert isinstance(fits[1], DegenerateStartError)
-        for f in (0, 2):
-            _matched(fits[f][0], clean[f][0], 1e-12)
-            assert fits[f][1].iterations == clean[f][1].iterations
 
     def test_indefinite_newton_row_is_refused_alone(self, monkeypatch):
         # Row 0 sits near a component of the duplicated-column model, where

@@ -12,7 +12,6 @@ from helpers import active_set_example, generate_identifiable
 
 from mcpca import (
     CovarianceTensor,
-    DegenerateStartError,
     DimensionMismatchError,
     FitConfig,
     GramSingularityError,
@@ -338,7 +337,7 @@ def _fits_log(monkeypatch, log, fail):
         with open(log, "a") as fh:
             fh.write(f"{r} {cfg.seed}\n")
         if (r, cfg.seed) == fail:
-            raise DegenerateStartError("planted failure")
+            raise GramSingularityError("planted failure")
         return real(t, r, cfg, found)
 
     monkeypatch.setattr(model_select, "fit_mcpca", fit)
