@@ -4,20 +4,27 @@ usage: python .github/model_drift.py BASE
 
 Writes fixed inputs once, with the work tree's generators: sampled
 tensors at the desk shape (p=100, k=50, r=60) and at the rank-selection
-shape (p=100, k=50, r=12), at two seeds each.  Then fits every input in
-one child process per tree, the package imported from that tree's
-``src/``: the base revision is checked out in a temporary ``git
-worktree``.  Each desk tensor is fitted at its rank; each rank-selection
-tensor is fitted at rank 12 and goes through ``select_rank`` over ranks
-4, 8, 12 and 16.  The seed-101 desk tensor is also fitted with two
-restarts per component, the one fit that takes the restart path.
+shape (p=100, k=50, r=12), at two seeds each, and at the large shape
+(p=200, k=100, r=80) at one.  The sampled tensors have the model's rank
+exactly, so one more input adds full-rank noise to the seed-101 desk
+tensor: per context, the sample covariance of isotropic Gaussian rows
+(standard deviation 0.3, drawn from their own seed stream), whose share
+of ||T|| the generating child prints.  Then fits every input in one
+child process per tree, the package imported from that tree's ``src/``:
+the base revision is checked out in a temporary ``git worktree``.  Each
+desk, noisy desk and large tensor is fitted at its rank; each
+rank-selection tensor is fitted at rank 12 and goes through
+``select_rank`` over ranks 4, 8, 12 and 16.  The seed-101 desk tensor is
+also fitted with two restarts per component, the one fit that takes the
+restart path.
 
 Prints, per fit, the largest |dA| and |dB| between the trees (columns
 matched by their largest |cos|), whether the ``converged`` flags and the
 column order are equal (and, for the restart fit, ``restarts_used``),
-and, per rank-selection tensor, whether the two reports are equal.  Drift is reported, never judged: the exit status is
-non-zero only when a child process fails.  The BLAS thread count is
-inherited, so pin it for bits that repeat.
+and, per rank-selection tensor, whether the two reports are equal.
+Drift is reported, never judged: the exit status is non-zero only when
+a child process fails.  The BLAS thread count is inherited, so pin it
+for bits that repeat.
 """
 
 import json
@@ -28,8 +35,14 @@ import tempfile
 
 import numpy as np
 
-# (name, p, k, r, samples per context, seeds); density 0.2 for every model.
-INPUTS = (("desk", 100, 50, 60, 1000, (101, 102)), ("select-rank", 100, 50, 12, 1000, (101, 102)))
+# (name, p, k, r, samples per context, noise standard deviation, seeds);
+# density 0.2 for every model.
+INPUTS = (
+    ("desk", 100, 50, 60, 1000, 0.0, (101, 102)),
+    ("desk-noise", 100, 50, 60, 1000, 0.3, (101,)),
+    ("select-rank", 100, 50, 12, 1000, 0.0, (101, 102)),
+    ("large", 200, 100, 80, 1000, 0.0, (101,)),
+)
 CANDIDATES = (4, 8, 12, 16)
 # (input, rank, restarts per component) of the fit with more than one restart.
 RESTART_FIT = ("desk-101", 60, 2)
@@ -39,11 +52,20 @@ def generate(work):
     """Child: write every input tensor's slices to ``work``."""
     from mcpca import build_tensor, generate_planted, sample_dataset
 
-    for name, p, k, r, n, seeds in INPUTS:
+    for name, p, k, r, n, sd, seeds in INPUTS:
         for seed in seeds:
             pm = generate_planted(p, k, r, 0.2, seed=seed)
-            t = build_tensor(sample_dataset(pm, n, seed=seed + 1000))
-            np.save(os.path.join(work, f"{name}-{seed}.npy"), t.slices)
+            slices = build_tensor(sample_dataset(pm, n, seed=seed + 1000)).slices
+            if sd:
+                rng = np.random.default_rng(seed + 2000)
+                noise = np.empty_like(slices)
+                for i in range(k):
+                    z = sd * rng.standard_normal((n, p))
+                    noise[i] = z.T @ z / n
+                share = np.linalg.norm(noise) / np.linalg.norm(slices)
+                print(f"{name}-{seed}: the noise is {share:.1%} of ||T||")
+                slices = slices + noise
+            np.save(os.path.join(work, f"{name}-{seed}.npy"), slices)
 
 
 def fit(work, out):
@@ -55,7 +77,7 @@ def fit(work, out):
     from mcpca import CovarianceTensor, FitConfig, fit_mcpca, select_rank
 
     models, reports = {}, {}
-    for name, _, _, r, _, seeds in INPUTS:
+    for name, _, _, r, _, _, seeds in INPUTS:
         for seed in seeds:
             key = f"{name}-{seed}"
             t = CovarianceTensor(np.load(os.path.join(work, f"{key}.npy")))
@@ -103,7 +125,7 @@ def drift(base, head, key, r, fields=("converged",)):
 
 def compare(base_out, head_out):
     base, head = np.load(base_out + ".npz"), np.load(head_out + ".npz")
-    for name, _, _, r, _, seeds in INPUTS:
+    for name, _, _, r, _, _, seeds in INPUTS:
         for seed in seeds:
             print(drift(base, head, f"{name}-{seed}", r))
     key, r, restarts = RESTART_FIT

@@ -11,8 +11,9 @@ The fit proceeds in three stages:
    the unit rank-one matrix a (x) b onto the working subspace.  Each
    power step (:func:`_power_step`) reads the subspace's unfolding
    twice: the contraction behind one step's b-update is carried into the
-   next step's c-update.  Every step of both stages runs on the one
-   unfolding of the original subspace, for a stack of starts at once:
+   next step's c-update.  Every step of both stages runs on the
+   unfolding of the original subspace (in a large fit, discovery's on its
+   core, below), for a stack of starts at once:
    each of the two reads is one matrix product for every start of the
    stack, and a start that finishes leaves it.  Discovery
    (:func:`_discover`) works on the deflated subspace: the
@@ -21,9 +22,16 @@ The fit proceeds in three stages:
    discovered point's projected coefficients, normalized, then become
    U's next column.  In a large fit of one restart per component the rows
    of the next components step with the leading one, in a window, so each
-   reaches the lead warm.
+   reaches the lead warm, and the steps read the core C = U_r^T unfold,
+   (r, k*m), in place of the (p, k*m) unfolding: U_r holds the top-r left
+   singular vectors of the same SVD, a start a enters as U_r^T a,
+   normalized, and a discovered point a' leaves as U_r a'.  Every column
+   of the unfolding lies in span(U_r) when the flattening has rank r, so
+   the steps are then the same steps on an array r/p the size; otherwise
+   they step on the unfolding's projection onto span(U_r).
    Refinement (:func:`_refine`) then takes every component's best
-   restart, unprojected, in one stack, to its floating-point fixed point,
+   restart, unprojected, in one stack, on the full unfolding, to its
+   floating-point fixed point,
    finishing with safeguarded Riemannian Newton steps
    (:func:`_newton_step`) once the power steps have settled and the
    Newton steps cost less.  A refinement that lands on an earlier
@@ -32,7 +40,8 @@ The fit proceeds in three stages:
    subspace no longer contains the remaining rank-one generators exactly,
    so maximizers drift by an amount that grows with the component
    correlations; re-running the iteration on the original subspace from
-   the discovered point removes that bias.
+   the discovered point removes that bias, and with it whatever the core
+   left out of the unfolding.
 3. recompute all loadings globally by non-negative least squares against
    the original tensor, discarding the loadings implied by the power
    iterations.  Each context's problem is solved on its r x r normal
@@ -129,7 +138,9 @@ _COLLISION_COS = 0.99
 # components with the leading one from WINDOW_MIN_SIZE entries (p * k * r) of
 # the unfolding on, where a fit gains 10-45%; below it rank selection's stacks
 # lose up to 6% and small sampled fits would change their models
-# (docs/decisions.md, "Discovery in a window").
+# (docs/decisions.md, "Discovery in a window").  The same gate moves
+# discovery onto the core U_r^T unfold (docs/decisions.md, "Discovery on the
+# core").
 WINDOW_MIN_SIZE = 100_000
 WINDOW_WIDTH = 8
 
@@ -266,7 +277,11 @@ class FitReport:
     holds one value per step plus the final value of each stage,
     ``iterations[j] + 2`` in all.  When
     refinement lands on an earlier component and the discovered point is
-    kept, both count discovery alone.
+    kept, both count discovery alone.  Where the window opens, discovery's
+    steps are the same steps on the smaller core U_r^T unfold
+    (:func:`_lockstep`), so they count and trace alike; a trace's first
+    value is then the objective at the start's projection onto span(U_r),
+    normalized.
     ``non_identifiable_suspect`` tests each component for a loading
     direction b shared with a second component direction: the p x r
     contraction T_A(*, b, *) of the working subspace has sigma_1 = 1 at a
@@ -323,7 +338,7 @@ def extract_subspace(t: CovarianceTensor, r: int) -> np.ndarray:
     """
     if not 1 <= r <= t.p:
         raise ValueError(f"rank must satisfy 1 <= r <= p = {t.p}, got {r}")
-    s, vt = flatten(t)
+    s, vt, _ = flatten(t)
     if s[0] <= 0.0:
         raise RankDeficiencyError("flattening is identically zero", max_rank=0)
     numerical_rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
@@ -403,17 +418,19 @@ def _steps(a_new, a, b_new, b):
     ]
 
 
-def _discover(unfold, taken, k, a, b, cfg):
+def _discover(unfold, taken, k, a, b, cfg, width):
     """Discovery: the components of a stack of fits, one after another, each
     by power steps on the working subspace less the components before it.
 
-    ``unfold`` is the (p, k*m) unfolding of the original subspace.  Fit f
-    starts with the orthonormal coefficient directions ``taken[f]`` (j, m)
-    projected out; a[f] (n, p) and b[f] (n, k) hold its unit starts in
-    component order, ``cfg.restarts_per_component`` per component.  Each
-    restart of a fit has a window: at one restart per component, the rows
-    of its next ``WINDOW_WIDTH`` components from ``WINDOW_MIN_SIZE``
-    entries of the unfolding on, else of its next one.  With more
+    ``unfold`` is the (q, k*m) array the steps read: the original
+    subspace's (p, k*m) unfolding, or its (r, k*m) core U_r^T unfold, on
+    which a step is the same step in the coordinates a' = U_r^T a
+    (:func:`_lockstep` chooses).  Fit f starts with the orthonormal
+    coefficient directions ``taken[f]`` (j, m) projected out; a[f] (n, q)
+    and b[f] (n, k) hold its unit starts in component order,
+    ``cfg.restarts_per_component`` per component.  Each restart of a fit
+    has a window of the rows of its next ``width`` components: one, or
+    ``WINDOW_WIDTH`` where :func:`_lockstep` opens the window.  With more
     restarts, a losing restart's rows behind its lead could sit on the
     direction the winner takes and contract to exactly nothing once
     projected; in a window of one, every lead starts from its own random
@@ -433,7 +450,8 @@ def _discover(unfold, taken, k, a, b, cfg):
     component once more for the rows that enter.
 
     Returns per fit, per component, its restarts' results (a, b,
-    objective, iterations, trace, converged, direction), the trace holding
+    objective, iterations, trace, converged, direction), a in the
+    coordinates of ``unfold``'s rows, the trace holding
     the objective at the start of each step as lead plus the final value
     and ``direction`` the unit coefficients.  A lead's power steps never
     lower its objective (:func:`_power_step`).
@@ -442,7 +460,6 @@ def _discover(unfold, taken, k, a, b, cfg):
     m = unfold.shape[1] // k
     restarts, tol, max_iter = cfg.restarts_per_component, cfg.tol, cfg.max_iter
     comps = n // restarts
-    width = WINDOW_WIDTH if unfold.size >= WINDOW_MIN_SIZE and restarts == 1 else 1
     # Window w is restart w % restarts of fit w // restarts: its starts, in
     # component order, and the rows behind its lead once the lead stops.
     # The stack holds each window's rows in turn, its lead first.
@@ -1069,11 +1086,19 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
 
     Each fit draws all its starts up front from its own generator, in
     component order, the order in which a fit alone draws them.  One
-    :func:`_discover` stack discovers every fit's components, and one
-    :func:`_refine` stack refines the best restart of each, in this
-    process.  Each fit's collision guard (:func:`_guard`) then keeps or
-    drops each refinement, and one :func:`_loadings` stack solves every
-    fit's loadings.  A row's bits depend on the stack it is stepped or
+    :func:`_discover` stack discovers every fit's components.  From
+    ``WINDOW_MIN_SIZE`` entries of the unfolding on, at one restart per
+    component, it steps in windows of ``WINDOW_WIDTH`` on the core
+    C = U_r^T unfold, built here once from the left singular vectors
+    :func:`~mcpca.tensor_core.flatten` caches: each start a enters as
+    U_r^T a, normalized, and each discovered a' leaves as U_r a'.  The
+    one gate reads the full unfolding's size, so the core opens exactly
+    where the window does; elsewhere discovery steps one row a window on
+    the unfolding.  One :func:`_refine` stack then refines the best
+    restart of each component on the full unfolding, in this process.
+    Each fit's collision guard (:func:`_guard`) then keeps or drops each
+    refinement, and one :func:`_loadings` stack solves every fit's
+    loadings.  A row's bits depend on the stack it is stepped or
     solved in, so on the seeds of the lockstep, but never on the CPU
     count.
 
@@ -1094,10 +1119,15 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
         [_draw_start(rng, p, k) for _ in range(r * restarts)]
         for rng in map(np.random.default_rng, seeds)
     ]
-    fits = _discover(
-        unfold, np.empty((len(seeds), 0, r)), k,
-        *(np.array([[start[x] for start in fit] for fit in draws]) for x in (0, 1)), cfg,
-    )
+    a, b = (np.array([[start[x] for start in fit] for fit in draws]) for x in (0, 1))
+    taken = np.empty((len(seeds), 0, r))
+    if unfold.size >= WINDOW_MIN_SIZE and restarts == 1:
+        basis = flatten(t)[2][:, :r]
+        a = _normalize((a @ basis).reshape(-1, r))[0].reshape(len(seeds), -1, r)
+        fits = _discover(basis.T @ unfold, taken, k, a, b, cfg, WINDOW_WIDTH)
+        fits = [[[(basis @ x[0], *x[1:]) for x in results] for results in fit] for fit in fits]
+    else:
+        fits = _discover(unfold, taken, k, a, b, cfg, 1)
     best = [_pick(results)[:2] for fit in fits for results in fit]
     rows = _refine(
         unfold, k, np.array([a for a, _ in best]), np.array([b for _, b in best]),

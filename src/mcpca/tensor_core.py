@@ -44,7 +44,7 @@ class CovarianceTensor:
 
     slices: np.ndarray
     context_ids: tuple[str, ...] | None = None
-    _svd: tuple[np.ndarray, np.ndarray] | None = field(
+    _svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -126,21 +126,23 @@ def tensor_from_factors(A, B, context_ids=None) -> CovarianceTensor:
     return CovarianceTensor(slices, context_ids=context_ids)
 
 
-def flatten(t: CovarianceTensor) -> tuple[np.ndarray, np.ndarray]:
-    """SVD of the flattening M = [S_1 ... S_k]: (singular_values, vt).
+def flatten(t: CovarianceTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the flattening M = [S_1 ... S_k]: (singular_values, vt, u).
 
     ``singular_values`` has length p, nonincreasing; the rows of ``vt``
     (p x p*k) are the right singular vectors, indexed like the columns of
-    M (see the module docstring).  The SVD runs once per tensor: the
-    read-only result is cached on ``t`` (sound because its slices cannot
-    be made writable) and shared by every later call.
+    M (see the module docstring), and the columns of ``u`` (p x p) the
+    left ones, so U_r^T M = diag(singular_values[:r]) vt[:r].  The SVD
+    runs once per tensor: the read-only result is cached on ``t`` (sound
+    because its slices cannot be made writable) and shared by every later
+    call.
     """
     if t._svd is None:
         m = t.slices.transpose(1, 0, 2).reshape(t.p, t.k * t.p)
-        _, sv, vt = np.linalg.svd(m, full_matrices=False)
-        sv.setflags(write=False)
-        vt.setflags(write=False)
-        object.__setattr__(t, "_svd", (sv, vt))
+        u, sv, vt = np.linalg.svd(m, full_matrices=False)
+        for x in (sv, vt, u):
+            x.setflags(write=False)
+        object.__setattr__(t, "_svd", (sv, vt, u))
     return t._svd
 
 

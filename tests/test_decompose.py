@@ -50,7 +50,7 @@ def _discover_one(unfold, taken, k, a0, b0, tol, max_iter):
     """Discovery of one component from one start, with the coefficient
     directions in the rows of ``taken`` projected out."""
     cfg = FitConfig(tol=tol, max_iter=max_iter)
-    (((result,),),) = _discover(unfold, taken[None], k, a0[None, None], b0[None, None], cfg)
+    (((result,),),) = _discover(unfold, taken[None], k, a0[None, None], b0[None, None], cfg, 1)
     return result
 
 
@@ -485,7 +485,7 @@ class TestPowerIterate:
         taken = np.array([basis[:2] if i % 2 else basis[2:4] for i in range(10)])
         _ReadCounter.reads = 0
         cfg = FitConfig(tol=1e-10, max_iter=300)
-        fits = _discover(unfold.view(_ReadCounter), taken, 6, a0[:, None], b0[:, None], cfg)
+        fits = _discover(unfold.view(_ReadCounter), taken, 6, a0[:, None], b0[:, None], cfg, 1)
         rows = [result for ((result,),) in fits]
         steps = [row[3] for row in rows]
         assert min(steps) < max(steps)
@@ -1429,6 +1429,67 @@ class TestWindow:
         _same_fit(opened, closed)
 
 
+# --- discovery on the core ----------------------------------------------------
+
+
+def _core_tensor(noisy):
+    """A tensor whose rank-42 fit's full unfolding (60 x 40 x 42 = 100,800
+    entries) is just above WINDOW_MIN_SIZE, and whose rank-41 fit's is
+    just below: of rank 42 exactly, or plus full-rank noise (the sample
+    covariances of isotropic Gaussian rows, 10% of the tensor's norm)."""
+    pm = generate_identifiable(60, 40, 42, 0.3, seed=91)
+    slices = tensor_from_factors(pm.A_true, pm.B_true).slices
+    if noisy:
+        z = np.random.default_rng(92).standard_normal((40, 200, 60))
+        noise = np.einsum("inp,inq->ipq", z, z) / 200
+        slices = slices + 0.1 * np.linalg.norm(slices) / np.linalg.norm(noise) * noise
+    return CovarianceTensor(slices)
+
+
+def _fit_discovering_on_the_unfolding(t, r, cfg):
+    """The fit of one start per component with discovery's window open on
+    the full unfolding instead of the core: the same starts, refinement,
+    collision guard and loadings as :func:`decompose._lockstep`."""
+    unfold = _unfold(t, r)
+    rng = np.random.default_rng(cfg.seed)
+    draws = [decompose._draw_start(rng, t.p, t.k) for _ in range(r)]
+    a, b = (np.array([d[x] for d in draws])[None] for x in (0, 1))
+    (fit,) = _discover(unfold, np.empty((1, 0, r)), t.k, a, b, cfg, decompose.WINDOW_WIDTH)
+    starts = (np.array([results[0][x] for results in fit]) for x in (0, 1))
+    rows = _refine(unfold, t.k, *starts, cfg.tol, cfg.max_iter)
+    components = decompose._guard(fit, rows, t.p + t.k)
+    (B,) = decompose._loadings(t, np.column_stack([c[0] for c in components])[None])
+    return decompose._finish(t, cfg, unfold, components, B, 0.0)
+
+
+class TestCore:
+    @pytest.mark.parametrize("r, above", [(42, True), (41, False)])
+    def test_discovery_steps_on_the_core_only_above_the_gate(self, recorded, r, above):
+        # Above the gate discovery steps on U_r^T unfold, (r, k*r), in
+        # windows; below it on the (p, k*r) unfolding, one row each.
+        t = _core_tensor(noisy=False)
+        assert (t.p * t.k * r >= decompose.WINDOW_MIN_SIZE) == above
+        fit_mcpca(t, r, FitConfig(seed=5))
+        [(args, _)] = recorded["_discover"]
+        core, a0, width = args[0], args[3], args[6]
+        assert core.shape == ((r if above else t.p), t.k * r)
+        assert a0.shape == (1, r, core.shape[0])
+        assert width == (decompose.WINDOW_WIDTH if above else 1)
+        np.testing.assert_array_equal(recorded["_refine"][0][0][0], _unfold(t, r))
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_core_fit_matches_discovery_on_the_unfolding(self, noisy):
+        # Refinement on the full unfolding takes each row from where core
+        # discovery stops to the fixed point discovery on the unfolding
+        # reaches, on an exact-rank tensor and on a full-rank one.
+        t = _core_tensor(noisy)
+        cfg = FitConfig(seed=5)
+        model, _ = fit_mcpca(t, 42, cfg)
+        want, _ = _fit_discovering_on_the_unfolding(t, 42, cfg)
+        _matched(model, want, 1e-13)
+        assert list(ascore(want.A, model.A).permutation) == list(range(42))
+
+
 # --- fits in lockstep ---------------------------------------------------------
 
 
@@ -1567,7 +1628,7 @@ class TestLockstep:
         t = build_tensor(sample_dataset(pm, 300, seed=73))
         fit_mcpca(t, 5, FitConfig(seed=4, restarts_per_component=3))
         [(args, (components,))] = recorded["_discover"]
-        unfold, _, k, a0, b0, cfg = args
+        unfold, _, k, a0, b0, cfg, _ = args
         assert len(components) == 5 and a0.shape[:2] == (1, 15)
         starts = recorded["_refine"][0][0][2]
         picks, taken = [], np.empty((0, 5))

@@ -103,6 +103,29 @@ class TestFlatten:
             t.slices[0, 0, 0] = 1.0
         np.testing.assert_array_equal(flatten(t)[0], singular_values)
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_left_singular_vectors_are_cached_with_the_rest(self, noisy):
+        # One SVD gives all three arrays, cached read-only together:
+        # U_r^T M = diag(s_r) vt[:r] for every r, whether M has rank r or
+        # full rank.
+        A, B = _random_factors(8, 5, 3, seed=12)
+        slices = tensor_from_factors(A, B).slices
+        if noisy:
+            z = np.random.default_rng(13).standard_normal((5, 40, 8))
+            slices = slices + 0.1 * np.einsum("inp,inq->ipq", z, z) / 40
+        t = CovarianceTensor(slices)
+        sv, vt, u = flatten(t)
+        assert all(x is y for x, y in zip(flatten(t), (sv, vt, u)))
+        assert u.shape == (8, 8)
+        for x in (sv, vt, u):
+            assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
+        m = t.slices.transpose(1, 0, 2).reshape(8, 40)
+        for r in (1, 3, 8):
+            core = u[:, :r].T @ m
+            assert np.abs(core - sv[:r, None] * vt[:r]).max() <= 1e-12 * sv[0]
+
 
 class TestContractMode3:
     def test_linearity_on_identities(self):
