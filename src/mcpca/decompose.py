@@ -28,7 +28,10 @@ The fit proceeds in three stages:
    normalized, and a discovered point a' leaves as U_r a'.  Every column
    of the unfolding lies in span(U_r) when the flattening has rank r, so
    the steps are then the same steps on an array r/p the size; otherwise
-   they step on the unfolding's projection onto span(U_r).
+   they step on the unfolding's projection onto span(U_r).  A fit alone
+   there folds each ``WINDOW_WIDTH`` directions it finds out of the core:
+   the core's coefficient mode is mapped onto their orthogonal
+   complement, so its m shrinks as components are found.
    Refinement (:func:`_refine`) then takes every component's best
    restart, unprojected, in one stack, on the full unfolding, to its
    floating-point fixed point,
@@ -449,12 +452,24 @@ def _discover(unfold, taken, k, a, b, cfg, width):
     same round.  A round reads the unfolding twice, and the start of a
     component once more for the rows that enter.
 
+    A stack of one fit with its window open folds its directions out
+    instead, each ``width`` of them once they have joined: one QR gives
+    an orthonormal basis Q of their complement in the current m
+    coefficients, and one product each maps ``unfold``, seen as (q*k, m),
+    and the held rows' M = T_A(a, *, *) to Q's coordinates.  Then
+    T_A(*, b, Q c') is the folded array's T_A(*, b, c'), so the steps are
+    the same steps with m - ``width`` coefficients, and only the
+    directions found since the last fold are projected out.  A lockstep
+    of several fits keeps ``unfold`` whole: it is read once for every
+    fit, where folded arrays would be read once per fit.
+
     Returns per fit, per component, its restarts' results (a, b,
     objective, iterations, trace, converged, direction), a in the
     coordinates of ``unfold``'s rows, the trace holding
     the objective at the start of each step as lead plus the final value
-    and ``direction`` the unit coefficients.  A lead's power steps never
-    lower its objective (:func:`_power_step`).
+    and ``direction`` the unit coefficients, in the m coordinates of the
+    ``unfold`` given.  A lead's power steps never lower its objective
+    (:func:`_power_step`).
     """
     fits, n, p = a.shape
     m = unfold.shape[1] // k
@@ -472,7 +487,10 @@ def _discover(unfold, taken, k, a, b, cfg, width):
     j0 = taken.shape[1]
     taken = np.concatenate([taken, np.empty((fits, comps, m))], axis=1)
     found = [[] for _ in range(fits)]
-    j, live = -1, []
+    # A lone fit in a window folds its first ``folded`` directions out of
+    # ``unfold``; its m coefficients are then coordinates along the
+    # orthonormal columns of ``basis`` (None before the first fold).
+    j, live, folded, basis = -1, [], 0, None
     while True:
         if not live:
             if j >= 0:
@@ -483,6 +501,15 @@ def _discover(unfold, taken, k, a, b, cfg, width):
                 return found
             for f in range(fits):
                 found[f].append([None] * restarts)
+            u = taken[:, folded : j0 + j]
+            if basis is not None:
+                u = u @ basis
+            if fits == 1 < width <= u.shape[1]:
+                perp = np.linalg.qr(u[0].T, mode="complete")[0][:, u.shape[1] :]
+                unfold = (unfold.reshape(-1, m) @ perp).reshape(len(unfold), -1)
+                parked = [x and (*x[:2], x[2] @ perp) for x in parked]
+                basis = perp if basis is None else basis @ perp
+                m, folded, u = perp.shape[1], j0 + j, u[:, :0]
             held = min(width - 1, comps - j) if j else 0
             entering = slice(j + held, min(comps, j + width))
             new_a, new_b = starts[0][:, entering], starts[1][:, entering]
@@ -494,12 +521,12 @@ def _discover(unfold, taken, k, a, b, cfg, width):
                 )
             rows = new_a.shape[1]
             a_s, b_s, m_a = new_a.reshape(-1, p), new_b.reshape(-1, k), new_m.reshape(-1, k, m)
-            u = np.repeat(taken[:, : j0 + j], restarts * rows, axis=0)
+            u = np.repeat(u, restarts * rows, axis=0)
             live, converged = list(range(windows)), [False] * windows
             traces = [[] for _ in live]
             steps = 0
         c = np.vecmat(b_s, m_a)
-        if j0 + j:
+        if j0 + j > folded:
             c -= np.vecmat(np.matvec(u, c), u)
         unit, sigma = _normalize(c[::rows])
         for trace, s in zip(traces, sigma):
@@ -513,7 +540,7 @@ def _discover(unfold, taken, k, a, b, cfg, width):
                 lead = pos * rows
                 found[w // restarts][j][w % restarts] = (
                     a_s[lead].copy(), b_s[lead].copy(), s * s, steps, traces[pos],
-                    converged[pos], unit[pos].copy(),
+                    converged[pos], unit[pos].copy() if basis is None else basis @ unit[pos],
                 )
                 parked[w] = tuple(x[lead + 1 : lead + rows] for x in (a_s, b_s, m_a))
             live, traces = [live[pos] for pos in keep], [traces[pos] for pos in keep]
@@ -1091,7 +1118,9 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     component, it steps in windows of ``WINDOW_WIDTH`` on the core
     C = U_r^T unfold, built here once from the left singular vectors
     :func:`~mcpca.tensor_core.flatten` caches: each start a enters as
-    U_r^T a, normalized, and each discovered a' leaves as U_r a'.  The
+    U_r^T a, normalized, and each discovered a' leaves as U_r a'.  A fit
+    alone folds its found directions out of C as it goes; the fits of a
+    lockstep share C whole.  The
     one gate reads the full unfolding's size, so the core opens exactly
     where the window does; elsewhere discovery steps one row a window on
     the unfolding.  One :func:`_refine` stack then refines the best

@@ -1489,6 +1489,63 @@ class TestCore:
         _matched(model, want, 1e-13)
         assert list(ascore(want.A, model.A).permutation) == list(range(42))
 
+    @pytest.mark.parametrize("kind", ["noiseless", "sampled", "noisy"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_folding_fit_matches_the_fit_in_a_lockstep(self, monkeypatch, kind, seed):
+        # A fit alone folds its first WINDOW_WIDTH directions out of the
+        # core; the same seed's fit in a lockstep of two keeps the core
+        # whole and projects them out.  The fold is exact up to rounding,
+        # so the two fits agree.
+        p, k, r = 14, 12, 11
+        assert decompose.WINDOW_WIDTH < r <= k
+        pm = generate_identifiable(p, k, r, 0.6, seed)
+        if kind == "sampled":
+            t = build_tensor(sample_dataset(pm, 200, seed=seed))
+        else:
+            t = tensor_from_factors(pm.A_true, pm.B_true)
+        if kind == "noisy":
+            z = np.random.default_rng(seed + 1).standard_normal((k, 200, p))
+            noise = np.einsum("inp,inq->ipq", z, z) / 200
+            t = CovarianceTensor(
+                t.slices + 0.1 * np.linalg.norm(t.slices) / np.linalg.norm(noise) * noise
+            )
+        monkeypatch.setattr(decompose, "WINDOW_MIN_SIZE", 0)
+        alone, report = fit_mcpca(t, r, FitConfig(seed=seed))
+        locked, _ = _lockstep_fits(t, r, [seed, seed + 1])[0]
+        _matched(alone, locked, 1e-12)
+        for trace, iterations in zip(report.objective_trace, report.iterations):
+            assert len(trace) == iterations + 2
+            assert np.all(np.diff(trace) >= -1e-9)
+
+    def test_a_fit_alone_folds_its_directions_out_of_the_core(self, monkeypatch):
+        # Discovery's power steps read the core with m coefficient columns,
+        # then m - 8, m - 16, ... as each WINDOW_WIDTH directions are found,
+        # on a fit alone; a lockstep keeps m, and below the gate discovery
+        # reads the (p, k*m) unfolding.
+        steps = []
+        real = decompose._power_step
+
+        def spy(unfold, a, b, c):
+            steps.append((unfold.shape, c.shape[1]))
+            return real(unfold, a, b, c)
+
+        monkeypatch.setattr(decompose, "_power_step", spy)
+        t = _core_tensor(noisy=False)
+        k, width = t.k, decompose.WINDOW_WIDTH
+
+        def discovery(run):
+            steps.clear()
+            run()
+            return [step for step in steps if step[0][0] != t.p]
+
+        alone = discovery(lambda: fit_mcpca(t, 42, FitConfig(seed=5)))
+        assert all(shape == (42, k * m) for shape, m in alone)
+        assert list(dict.fromkeys(m for _, m in alone)) == list(range(42, 0, -width))
+        locked = discovery(lambda: _lockstep_fits(t, 42, [5, 6]))
+        assert locked and all(step == ((42, k * 42), 42) for step in locked)
+        assert discovery(lambda: fit_mcpca(t, 41, FitConfig(seed=5))) == []
+        assert steps and all(step == ((t.p, k * 41), 41) for step in steps)
+
 
 # --- fits in lockstep ---------------------------------------------------------
 
