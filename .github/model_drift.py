@@ -10,16 +10,22 @@ at one.  The sampled tensors have the model's rank exactly, so two more
 inputs add full-rank noise: per context, the sample covariance of
 isotropic Gaussian rows (drawn from their own seed stream), whose share
 of ||T|| the generating child prints.  One is the seed-101 desk tensor
-with noise of standard deviation 0.3, the other a p=400, k=50, r=40
-tensor with noise of standard deviation 0.035, about 1% of ||T||.  Then
+with noise of standard deviation 0.3, one the seed-101 rank-selection
+tensor with noise of the same standard deviation, and one a p=400,
+k=50, r=40 tensor with noise of standard deviation 0.035, about 1% of
+||T||.  Then
 fits every input in one child process per tree, the package imported
 from that tree's ``src/``: the base revision is checked out in a
 temporary ``git worktree``.  Each input is fitted at its ranks: the
 model's own, except the rank-30 tensor, which is fitted at ranks 20 and
 25, below the flattening's rank, where discovery's path picks the
-basin.  The rank-selection tensors go through ``select_rank`` over
-ranks 4, 8, 12 and 16, and the rank-30 tensor over ranks 20, 25 and 30,
-whose candidates fit in lockstep above the discovery window's gate.
+basin.  The rank-selection tensors, noisy or not, go through
+``select_rank`` over ranks 4, 8, 12 and 16, and the rank-30 tensor over
+ranks 20, 25 and 30, whose candidates fit in lockstep above the
+discovery window's gate.  Rank selection refines its fits only until
+their power steps place them within ``tol`` of their fixed points, so
+its stabilities move in low digits when refinement changes; the noisy
+rank-selection tensor's rows converge slowest, so it moves most.
 The seed-101 desk tensor is also fitted with two restarts per component,
 the one fit that takes the restart path.
 
@@ -46,6 +52,7 @@ INPUTS = (
     ("desk", 100, 50, 60, 1000, 0.0, (101, 102), (60,), ()),
     ("desk-noise", 100, 50, 60, 1000, 0.3, (101,), (60,), ()),
     ("select-rank", 100, 50, 12, 1000, 0.0, (101, 102), (12,), (4, 8, 12, 16)),
+    ("select-rank-noise", 100, 50, 12, 1000, 0.3, (101,), (12,), (4, 8, 12, 16)),
     ("large", 200, 100, 80, 1000, 0.0, (101,), (80,), ()),
     ("rank-30", 100, 50, 30, 1000, 0.0, (101,), (20, 25), (20, 25, 30)),
     ("p400-noise", 400, 50, 40, 1000, 0.035, (101,), (40,), ()),

@@ -34,7 +34,7 @@ The fit proceeds in three stages:
    complement, so its m shrinks as components are found.
    Refinement (:func:`_refine`) then takes every component's best
    restart, unprojected, in one stack, on the full unfolding, to its
-   floating-point fixed point,
+   floating-point fixed point (rank selection's fits, within ``tol``),
    finishing with safeguarded Riemannian Newton steps
    (:func:`_newton_step`) once the power steps have settled and the
    Newton steps cost less.  A refinement that lands on an earlier
@@ -692,15 +692,23 @@ def _step_prices(p, k, m):
     return power + _STEP_WORK, newton + 4 * _STEP_WORK
 
 
+def _distance(step, rho, last_rho):
+    """The distance step * rho / (1 - rho) to its fixed point a power
+    iteration predicts once settled in its basin (rho < 1, and the last two
+    step ratios within (1 - rho) / 2 of each other); infinite until then."""
+    if not (rho < 1.0 and abs(rho - last_rho) <= 0.5 * (1.0 - rho)):
+        return math.inf
+    return step * rho / (1.0 - rho)
+
+
 def _newton_trust(step, rho, last_rho, prices, budget):
     """The longest Newton step to accept after a power step of length
     ``step``, or 0 to go on with power steps.
 
     ``rho`` and ``last_rho`` are the ratios of the last two pairs of
-    successive power steps.  The power iteration has settled in its basin
-    once rho < 1 and the ratios agree to within (1 - rho) / 2.  It then
-    predicts a distance d = step * rho / (1 - rho) to its fixed point and
-    log(_FIXED_POINT_STEP / step) / log(rho) further steps.  j Newton
+    successive power steps.  Once the power iteration has settled in its
+    basin, it predicts a distance d to its fixed point (:func:`_distance`)
+    and log(_FIXED_POINT_STEP / step) / log(rho) further steps.  j Newton
     steps take a distance below _FIXED_POINT_STEP ** 2**-j to the floor,
     and one power step confirms the fixed point.  Of the plans "t more
     power steps, then Newton" and "power steps only" that reach the floor
@@ -713,9 +721,7 @@ def _newton_trust(step, rho, last_rho, prices, budget):
     twice the distance to the fixed point from the point before the last
     power step.
     """
-    if not (rho < 1.0 and abs(rho - last_rho) <= 0.5 * (1.0 - rho)):
-        return 0.0
-    distance = step * rho / (1.0 - rho)
+    distance = _distance(step, rho, last_rho)
     if not _FIXED_POINT_STEP < distance < 1.0:
         return 0.0
     power_cost, newton_cost = prices
@@ -731,7 +737,7 @@ def _newton_trust(step, rho, last_rho, prices, budget):
     return 2.0 * step / (1.0 - rho)
 
 
-def _refine(unfold, k, a, b, tol, max_iter):
+def _refine(unfold, k, a, b, tol, max_iter, early=False):
     """Refinement: a stack of starts, in lockstep, to their power-iteration
     fixed points.
 
@@ -756,7 +762,12 @@ def _refine(unfold, k, a, b, tol, max_iter):
     objective to the trace.  ``converged`` is set once step^2 / 2 falls
     below ``tol``, but a row runs on until a power step is at most
     ``_FIXED_POINT_STEP`` or ``max_iter`` steps are taken: the point it
-    returns is a fixed point of the power iteration.  Every round, the
+    returns is a fixed point of the power iteration.  With ``early`` (rank
+    selection) a row also returns, converged, once its power steps predict
+    a distance d to its fixed point (:func:`_distance`) with d^2 / 2 below
+    ``tol``: the |cos| of two columns at one fixed point then moves by
+    about 2 d^2 at most (docs/decisions.md, "Rank selection stops at the
+    precision it reads").  Every round, the
     rows whose Newton step is due take it together, and the others, those
     refused among them, take one power step together.
 
@@ -782,9 +793,10 @@ def _refine(unfold, k, a, b, tol, max_iter):
         keep = []
         for pos, (i, s) in enumerate(zip(rows, sigma)):
             traces[i].append(s * s)
-            if schedules[pos].step <= _FIXED_POINT_STEP or steps >= max_iter:
+            near = early and schedules[pos].near
+            if near or schedules[pos].step <= _FIXED_POINT_STEP or steps >= max_iter:
                 results[i] = (a[pos].copy(), b[pos].copy(), s * s, steps, traces[i],
-                              schedules[pos].converged)
+                              schedules[pos].converged or near)
             else:
                 keep.append(pos)
         if len(keep) < n:
@@ -828,17 +840,19 @@ class _Schedule:
     """Where one refinement row stands between power and Newton steps.
 
     ``step`` is its last power step and ``rho`` that step's ratio to the
-    one before (NaN until two successive power steps give one); ``trust``
+    one before (NaN until two successive power steps give one); ``near``
+    whether they predict a distance d with d^2 / 2 below ``tol`` to the
+    fixed point (:func:`_distance`; False after a Newton step); ``trust``
     the longest Newton step to accept, 0 while power steps are taken;
     ``refused`` the Newton steps refused so far, after the j-th of which
     2^j power steps come before the next try, at the step count
     ``retry``.
     """
 
-    __slots__ = ("converged", "step", "rho", "trust", "refused", "retry")
+    __slots__ = ("converged", "near", "step", "rho", "trust", "refused", "retry")
 
     def __init__(self):
-        self.converged = False
+        self.converged = self.near = False
         self.step = self.rho = math.nan
         self.trust = 0.0
         self.refused = self.retry = 0
@@ -846,6 +860,7 @@ class _Schedule:
     def power_taken(self, step, tol, steps, prices, max_iter):
         last_rho, self.rho, self.step = self.rho, step / self.step, step
         self.converged = self.converged or 0.5 * step * step < tol
+        self.near = 0.5 * _distance(step, self.rho, last_rho) ** 2 < tol
         if steps >= self.retry:
             self.trust = _newton_trust(step, self.rho, last_rho, prices, max_iter - steps)
 
@@ -853,6 +868,7 @@ class _Schedule:
         self.converged = self.converged or 0.5 * length * length < tol
         self.trust = length if length * length > _FIXED_POINT_STEP else 0.0
         self.step = self.rho = math.nan
+        self.near = False
 
     def newton_refused(self, steps):
         self.refused += 1
@@ -1107,7 +1123,7 @@ def fit_mcpca(
     return _finish(t, cfg, *found)
 
 
-def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
+def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds, early=False) -> list:
     """The fits of ``t`` at rank ``r`` with ``cfg`` at each of ``seeds``,
     run together: everything a fit does before it orders its columns.
 
@@ -1124,7 +1140,8 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     one gate reads the full unfolding's size, so the core opens exactly
     where the window does; elsewhere discovery steps one row a window on
     the unfolding.  One :func:`_refine` stack then refines the best
-    restart of each component on the full unfolding, in this process.
+    restart of each component on the full unfolding, in this process (with
+    ``early``, rank selection's, to within ``cfg.tol`` of its fixed point).
     Each fit's collision guard (:func:`_guard`) then keeps or drops each
     refinement, and one :func:`_loadings` stack solves every fit's
     loadings.  A row's bits depend on the stack it is stepped or
@@ -1160,7 +1177,7 @@ def _lockstep(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) -> list:
     best = [_pick(results)[:2] for fit in fits for results in fit]
     rows = _refine(
         unfold, k, np.array([a for a, _ in best]), np.array([b for _, b in best]),
-        cfg.tol, cfg.max_iter,
+        cfg.tol, cfg.max_iter, early,
     )
     fits = [_guard(f, rows[pos * r : (pos + 1) * r], p + k) for pos, f in enumerate(fits)]
     A = np.array([np.column_stack([c[0] for c in f]) for f in fits])

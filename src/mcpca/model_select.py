@@ -130,9 +130,11 @@ def _candidate_components(t: CovarianceTensor, r: int, cfg: FitConfig, seeds) ->
     """Components A of one candidate's fits, one per seed of ``seeds``:
     their components and loadings found in one lockstep
     (``decompose._lockstep``), each fit finished by ``fit_mcpca``; None
-    for a fit that failed."""
+    for a fit that failed.  The lockstep refines early
+    (``decompose._refine``), so these A differ in low digits from those
+    of fits refined to their fixed points."""
     models = []
-    for seed, found in zip(seeds, _lockstep(t, r, cfg, seeds)):
+    for seed, found in zip(seeds, _lockstep(t, r, cfg, seeds, early=True)):
         try:
             models.append(fit_mcpca(t, r, replace(cfg, seed=seed), found)[0].A)
         except (McpcaError, np.linalg.LinAlgError):
@@ -181,8 +183,9 @@ def stability_score(
     """Mean match score over pairs of fits from independent seeds.
 
     Pair seeds come from ``mix_seed(cfg.seed, pair, run)``, and the fits
-    run as one lockstep in this process, as they do for the same rank in
-    :func:`select_rank`, so the two give the same score.  Any fit
+    run as one lockstep in this process, refined early, as they do for
+    the same rank in :func:`select_rank`, so the two give the same score.
+    Any fit
     failure (for example a rank-deficient flattening, or NNLS loadings
     that do not converge) scores 0: rank candidates near the numerical
     rank degrade instead of aborting.
@@ -204,7 +207,8 @@ def select_rank(
     shortlisting candidates; no elbow detection is attempted.
 
     All 2 * ``n_seed_pairs`` fits of every candidate run, each
-    candidate's as one lockstep: in forked workers from
+    candidate's as one lockstep, refined early (``_candidate_components``:
+    stabilities move in their low digits), in forked workers from
     ``fork_pool.PARALLEL_MIN_ENTRIES`` tensor entries on, CPUs // BLAS
     threads of them, one candidate per task, largest rank first.  The
     report is ``==`` to the one the candidates give one after another in

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mcpca import PlantedModel, generate_planted
+from mcpca import PlantedModel, build_tensor, generate_planted, sample_dataset
 
 # Reject planted draws whose loading columns are nearly collinear or
 # vanish; such instances are non-identifiable by construction and are
@@ -75,3 +75,15 @@ def active_set_example():
     )
     W = np.random.default_rng(44).standard_normal((10, 3))
     return A, B, W @ W.T
+
+
+def benchmark_tensor(seed, p, k, r):
+    """The tensor the benchmark harness builds at ``seed`` for a shape:
+    a planted model of density 0.2 and 1000 samples per context, drawn
+    from the seed streams (seed, 1) and (seed, 2)."""
+
+    def derive(tag):
+        return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
+
+    pm = generate_planted(p, k, r, 0.2, seed=derive(1))
+    return build_tensor(sample_dataset(pm, 1000, seed=derive(2)))

@@ -11,9 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from helpers import active_set_example, duplicated_column_model, generate_identifiable
+from helpers import (
+    active_set_example,
+    benchmark_tensor,
+    duplicated_column_model,
+    generate_identifiable,
+)
 
 from mcpca import (
+    BenchConfig,
     CovarianceTensor,
     FitConfig,
     GramSingularityError,
@@ -24,10 +30,14 @@ from mcpca import (
     extract_subspace,
     fit_mcpca,
     flatten,
+    generate_planted,
     jennrich,
     reconstruction_error,
+    run_accuracy_trials,
     sample_dataset,
+    select_rank,
     solve_nnls,
+    stability_score,
     tensor_from_factors,
 )
 from mcpca import decompose, fork_pool
@@ -1701,3 +1711,116 @@ class TestLockstep:
             np.testing.assert_array_equal(starts[j], stacked[best[0]][0])
             taken = np.vstack([taken, stacked[best[0]][6]])
         assert picks != [0] * 5
+
+
+def _sampled_planted(p, k, r, model_seed, data_seed):
+    """The sample covariance tensor of 1000 rows per context of a planted
+    model of density 0.2."""
+    pm = generate_planted(p, k, r, 0.2, seed=model_seed)
+    return build_tensor(sample_dataset(pm, 1000, seed=data_seed))
+
+
+class _NeverNear(decompose._Schedule):
+    """A refinement schedule that never finds itself near its fixed point:
+    refinement as it is without the early stop."""
+
+    __slots__ = ()
+    near = property(lambda self: False, lambda self, value: None)
+
+
+class TestEarlyRefinement:
+    """Rank selection refines until a row's power steps place it within
+    tol of its fixed point; everything else refines to the fixed point."""
+
+    @staticmethod
+    def _schedule(steps, tol=1e-10):
+        """A schedule after power steps of the lengths ``steps``."""
+        schedule = decompose._Schedule()
+        prices = decompose._step_prices(20, 10, 8)
+        for i, step in enumerate(steps, 1):
+            schedule.power_taken(step, tol, i, prices, 500)
+        return schedule
+
+    def test_stop_predicate(self):
+        # d = step * rho / (1 - rho): 3.3e-7 at rho = 0.25, step 1e-6, so
+        # d^2 / 2 = 5.6e-14 < 1e-10; 9.9e-5 at rho = 0.99, 4.9e-9.
+        assert self._schedule([16e-6, 4e-6, 1e-6]).near
+        assert not self._schedule([1e-6 / 0.99**2, 1e-6 / 0.99, 1e-6]).near
+        # Unsettled ratios (0.9, then 0.25) never stop, however short the step.
+        assert not self._schedule([1e-12 / 0.9 / 0.25, 1e-12 / 0.25, 1e-12]).near
+        # Nor do rho >= 1 ...
+        assert not self._schedule([1e-12, 1e-12, 1e-12]).near
+        assert not self._schedule([1e-12, 2e-12, 4e-12]).near
+        # ... or too few steps to give two ratios.
+        assert not self._schedule([4e-12, 1e-12]).near
+        # After a Newton step the ratios are NaN, until two more power
+        # steps give two ratios again.
+        schedule = self._schedule([16e-6, 4e-6, 1e-6])
+        schedule.newton_taken(1e-9, 1e-10)
+        assert not schedule.near
+        for i, step in enumerate([4e-12, 1e-12], 4):
+            schedule.power_taken(step, 1e-10, i, decompose._step_prices(20, 10, 8), 500)
+            assert not schedule.near
+        schedule.power_taken(0.25e-12, 1e-10, 6, decompose._step_prices(20, 10, 8), 500)
+        assert schedule.near
+
+    def test_only_rank_selection_stops_early(self, recorded):
+        # Fits alone, benchmark trials and every model a user sees refine
+        # to the fixed point; rank selection's locksteps, through
+        # select_rank and stability_score alike, stop early.
+        pm = generate_identifiable(10, 6, 3, 0.7, seed=5)
+        t = tensor_from_factors(pm.A_true, pm.B_true)
+        assert t.slices.size < fork_pool.PARALLEL_MIN_ENTRIES  # fits in this process
+
+        def modes():
+            modes = [args[6] for args, _ in recorded["_refine"]]
+            recorded["_refine"].clear()
+            return modes
+
+        fit_mcpca(t, 3, FitConfig(seed=1))
+        assert modes() == [False]
+        run_accuracy_trials(BenchConfig(p=10, k=6, r=3, n_trials=2, methods=("mcpca",)))
+        assert modes() == [False, False]
+        stability_score(t, 3, n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert modes() == [True]
+        select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
+        assert modes() == [True, True]
+
+    @pytest.mark.parametrize("shape", ["desk", "p40"])
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_fit_alone_refines_to_the_fixed_point(self, monkeypatch, shape, seed):
+        # The early stop's state never reaches a fit alone: it is bit for
+        # bit the fit whose rows are never near, at the desk shape and at
+        # the shape of the benchmark's trials.
+        if shape == "desk":
+            t, r = benchmark_tensor(seed, 100, 50, 60), 60
+        else:
+            t, r = _sampled_planted(40, 20, 20, seed, seed + 1000), 20
+        model, report = fit_mcpca(t, r, FitConfig(seed=7))
+        monkeypatch.setattr(decompose, "_Schedule", _NeverNear)
+        want, want_report = fit_mcpca(t, r, FitConfig(seed=7))
+        assert np.array_equal(model.A, want.A) and np.array_equal(model.B, want.B)
+        assert model.converged == want.converged
+        assert report.iterations == want_report.iterations
+        assert report.objective_trace == want_report.objective_trace
+
+    def test_early_rows_stop_sooner_near_their_fixed_points(self):
+        # The same starts refined both ways: an early row takes no more
+        # steps, ends near the fixed point, and is converged wherever the
+        # row refined to the fixed point is.  Its predicted distance is
+        # below sqrt(2 tol) = 1.4e-5, a prediction from three steps and
+        # not a bound: the farthest a here is 2.6e-5 off.
+        t = _sampled_planted(40, 20, 20, 101, 1101)
+        unfold = _unfold(t, 20)
+        rng = np.random.default_rng(3)
+        a = np.array([_unit(rng, 40) for _ in range(20)])
+        b = np.array([_unit(rng, 20) for _ in range(20)])
+        fixed = _refine(unfold, 20, a, b, 1e-10, 500)
+        early = _refine(unfold, 20, a, b, 1e-10, 500, True)
+        assert sum(row[3] for row in early) < sum(row[3] for row in fixed)
+        for got, want in zip(early, fixed):
+            assert got[3] <= want[3]
+            assert got[5] or not want[5]
+            if np.abs(want[0] @ got[0]) > 0.99:
+                sign = np.sign(want[0] @ got[0])
+                assert np.linalg.norm(sign * got[0] - want[0]) <= 1e-4

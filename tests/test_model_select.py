@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import active_set_example, generate_identifiable
+from helpers import active_set_example, benchmark_tensor, generate_identifiable
 
 from mcpca import (
     CovarianceTensor,
@@ -614,3 +614,58 @@ def test_pool_size_follows_blas_threads(monkeypatch, env, cpus, workers):
     got = select_rank(t, [2, 3], n_seed_pairs=2, cfg=FitConfig(seed=0))
     assert pools == [workers or 1]
     assert got == want
+
+
+# --- rank selection's early refinement ---------------------------------------
+
+
+def _criterion_five_inputs():
+    for rep in range(10):
+        pm = generate_identifiable(20, 10, 3, 0.5, seed=9000 + 17 * rep)
+        yield tensor_from_factors(pm.A_true, pm.B_true), [2, 3, 4, 5], FitConfig(seed=rep)
+
+
+def _selected(t, candidates, cfg, early):
+    """The report of ``select_rank`` in this process with the early stop
+    (as it runs) or with every lockstep refined to its fixed point, and the
+    components of each candidate's fits."""
+    components = {}
+    real_components = model_select._candidate_components
+    real_lockstep = decompose._lockstep
+
+    def recorded(t, r, cfg, seeds):
+        components[r] = real_components(t, r, cfg, seeds)
+        return components[r]
+
+    with _serial(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_select, "_candidate_components", recorded)
+        if not early:
+            mp.setattr(
+                model_select, "_lockstep", lambda t, r, cfg, seeds, early: real_lockstep(t, r, cfg, seeds)
+            )
+        report = select_rank(t, candidates, n_seed_pairs=5, cfg=cfg)
+    return report, [components[r] for r in candidates]
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [_criterion_five_inputs, lambda: [(benchmark_tensor(101, 100, 50, 12), [4, 8, 12, 16], FitConfig())]],
+    ids=["criterion-5", "select-rank-101"],
+)
+def test_early_locksteps_decide_as_fixed_point_locksteps(inputs):
+    # Rank selection's fits stop once their power steps place them within
+    # tol of their fixed points: each A within 1e-4 of the fixed point's
+    # after column matching, each stability within 1e-8, the same rank.
+    for t, candidates, cfg in inputs():
+        early, early_fits = _selected(t, candidates, cfg, early=True)
+        fixed, fixed_fits = _selected(t, candidates, cfg, early=False)
+        assert early.chosen == fixed.chosen
+        np.testing.assert_allclose(early.stability, fixed.stability, rtol=0, atol=1e-8)
+        for got_fits, want_fits in zip(early_fits, fixed_fits):
+            for got, want in zip(got_fits, want_fits):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    match = ascore(want, got)
+                    perm = list(match.permutation)
+                    signs = np.array([match.signs[j] for j in perm])
+                    assert np.abs(got[:, perm] * signs - want).max() <= 1e-4
